@@ -19,7 +19,7 @@ print("fresh policy over 3 valid actions:", np.round(out.probs, 4),
       "entropy", round(out.entropy, 4), "= ln 3 =", round(np.log(3), 4))
 
 # gradient check along one random coordinate
-params.weights[-1] = rng.normal(scale=0.3, size=params.weights[-1].shape)
+params.weights[-1][...] = rng.normal(scale=0.3, size=params.weights[-1].shape)
 x = rng.normal(size=(5, 10))
 up = rng.normal(size=(5, 4))
 analytic = nets.mlp_backward(params, x, up)

@@ -192,7 +192,9 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"no manifest.json under {run}")
     manifest = json.loads(manifest_path.read_text())
     config = TrainConfig.from_dict(manifest["config"])
-    graph, _, _ = _load_graph_file(manifest["graph_file"])
+    graph, graph_path, graph_text = _load_graph_file(manifest["graph_file"])
+    if hashlib.sha256(graph_text.encode()).hexdigest() != manifest["graph_sha256"]:
+        raise ConfigError(f"graph file {graph_path} changed since training (sha256 differs from the manifest)")
     specs = tuple(
         AgentSpec(agent_id=i, start=s, dest=d, depart_time=t)
         for i, (s, d, t) in enumerate(manifest["agents"])

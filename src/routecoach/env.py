@@ -49,7 +49,6 @@ class EnvState:
     positions: tuple[int, ...]
     done: tuple[bool, ...]
     arrived: tuple[bool, ...]
-    cum_rewards: tuple[float, ...]
     seed: int
 
 
@@ -141,7 +140,6 @@ class RouteEnv:
             positions=tuple(spec.start for spec in self.specs),
             done=tuple(False for _ in self.specs),
             arrived=tuple(False for _ in self.specs),
-            cum_rewards=tuple(0.0 for _ in self.specs),
             seed=int(seed),
         )
         return state, [self.observe(state, i) for i in range(self.n_agents)]
@@ -230,7 +228,6 @@ class RouteEnv:
             positions=tuple(positions),
             done=tuple(done),
             arrived=tuple(arrived),
-            cum_rewards=tuple(c + r for c, r in zip(state.cum_rewards, rewards)),
             seed=state.seed,
         )
         result = StepResult(

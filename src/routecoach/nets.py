@@ -8,8 +8,10 @@ exactly uniform over valid actions and an untrained value head outputs 0.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,19 +23,52 @@ class NetError(ValueError):
     pass
 
 
-@dataclass
 class MlpParams:
-    """Per-layer weights/biases; also used as the gradient container."""
+    """Per-layer weights and biases, stored as views into one flat vector.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    ``data`` holds every weight matrix and then every bias vector, in layer
+    order and row-major, which is also the layout ``flat()`` returns.
+    ``weights`` and ``biases`` are tuples of views into ``data``, so writing
+    into a layer writes the vector and an optimizer can update every layer
+    with one operation on ``data``.  Also used as the gradient container.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.weights) != len(self.biases):
+    __slots__ = ("data", "weights", "biases")
+
+    def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
+        """Packs copies of the given arrays into a new vector."""
+        if len(weights) != len(biases):
             raise NetError("weights and biases must pair up")
-        for w, b in zip(self.weights, self.biases):
-            if w.shape[1] != b.shape[0]:
-                raise NetError(f"bias shape {b.shape} does not match weight shape {w.shape}")
+        for w, b in zip(weights, biases):
+            if np.shape(w)[1] != np.shape(b)[0]:
+                raise NetError(f"bias shape {np.shape(b)} does not match weight shape {np.shape(w)}")
+        arrays = (*weights, *biases)
+        self._bind(np.empty(sum(np.size(a) for a in arrays)), [np.shape(a) for a in arrays])
+        for view, a in zip(self.weights + self.biases, arrays):
+            view[...] = a
+
+    def _bind(self, data: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> None:
+        views, offset = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            views.append(data[offset:offset + size].reshape(shape))
+            offset += size
+        half = len(views) // 2
+        self.data, self.weights, self.biases = data, tuple(views[:half]), tuple(views[half:])
+
+    @classmethod
+    def zeros(cls, weight_shapes: Sequence[tuple[int, int]]) -> "MlpParams":
+        """Zero parameters for layers with the given weight shapes."""
+        params = cls.__new__(cls)
+        shapes = [*weight_shapes, *((cols,) for _, cols in weight_shapes)]
+        params._bind(np.zeros(sum(math.prod(shape) for shape in shapes)), shapes)
+        return params
+
+    def like(self, data: np.ndarray) -> "MlpParams":
+        """Parameters with this one's layer shapes, as views into ``data``."""
+        other = MlpParams.__new__(MlpParams)
+        other._bind(data, [a.shape for a in self.weights + self.biases])
+        return other
 
     @property
     def in_dim(self) -> int:
@@ -44,10 +79,11 @@ class MlpParams:
         return self.weights[-1].shape[1]
 
     def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return self.like(self.data.copy())
 
     def flat(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.weights + self.biases])
+        """A copy of ``data``: a snapshot that later updates do not touch."""
+        return self.data.copy()
 
 
 @dataclass
@@ -64,45 +100,89 @@ class PolicyOutput:
     entropy: float
 
 
+class MlpTape(NamedTuple):
+    """Inputs and activations of one batched forward pass, for the backward."""
+
+    x: np.ndarray    # (N, in)
+    h1: np.ndarray   # (N, 128)
+    h2: np.ndarray   # (N, 128)
+    out: np.ndarray  # (N, out)
+
+
+class PolicyTape(NamedTuple):
+    """A policy forward pass over a batch, kept for the backward."""
+
+    mlp: MlpTape
+    masks: np.ndarray      # (N, m) bool
+    log_probs: np.ndarray  # (N, m)
+    probs: np.ndarray      # (N, m)
+    entropy: np.ndarray    # (N,)
+
+
 def init_mlp(rng: np.random.Generator, in_dim: int, out_dim: int) -> MlpParams:
     """Scaled-uniform hidden layers, zero final layer, zero biases."""
     dims = (in_dim, *HIDDEN, out_dim)
-    weights, biases = [], []
-    for i in range(len(dims) - 1):
-        fan_in, fan_out = dims[i], dims[i + 1]
-        if i == len(dims) - 2:
-            w = np.zeros((fan_in, fan_out))
-        else:
-            limit = np.sqrt(6.0 / fan_in)
-            w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        weights.append(w)
-        biases.append(np.zeros(fan_out))
-    return MlpParams(weights, biases)
+    params = MlpParams.zeros(list(zip(dims, dims[1:])))
+    for w in params.weights[:-1]:
+        # rng.uniform(-limit, limit) drawn straight into the vector: numpy
+        # computes low + (high - low) * u from the same doubles u, so the
+        # values are the same bits without a temporary array per layer
+        limit = np.sqrt(6.0 / w.shape[0])
+        rng.random(out=w)
+        w *= 2 * limit
+        w -= limit
+    return params
 
 
 def init_adam(params: MlpParams) -> AdamState:
-    zeros = MlpParams(
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-    )
-    return AdamState(m=zeros, v=zeros.copy(), t=0)
+    return AdamState(m=params.like(np.zeros_like(params.data)),
+                     v=params.like(np.zeros_like(params.data)), t=0)
 
 
 # -- forward / backward ----------------------------------------------------
+#
+# Each backward is a forward that keeps its activations (``*_forward_tape``)
+# followed by a backward that takes them (``mlp_backward_tape``, with
+# ``policy_upstream`` in front for the policy), so a caller that already
+# ran the forward on the current parameters can skip running it again.
 
-def _forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def mlp_forward_tape(params: MlpParams, x: np.ndarray) -> MlpTape:
+    """Forward pass over a batch (N, dim), keeping the activations."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
     h1 = np.tanh(x @ params.weights[0] + params.biases[0])
     h2 = np.tanh(h1 @ params.weights[1] + params.biases[1])
-    out = h2 @ params.weights[2] + params.biases[2]
-    return h1, h2, out
+    return MlpTape(x, h1, h2, h2 @ params.weights[2] + params.biases[2])
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Raw network outputs for a single input (dim,) or a batch (N, dim)."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return _forward(params, x[None, :])[2][0]
-    return _forward(params, x)[2]
+    out = mlp_forward_tape(params, x).out
+    return out[0] if x.ndim == 1 else out
+
+
+def mlp_backward_tape(params: MlpParams, tape: MlpTape, upstream: np.ndarray) -> MlpParams:
+    """Gradients of ``sum(upstream * tape.out)`` w.r.t. every parameter.
+
+    ``tape`` must come from ``mlp_forward_tape`` on these same parameters.
+    The gradients are written straight into one new flat vector.
+    """
+    x, h1, h2, _ = tape
+    if x.shape[0] == 0:
+        raise NetError("empty batch")
+    if upstream.shape != (x.shape[0], params.out_dim):
+        raise NetError(f"upstream shape {upstream.shape} does not match batch/out dims")
+    grads = params.like(np.empty_like(params.data))
+    (dW0, dW1, dW2), (db0, db1, db2) = grads.weights, grads.biases
+    np.matmul(h2.T, upstream, out=dW2)
+    np.sum(upstream, axis=0, out=db2)
+    dz2 = (upstream @ params.weights[2].T) * (1.0 - h2 * h2)
+    np.matmul(h1.T, dz2, out=dW1)
+    np.sum(dz2, axis=0, out=db1)
+    dz1 = (dz2 @ params.weights[1].T) * (1.0 - h1 * h1)
+    np.matmul(x.T, dz1, out=dW0)
+    np.sum(dz1, axis=0, out=db0)
+    return grads
 
 
 def mlp_backward(params: MlpParams, x: np.ndarray, upstream: np.ndarray) -> MlpParams:
@@ -111,22 +191,8 @@ def mlp_backward(params: MlpParams, x: np.ndarray, upstream: np.ndarray) -> MlpP
     ``upstream`` has one row per batch element; gradients sum over the
     batch.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     upstream = np.atleast_2d(np.asarray(upstream, dtype=float))
-    if x.shape[0] == 0:
-        raise NetError("empty batch")
-    if upstream.shape != (x.shape[0], params.out_dim):
-        raise NetError(f"upstream shape {upstream.shape} does not match batch/out dims")
-    h1, h2, _ = _forward(params, x)
-    dW2 = h2.T @ upstream
-    db2 = upstream.sum(axis=0)
-    dz2 = (upstream @ params.weights[2].T) * (1.0 - h2 * h2)
-    dW1 = h1.T @ dz2
-    db1 = dz2.sum(axis=0)
-    dz1 = (dz2 @ params.weights[1].T) * (1.0 - h1 * h1)
-    dW0 = x.T @ dz1
-    db0 = dz1.sum(axis=0)
-    return MlpParams([dW0, dW1, dW2], [db0, db1, db2])
+    return mlp_backward_tape(params, mlp_forward_tape(params, x), upstream)
 
 
 # -- masked categorical policy ----------------------------------------------
@@ -167,14 +233,17 @@ def policy_forward_batch(
     return masked_log_softmax(logits, masks)
 
 
-def policy_backward(
-    params: MlpParams,
-    obs: np.ndarray,
-    masks: np.ndarray,
-    dlogp: np.ndarray,
-    dentropy: np.ndarray | float = 0.0,
-) -> MlpParams:
-    """Gradients of ``sum(dlogp * log_probs) + sum(dentropy * entropy)``.
+def policy_forward_tape(params: MlpParams, obs: np.ndarray, masks: np.ndarray) -> PolicyTape:
+    """``policy_forward_batch`` that also keeps what the backward needs."""
+    masks = np.atleast_2d(np.asarray(masks, dtype=bool))
+    tape = mlp_forward_tape(params, obs)
+    return PolicyTape(tape, masks, *masked_log_softmax(tape.out, masks))
+
+
+def policy_upstream(
+    tape: PolicyTape, dlogp: np.ndarray, dentropy: np.ndarray | float = 0.0
+) -> np.ndarray:
+    """Upstream on the logits of ``sum(dlogp * log_probs) + sum(dentropy * entropy)``.
 
     ``dlogp`` is (N, m) upstream on the masked log-probabilities (entries
     for masked slots must be 0), ``dentropy`` is (N,) upstream on the
@@ -183,18 +252,26 @@ def policy_backward(
         d log p_a / d z_j = delta_aj - p_j
         d H / d z_j       = -p_j (log p_j + H)
     """
-    obs = np.atleast_2d(np.asarray(obs, dtype=float))
-    masks = np.atleast_2d(np.asarray(masks, dtype=bool))
+    masks, log_probs, probs, entropy = tape.masks, tape.log_probs, tape.probs, tape.entropy
     dlogp = np.atleast_2d(np.asarray(dlogp, dtype=float))
-    dent = np.broadcast_to(np.asarray(dentropy, dtype=float), (obs.shape[0],))
-    logits = mlp_forward(params, obs)
-    log_probs, probs, entropy = masked_log_softmax(logits, masks)
+    dent = np.broadcast_to(np.asarray(dentropy, dtype=float), (masks.shape[0],))
     row_sum = dlogp.sum(axis=1, keepdims=True)
     up = dlogp - probs * row_sum
     safe_logp = np.where(masks, log_probs, 0.0)
     up = up + dent[:, None] * (-probs * (safe_logp + entropy[:, None]))
-    up = np.where(masks, up, 0.0)
-    return mlp_backward(params, obs, up)
+    return np.where(masks, up, 0.0)
+
+
+def policy_backward(
+    params: MlpParams,
+    obs: np.ndarray,
+    masks: np.ndarray,
+    dlogp: np.ndarray,
+    dentropy: np.ndarray | float = 0.0,
+) -> MlpParams:
+    """Gradients of ``sum(dlogp * log_probs) + sum(dentropy * entropy)``."""
+    tape = policy_forward_tape(params, obs, masks)
+    return mlp_backward_tape(params, tape.mlp, policy_upstream(tape, dlogp, dentropy))
 
 
 # -- scalar value head -------------------------------------------------------
@@ -223,42 +300,44 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[MlpParams, AdamState]:
-    """One bias-corrected Adam update; fails fast on non-finite gradients."""
-    for g in grads.weights + grads.biases:
-        if not np.isfinite(g).all():
-            raise NetError("non-finite gradient")
+    """One bias-corrected Adam update, in place; fails fast on non-finite gradients.
+
+    Updates ``params`` and ``state`` over their flat vectors and returns the
+    same two objects.  The operations and their order are those of the
+    textbook per-array update, ``m = beta1*m + (1-beta1)*g``,
+    ``v = beta2*v + (1-beta2)*g*g`` and
+    ``p = p - lr*m_hat / (sqrt(v_hat) + eps)`` with ``m_hat = m/(1-beta1^t)``
+    and ``v_hat = v/(1-beta2^t)``, so the results are bit for bit the same.
+    """
+    g = grads.data
+    if not np.isfinite(g).all():
+        raise NetError("non-finite gradient")
     t = state.t + 1
-    new_w, new_b = [], []
-    new_mw, new_mb, new_vw, new_vb = [], [], [], []
-    for kind in ("weights", "biases"):
-        for p, g, m, v in zip(
-            getattr(params, kind), getattr(grads, kind),
-            getattr(state.m, kind), getattr(state.v, kind),
-        ):
-            m2 = beta1 * m + (1 - beta1) * g
-            v2 = beta2 * v + (1 - beta2) * g * g
-            m_hat = m2 / (1 - beta1 ** t)
-            v_hat = v2 / (1 - beta2 ** t)
-            p2 = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-            if kind == "weights":
-                new_w.append(p2); new_mw.append(m2); new_vw.append(v2)
-            else:
-                new_b.append(p2); new_mb.append(m2); new_vb.append(v2)
-    return (
-        MlpParams(new_w, new_b),
-        AdamState(m=MlpParams(new_mw, new_mb), v=MlpParams(new_vw, new_vb), t=t),
-    )
+    p, m, v = params.data, state.m.data, state.v.data
+    step = np.multiply(g, 1 - beta1)
+    np.multiply(m, beta1, out=m)
+    np.add(m, step, out=m)
+    np.multiply(g, 1 - beta2, out=step)
+    np.multiply(step, g, out=step)
+    np.multiply(v, beta2, out=v)
+    np.add(v, step, out=v)
+    denom = np.divide(v, 1 - beta2 ** t)
+    np.sqrt(denom, out=denom)
+    np.add(denom, eps, out=denom)
+    np.divide(m, 1 - beta1 ** t, out=step)
+    np.multiply(step, lr, out=step)
+    np.divide(step, denom, out=step)
+    np.subtract(p, step, out=p)
+    state.t = t
+    return params, state
 
 
 def neg(grads: MlpParams) -> MlpParams:
-    return MlpParams([-w for w in grads.weights], [-b for b in grads.biases])
+    return grads.like(-grads.data)
 
 
 def add(a: MlpParams, b: MlpParams) -> MlpParams:
-    return MlpParams(
-        [wa + wb for wa, wb in zip(a.weights, b.weights)],
-        [ba + bb for ba, bb in zip(a.biases, b.biases)],
-    )
+    return a.like(a.data + b.data)
 
 
 # -- checkpoints ---------------------------------------------------------------

@@ -305,7 +305,9 @@ def update_agent(
     Computes bootstrapped returns and advantages for both trajectory
     sources, steps both value heads on their squared errors, and steps the
     policy on the negated mixed clipped-surrogate objective plus entropy
-    bonus, ``update_epochs`` times over the full batch.
+    bonus, ``update_epochs`` times over the full batch.  Each pass runs
+    every network forward once per batch and backpropagates from those
+    activations; the networks and their Adam moments are updated in place.
     """
     if len(tau_a) == 0:
         return {"loss_policy": float("nan"), "loss_value_a": float("nan"),
@@ -318,9 +320,11 @@ def update_agent(
 
     obs_a, masks_a = tau_a.obs_matrix(), tau_a.mask_matrix()
     acts_a, logp_old_a = tau_a.actions(), tau_a.log_probs_behavior()
+    rows_a = np.arange(len(tau_a))
     tail_a = 0.0 if tau_a.terminated else float(nets.value_forward(learner.value_a, tau_a.terminal_obs.vector))
     returns_a = L.bootstrapped_returns(tau_a.rewards(), config.gamma, tail_a)
-    adv_a_raw = L.advantages(returns_a, nets.value_forward(learner.value_a, obs_a))
+    value_tape_a = nets.mlp_forward_tape(learner.value_a, obs_a)
+    adv_a_raw = L.advantages(returns_a, value_tape_a.out[:, 0])
 
     # standardizing is what keeps the agent's own PPO step well-scaled; the
     # expert batch keeps its raw advantages, since zero-centering a batch
@@ -330,54 +334,62 @@ def update_agent(
     if use_expert:
         obs_e, masks_e = tau_e.obs_matrix(), tau_e.mask_matrix()
         acts_e = tau_e.actions()
+        rows_e = np.arange(len(tau_e))
         tail_e = 0.0 if tau_e.terminated else float(nets.value_forward(learner.value_e, tau_e.terminal_obs.vector))
         returns_e = L.bootstrapped_returns(tau_e.rewards(), config.gamma, tail_e)
-        adv_e = L.advantages(returns_e, nets.value_forward(learner.value_e, obs_e))
+        value_tape_e = nets.mlp_forward_tape(learner.value_e, obs_e)
+        adv_e = L.advantages(returns_e, value_tape_e.out[:, 0])
         # the expert data was not produced by the current policy; the
         # "old" policy for its ratio is the policy entering this round
-        logp_mat, _, _ = nets.policy_forward_batch(learner.policy, obs_e, masks_e)
-        logp_old_e = logp_mat[np.arange(len(tau_e)), acts_e]
+        policy_tape_e = nets.policy_forward_tape(learner.policy, obs_e, masks_e)
+        logp_old_e = policy_tape_e.log_probs[rows_e, acts_e]
 
     stats: dict[str, float] = {}
-    for _ in range(config.update_epochs):
-        logp_mat_a, _, entropy_a = nets.policy_forward_batch(learner.policy, obs_a, masks_a)
-        logp_new_a = logp_mat_a[np.arange(len(tau_a)), acts_a]
+    for update in range(config.update_epochs):
+        if update > 0:
+            # the first pass reuses the forwards above, taken on the same
+            # parameters; later passes see the parameters the last one stepped
+            value_tape_a = nets.mlp_forward_tape(learner.value_a, obs_a)
+            if use_expert:
+                value_tape_e = nets.mlp_forward_tape(learner.value_e, obs_e)
+                policy_tape_e = nets.policy_forward_tape(learner.policy, obs_e, masks_e)
+        policy_tape_a = nets.policy_forward_tape(learner.policy, obs_a, masks_a)
+        logp_new_a = policy_tape_a.log_probs[rows_a, acts_a]
         obj_a = L.clipped_surrogate(logp_new_a, logp_old_a, adv_a, eps)
-        dlogp_a = np.zeros_like(logp_mat_a)
-        dlogp_a[np.arange(len(tau_a)), acts_a] = alpha * L.clipped_surrogate_grad(
-            logp_new_a, logp_old_a, adv_a, eps)
+        dlogp_a = np.zeros_like(policy_tape_a.log_probs)
+        dlogp_a[rows_a, acts_a] = alpha * L.clipped_surrogate_grad(logp_new_a, logp_old_a, adv_a, eps)
         dentropy = np.full(len(tau_a), beta / len(tau_a))
-        grads = nets.policy_backward(learner.policy, obs_a, masks_a, dlogp_a, dentropy)
+        grads = nets.mlp_backward_tape(
+            learner.policy, policy_tape_a.mlp, nets.policy_upstream(policy_tape_a, dlogp_a, dentropy))
 
         obj_e = 0.0
         if use_expert:
-            logp_mat_e, _, _ = nets.policy_forward_batch(learner.policy, obs_e, masks_e)
-            logp_new_e = logp_mat_e[np.arange(len(tau_e)), acts_e]
+            logp_new_e = policy_tape_e.log_probs[rows_e, acts_e]
             obj_e = L.clipped_surrogate(logp_new_e, logp_old_e, adv_e, eps)
-            dlogp_e = np.zeros_like(logp_mat_e)
-            dlogp_e[np.arange(len(tau_e)), acts_e] = (1.0 - alpha) * L.clipped_surrogate_grad(
+            dlogp_e = np.zeros_like(policy_tape_e.log_probs)
+            dlogp_e[rows_e, acts_e] = (1.0 - alpha) * L.clipped_surrogate_grad(
                 logp_new_e, logp_old_e, adv_e, eps)
-            grads = nets.add(grads, nets.policy_backward(learner.policy, obs_e, masks_e, dlogp_e, 0.0))
+            grads = nets.add(grads, nets.mlp_backward_tape(
+                learner.policy, policy_tape_e.mlp, nets.policy_upstream(policy_tape_e, dlogp_e, 0.0)))
 
         mixed = L.mixed_policy_objective(obj_a, obj_e, alpha)
-        total = L.total_policy_objective(mixed, float(entropy_a.mean()), beta)
+        total = L.total_policy_objective(mixed, float(policy_tape_a.entropy.mean()), beta)
         if not np.isfinite(total):
             raise TrainingError(f"agent {tau_a.agent_id}: non-finite policy objective at epoch {k}")
-        learner.policy, learner.adam_policy = nets.adam_step(
-            learner.policy, nets.neg(grads), learner.adam_policy, lr)
+        nets.adam_step(learner.policy, nets.neg(grads), learner.adam_policy, lr)
 
-        values_a = nets.value_forward(learner.value_a, obs_a)
+        values_a = value_tape_a.out[:, 0]
         stats["loss_value_a"] = L.value_loss(values_a, returns_a)
         dva = 2.0 * (values_a - returns_a) / len(tau_a)
-        learner.value_a, learner.adam_value_a = nets.adam_step(
-            learner.value_a, nets.value_backward(learner.value_a, obs_a, dva), learner.adam_value_a, lr)
+        nets.adam_step(learner.value_a, nets.mlp_backward_tape(learner.value_a, value_tape_a, dva.reshape(-1, 1)),
+                       learner.adam_value_a, lr)
 
         if use_expert:
-            values_e = nets.value_forward(learner.value_e, obs_e)
+            values_e = value_tape_e.out[:, 0]
             stats["loss_value_e"] = L.value_loss(values_e, returns_e)
             dve = 2.0 * (values_e - returns_e) / len(tau_e)
-            learner.value_e, learner.adam_value_e = nets.adam_step(
-                learner.value_e, nets.value_backward(learner.value_e, obs_e, dve), learner.adam_value_e, lr)
+            nets.adam_step(learner.value_e, nets.mlp_backward_tape(learner.value_e, value_tape_e, dve.reshape(-1, 1)),
+                           learner.adam_value_e, lr)
         else:
             stats["loss_value_e"] = float("nan")
         stats["loss_policy"] = -total

@@ -117,7 +117,7 @@ def test_a2_gradient_exactness():
     for _ in range(20):
         # policy net case: loss = sum(direction * log pi) + sum(dir_H * H)
         params = nets.init_mlp(rng, 10, 4)
-        params.weights[-1] = rng.normal(scale=0.3, size=params.weights[-1].shape)
+        params.weights[-1][...] = rng.normal(scale=0.3, size=params.weights[-1].shape)
         x = rng.normal(size=(3, 10))
         masks = rng.random((3, 4)) < 0.8
         masks[np.arange(3), rng.integers(4, size=3)] = True  # at least one valid
@@ -133,7 +133,7 @@ def test_a2_gradient_exactness():
 
         # value net case: loss = sum(direction * V)
         vparams = nets.init_mlp(rng, 10, 1)
-        vparams.weights[-1] = rng.normal(scale=0.3, size=vparams.weights[-1].shape)
+        vparams.weights[-1][...] = rng.normal(scale=0.3, size=vparams.weights[-1].shape)
         dvals = rng.normal(size=3)
 
         def value_loss_fn(p):

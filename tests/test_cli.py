@@ -112,6 +112,17 @@ class TestEvaluate:
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert main(["evaluate", "--run", str(out)]) == 2
 
+    def test_graph_edited_after_training_rejected(self, tmp_path, base_config, graph_file, capsys):
+        out = tmp_path / "run"
+        main(["train", "--config", base_config, "--out", str(out)])
+        doc = json.loads(open(graph_file).read())
+        doc["edges"][0]["length"] *= 2
+        with open(graph_file, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["evaluate", "--run", str(out)]) == 2
+        assert "sha256" in capsys.readouterr().err
+        assert not (out / "eval.csv").exists()
+
 
 class TestSweep:
     def test_rows_per_count_and_dedupe(self, tmp_path, graph_file, capsys):

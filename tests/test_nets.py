@@ -7,8 +7,8 @@ from routecoach import nets
 def random_params(rng, in_dim=6, out_dim=3):
     """Fully random parameters (no zero layer), for gradient checks."""
     params = nets.init_mlp(rng, in_dim, out_dim)
-    params.weights[-1] = rng.normal(scale=0.3, size=params.weights[-1].shape)
-    params.biases[-1] = rng.normal(scale=0.1, size=params.biases[-1].shape)
+    params.weights[-1][...] = rng.normal(scale=0.3, size=params.weights[-1].shape)
+    params.biases[-1][...] = rng.normal(scale=0.1, size=params.biases[-1].shape)
     return params
 
 
@@ -143,14 +143,58 @@ def test_policy_backward_matches_finite_differences(rng):
             assert relative_error(ana, num) < 1e-4
 
 
+def reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Per-layer Adam that builds new arrays: the reference for ``adam_step``."""
+    t = state.t + 1
+    new = {}
+    for kind in ("weights", "biases"):
+        layers = zip(getattr(params, kind), getattr(grads, kind),
+                     getattr(state.m, kind), getattr(state.v, kind))
+        new[kind] = []
+        for p, g, m, v in layers:
+            m2 = beta1 * m + (1 - beta1) * g
+            v2 = beta2 * v + (1 - beta2) * g * g
+            m_hat = m2 / (1 - beta1 ** t)
+            v_hat = v2 / (1 - beta2 ** t)
+            new[kind].append((p - lr * m_hat / (np.sqrt(v_hat) + eps), m2, v2))
+    unzip = lambda i: nets.MlpParams([e[i] for e in new["weights"]], [e[i] for e in new["biases"]])
+    return unzip(0), nets.AdamState(m=unzip(1), v=unzip(2), t=t)
+
+
+def test_adam_matches_per_layer_reference(rng):
+    params = random_params(rng, 9, 4)
+    state = nets.init_adam(params)
+    ref_params, ref_state = params.copy(), nets.init_adam(params)
+    for _ in range(50):
+        grads = params.like(rng.normal(size=params.data.shape) * rng.choice([1e-3, 1.0, 50.0]))
+        updated, new_state = nets.adam_step(params, grads, state, lr=3e-3)
+        assert updated is params and new_state is state
+        ref_params, ref_state = reference_adam_step(ref_params, grads, ref_state, lr=3e-3)
+        np.testing.assert_array_equal(params.data, ref_params.data)
+        np.testing.assert_array_equal(state.m.data, ref_state.m.data)
+        np.testing.assert_array_equal(state.v.data, ref_state.v.data)
+        assert state.t == ref_state.t
+
+
 def test_adam_zero_grads_keep_params(rng):
     params = random_params(rng)
+    before = params.flat()
     state = nets.init_adam(params)
     zeros = nets.MlpParams([np.zeros_like(w) for w in params.weights],
                            [np.zeros_like(b) for b in params.biases])
     updated, state = nets.adam_step(params, zeros, state, lr=0.1)
-    for a, b in zip(updated.weights, params.weights):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(updated.flat(), before)
+
+
+def test_layers_are_views_and_flat_is_a_copy(rng):
+    params = random_params(rng)
+    for layer in params.weights + params.biases:
+        assert np.shares_memory(layer, params.data)
+    snapshot = params.flat()
+    assert not np.shares_memory(snapshot, params.data)
+    params.weights[0][0, 0] += 1.0
+    assert params.data[0] == snapshot[0] + 1.0
+    assert not np.shares_memory(params.copy().data, params.data)
 
 
 def test_adam_first_step_magnitude():

@@ -7,7 +7,9 @@ from routecoach import losses as L
 from routecoach import nets
 from routecoach.env import RouteEnv
 from routecoach.llm import MockChatCompleter
+from routecoach.trajectory import dtw_distance, traj_to_feature_seq
 from routecoach.training import (
+    ALPHA_FLOOR,
     METRICS_COLUMNS,
     TrainConfig,
     Trainer,
@@ -299,59 +301,106 @@ class TestTrainerLoop:
             np.testing.assert_array_equal(agent_params["policy"].flat(), learner.policy.flat())
 
 
+def _primitive_update(l, tau_a, cfg):
+    """One agent's update written with the public primitives, expert branch optional."""
+    tau_e = l["expert"]
+    use_expert = tau_e is not None and len(tau_e) > 0
+    obs, masks = tau_a.obs_matrix(), tau_a.mask_matrix()
+    acts, logp_old = tau_a.actions(), tau_a.log_probs_behavior()
+    tail = 0.0 if tau_a.terminated else float(nets.value_forward(l["value_a"], tau_a.terminal_obs.vector))
+    returns = L.bootstrapped_returns(tau_a.rewards(), cfg.gamma, tail)
+    adv = L.standardize(L.advantages(returns, nets.value_forward(l["value_a"], obs)))
+    if use_expert:
+        obs_e, masks_e, acts_e = tau_e.obs_matrix(), tau_e.mask_matrix(), tau_e.actions()
+        tail_e = 0.0 if tau_e.terminated else float(nets.value_forward(l["value_e"], tau_e.terminal_obs.vector))
+        returns_e = L.bootstrapped_returns(tau_e.rewards(), cfg.gamma, tail_e)
+        adv_e = L.advantages(returns_e, nets.value_forward(l["value_e"], obs_e))
+        logp_old_e = nets.policy_forward_batch(l["policy"], obs_e, masks_e)[0][np.arange(len(tau_e)), acts_e]
+    for _ in range(cfg.update_epochs):
+        logp_mat, _, _ = nets.policy_forward_batch(l["policy"], obs, masks)
+        logp_new = logp_mat[np.arange(len(tau_a)), acts]
+        dlogp = np.zeros_like(logp_mat)
+        dlogp[np.arange(len(tau_a)), acts] = l["alpha"] * L.clipped_surrogate_grad(
+            logp_new, logp_old, adv, cfg.clip_epsilon)
+        grads = nets.policy_backward(l["policy"], obs, masks, dlogp,
+                                     np.full(len(tau_a), cfg.entropy_beta / len(tau_a)))
+        if use_expert:
+            logp_mat_e, _, _ = nets.policy_forward_batch(l["policy"], obs_e, masks_e)
+            logp_new_e = logp_mat_e[np.arange(len(tau_e)), acts_e]
+            dlogp_e = np.zeros_like(logp_mat_e)
+            dlogp_e[np.arange(len(tau_e)), acts_e] = (1.0 - l["alpha"]) * L.clipped_surrogate_grad(
+                logp_new_e, logp_old_e, adv_e, cfg.clip_epsilon)
+            grads = nets.add(grads, nets.policy_backward(l["policy"], obs_e, masks_e, dlogp_e, 0.0))
+        l["policy"], l["adam_p"] = nets.adam_step(
+            l["policy"], nets.neg(grads), l["adam_p"], cfg.learning_rate)
+        values = nets.value_forward(l["value_a"], obs)
+        dv = 2.0 * (values - returns) / len(tau_a)
+        l["value_a"], l["adam_a"] = nets.adam_step(
+            l["value_a"], nets.value_backward(l["value_a"], obs, dv), l["adam_a"], cfg.learning_rate)
+        if use_expert:
+            values_e = nets.value_forward(l["value_e"], obs_e)
+            dve = 2.0 * (values_e - returns_e) / len(tau_e)
+            l["value_e"], l["adam_e"] = nets.adam_step(
+                l["value_e"], nets.value_backward(l["value_e"], obs_e, dve), l["adam_e"], cfg.learning_rate)
+
+
+def _primitive_build(cfg, graph, specs):
+    """The training loop rebuilt from the public primitives; oracle demos unless ippo."""
+    env_kwargs = dict(time_penalty=cfg.time_penalty, shaping_coef=cfg.shaping_coef,
+                      arrival_bonus=cfg.arrival_bonus)
+    env = RouteEnv(graph, specs, step_limit=cfg.steps_per_episode, **env_kwargs)
+    learners = []
+    for i in range(len(specs)):
+        rng = agent_rng(cfg.seed, 0, i)
+        policy = nets.init_mlp(rng, env.obs_dim, env.n_actions)
+        value_a = nets.init_mlp(rng, env.obs_dim, 1)
+        value_e = nets.init_mlp(rng, env.obs_dim, 1)
+        learners.append({
+            "policy": policy, "value_a": value_a, "value_e": value_e,
+            "adam_p": nets.init_adam(policy), "adam_a": nets.init_adam(value_a),
+            "adam_e": nets.init_adam(value_e),
+            "rng": agent_rng(cfg.seed, 1, i), "alpha": 1.0, "expert": None,
+        })
+
+    def policy_logp(i, obs, mask, action):
+        return float(nets.policy_forward(learners[i]["policy"], obs, mask).log_probs[action])
+
+    for k in range(1, cfg.epochs + 1):
+        trajs = rollout(env, [l["policy"] for l in learners],
+                        [l["rng"] for l in learners], seed=cfg.seed)
+        if cfg.mode != "ippo" and (k == 1 or k % cfg.demo_interval == 0):
+            demos = dg.execute_demos(graph, specs, dg.oracle_expert(graph, specs),
+                                     policy_logp=policy_logp, seed=cfg.seed,
+                                     step_limit=cfg.steps_per_episode, env_kwargs=env_kwargs)
+            for i, l in enumerate(learners):
+                l["expert"] = demos[i]
+                dtw = dtw_distance(traj_to_feature_seq(trajs[i], graph),
+                                   traj_to_feature_seq(demos[i], graph))
+                l["alpha"] = max(L.alpha_weight(k, cfg.epochs, dtw), ALPHA_FLOOR)
+        for l, tau in zip(learners, trajs):
+            if len(tau) > 0:
+                _primitive_update(l, tau, cfg)
+    return learners
+
+
 class TestIppoGoldenEquivalence:
+    def _assert_trainer_matches_primitives(self, cfg, graph, specs):
+        result = Trainer(cfg, graph, specs).train()
+        for learner, golden in zip(result.learners, _primitive_build(cfg, graph, specs)):
+            np.testing.assert_array_equal(learner.policy.flat(), golden["policy"].flat())
+            np.testing.assert_array_equal(learner.value_a.flat(), golden["value_a"].flat())
+            np.testing.assert_array_equal(learner.value_e.flat(), golden["value_e"].flat())
+
     def test_matches_expert_free_build(self, grid3_setup):
         """IPPO through the full trainer equals a loop with no expert code."""
         graph, specs = grid3_setup
-        cfg = small_config(mode="ippo", epochs=5)
-        trainer = Trainer(cfg, graph, specs)
-        result = trainer.train()
+        self._assert_trainer_matches_primitives(small_config(mode="ippo", epochs=5), graph, specs)
 
-        # plain PPO loop built from the same primitives, expert-free
-        env = RouteEnv(graph, specs, step_limit=cfg.steps_per_episode,
-                       time_penalty=cfg.time_penalty, shaping_coef=cfg.shaping_coef,
-                       arrival_bonus=cfg.arrival_bonus)
-        learners = []
-        for i in range(2):
-            rng = agent_rng(cfg.seed, 0, i)
-            policy = nets.init_mlp(rng, env.obs_dim, env.n_actions)
-            value = nets.init_mlp(rng, env.obs_dim, 1)
-            nets.init_mlp(rng, env.obs_dim, 1)  # same stream layout as the trainer
-            learners.append({
-                "policy": policy, "value": value,
-                "adam_p": nets.init_adam(policy), "adam_v": nets.init_adam(value),
-                "rng": agent_rng(cfg.seed, 1, i),
-            })
-        for _ in range(cfg.epochs):
-            trajs = rollout(env, [l["policy"] for l in learners],
-                            [l["rng"] for l in learners], seed=cfg.seed)
-            for l, tau in zip(learners, trajs):
-                if len(tau) == 0:
-                    continue
-                obs, masks = tau.obs_matrix(), tau.mask_matrix()
-                acts, logp_old = tau.actions(), tau.log_probs_behavior()
-                tail = 0.0 if tau.terminated else float(nets.value_forward(l["value"], tau.terminal_obs.vector))
-                returns = L.bootstrapped_returns(tau.rewards(), cfg.gamma, tail)
-                adv = L.standardize(L.advantages(returns, nets.value_forward(l["value"], obs)))
-                for _ in range(cfg.update_epochs):
-                    logp_mat, _, ent = nets.policy_forward_batch(l["policy"], obs, masks)
-                    logp_new = logp_mat[np.arange(len(tau)), acts]
-                    dlogp = np.zeros_like(logp_mat)
-                    dlogp[np.arange(len(tau)), acts] = 1.0 * L.clipped_surrogate_grad(
-                        logp_new, logp_old, adv, cfg.clip_epsilon)
-                    grads = nets.policy_backward(l["policy"], obs, masks, dlogp,
-                                                 np.full(len(tau), cfg.entropy_beta / len(tau)))
-                    l["policy"], l["adam_p"] = nets.adam_step(
-                        l["policy"], nets.neg(grads), l["adam_p"], cfg.learning_rate)
-                    values = nets.value_forward(l["value"], obs)
-                    dv = 2.0 * (values - returns) / len(tau)
-                    l["value"], l["adam_v"] = nets.adam_step(
-                        l["value"], nets.value_backward(l["value"], obs, dv),
-                        l["adam_v"], cfg.learning_rate)
-
-        for learner, golden in zip(result.learners, learners):
-            np.testing.assert_array_equal(learner.policy.flat(), golden["policy"].flat())
-            np.testing.assert_array_equal(learner.value_a.flat(), golden["value"].flat())
+    def test_expert_branch_matches_primitive_build(self, grid3_setup):
+        """Dynamic/oracle, demos reused between regenerations, equals the primitive loop."""
+        graph, specs = grid3_setup
+        cfg = small_config(mode="dynamic", epochs=6, demo_interval=2)
+        self._assert_trainer_matches_primitives(cfg, graph, specs)
 
 
 class TestEvaluate:
