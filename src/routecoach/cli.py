@@ -21,23 +21,23 @@ import numpy as np
 
 from . import __version__
 from . import demos as dg
-from .env import AgentSpec, RouteEnv
+from .env import AgentSpec
 from .fixtures import grid_graph, hilly_graph, write_graph
 from .graph import GraphError, RoadGraph, load_graph
-from .llm import ChatCompleter, EndpointConfig, HttpChatCompleter, MockChatCompleter
-from .prompts import PromptState, build_prompt, refine_prompt
+from .llm import ChatCompleter, LlmError
+from .prompts import build_prompt, refine_prompt
 from .trajectory import dtw_distance, traj_to_feature_seq
 from .training import (
     TrainConfig,
     Trainer,
-    agent_rng,
+    completer_for,
     config_hash,
+    env_from_config,
     evaluate,
     generate_agent_specs,
     load_checkpoint,
     rollout,
 )
-from . import nets
 
 ABLATION_VARIANTS = (
     ("dynamic", "dynamic"),
@@ -95,14 +95,10 @@ def _specs_from_doc(doc: dict, graph: RoadGraph, config: TrainConfig) -> tuple[A
     specs = []
     for i, entry in enumerate(agents):
         if isinstance(entry, dict):
-            specs.append(AgentSpec(
-                agent_id=i, start=int(entry["start"]), dest=int(entry["dest"]),
-                depart_time=int(entry.get("depart_time", 0)),
-            ))
-        else:
-            start, dest, *rest = entry
-            specs.append(AgentSpec(agent_id=i, start=int(start), dest=int(dest),
-                                   depart_time=int(rest[0]) if rest else 0))
+            entry = (entry["start"], entry["dest"], entry.get("depart_time", 0))
+        start, dest, *rest = entry
+        specs.append(AgentSpec(agent_id=i, start=int(start), dest=int(dest),
+                               depart_time=int(rest[0]) if rest else 0))
     if len(specs) != config.n_agents:
         raise ConfigError(f"config lists {len(specs)} agents but n_agents={config.n_agents}")
     return tuple(specs)
@@ -138,12 +134,11 @@ def _load_graph_file(path: str | None) -> tuple[RoadGraph, Path, str]:
         raise ConfigError(f"graph file {p}: {exc}") from exc
 
 
-def _completer_for(config: TrainConfig) -> ChatCompleter | None:
-    if config.expert_provider != "llm":
-        return None
-    if config.mock_dir:
-        return MockChatCompleter(config.mock_dir)
-    return HttpChatCompleter(EndpointConfig.from_env())
+def _trained(doc: dict, graph: RoadGraph, **overrides) -> Trainer:
+    """Train the configuration ``doc`` with ``overrides`` applied, on generated tasks."""
+    trainer = Trainer(_config_from_doc({**doc, **overrides}), graph)
+    trainer.train()
+    return trainer
 
 
 def write_manifest(out: Path, config: TrainConfig, graph_path: Path, graph_text: str,
@@ -175,9 +170,9 @@ def cmd_train(args) -> int:
     config = _config_from_doc(doc)
     graph, graph_path, graph_text = _load_graph_file(doc.get("graph"))
     specs = _specs_from_doc(doc, graph, config)
+    trainer = Trainer(config, graph, specs)
     out = Path(args.out)
     write_manifest(out, config, graph_path, graph_text, specs, [config.seed], "train")
-    trainer = Trainer(config, graph, specs, completer=_completer_for(config))
     result = trainer.train(out_dir=out)
     last = result.metrics[-1]
     print(f"trained {config.epochs} epochs; final mean reward {last.mean_reward_a:.3f}; "
@@ -195,20 +190,12 @@ def cmd_evaluate(args) -> int:
     graph, graph_path, graph_text = _load_graph_file(manifest["graph_file"])
     if hashlib.sha256(graph_text.encode()).hexdigest() != manifest["graph_sha256"]:
         raise ConfigError(f"graph file {graph_path} changed since training (sha256 differs from the manifest)")
-    specs = tuple(
-        AgentSpec(agent_id=i, start=s, dest=d, depart_time=t)
-        for i, (s, d, t) in enumerate(manifest["agents"])
-    )
+    specs = _specs_from_doc(manifest, graph, config)
     params, ck_manifest = load_checkpoint(run / "checkpoints")
     if ck_manifest["config_hash"] != manifest["config_hash"]:
         raise ConfigError("checkpoint was produced by a different configuration than the manifest")
-    env = RouteEnv(
-        graph, specs, step_limit=config.steps_per_episode,
-        time_penalty=config.time_penalty, shaping_coef=config.shaping_coef,
-        arrival_bonus=config.arrival_bonus, congestion=config.congestion,
-    )
     episodes = args.episodes or config.eval_episodes
-    result = evaluate([p["policy"] for p in params], env, episodes)
+    result = evaluate([p["policy"] for p in params], env_from_config(graph, specs, config), episodes)
     out = Path(args.out) if args.out else run
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "eval.csv", "w", newline="") as fh:
@@ -238,12 +225,8 @@ def cmd_sweep_agents(args) -> int:
         episode_rewards = []
         epoch_seconds = []
         for seed in seeds:
-            cfg_doc = dict(doc)
-            cfg_doc.update({"n_agents": count, "seed": seed})
-            config = _config_from_doc(cfg_doc)
-            trainer = Trainer(config, graph, completer=_completer_for(config))
-            result = trainer.train()
-            epoch_seconds.extend(m.seconds for m in result.metrics)
+            trainer = _trained(doc, graph, n_agents=count, seed=seed)
+            epoch_seconds.extend(m.seconds for m in trainer.metrics)
             episode_rewards.extend(trainer.evaluate().episode_rewards)
         rows.append((
             count,
@@ -271,13 +254,9 @@ def cmd_ablation(args) -> int:
     for column, mode in ABLATION_VARIANTS:
         seed_curves = []
         for seed in seeds:
-            cfg_doc = dict(doc)
-            cfg_doc.update({"mode": mode, "seed": seed})
-            config = _config_from_doc(cfg_doc)
-            trainer = Trainer(config, graph, completer=_completer_for(config))
-            result = trainer.train()
-            seed_curves.append([m.mean_reward_a for m in result.metrics])
-            epochs = config.epochs
+            trainer = _trained(doc, graph, mode=mode, seed=seed)
+            seed_curves.append([m.mean_reward_a for m in trainer.metrics])
+            epochs = trainer.config.epochs
         per_variant[column] = np.mean(np.array(seed_curves), axis=0)
         print(f"{column}: final mean reward {per_variant[column][-1]:.3f}")
     with open(out / "ablation.csv", "w", newline="") as fh:
@@ -304,44 +283,25 @@ def demo_quality_report(
     the demos against rollouts of a fresh (untrained) policy; the prompt
     is refined between phases using the last collected trajectory pair.
     """
-    env = RouteEnv(
-        graph, specs, step_limit=config.steps_per_episode,
-        time_penalty=config.time_penalty, shaping_coef=config.shaping_coef,
-        arrival_bonus=config.arrival_bonus, congestion=config.congestion,
-    )
-    policies = [nets.init_mlp(agent_rng(config.seed, 0, i), env.obs_dim, env.n_actions)
-                for i in range(len(specs))]
-    rngs = [agent_rng(config.seed, 1, i) for i in range(len(specs))]
-
-    def policy_logp(i, obs_vec, mask, action):
-        return float(nets.policy_forward(policies[i], obs_vec, mask).log_probs[action])
-
-    state = PromptState(graph=graph, specs=tuple(specs))
+    fresh = Trainer(config, graph, specs, completer=completer)
+    policies = [ln.policy for ln in fresh.learners]
+    rngs = [ln.rng for ln in fresh.learners]
+    state = fresh.prompt_state
     records: list[dg.DemoQualityRecord] = []
     for _phase in range(phases):
         tokens, flags, demo_rewards, dtw_values = [], [], [], []
         last_pair = None
         for _p in range(prompts_per_phase):
-            tau_a = rollout(env, policies, rngs, seed=config.seed)
+            tau_a = rollout(fresh.env, policies, rngs)
             if completer is not None:
-                reply = completer.complete(build_prompt(state))
-                parsed = dg.parse_instructions(reply.text, len(specs), graph)
-                executable, valid = dg.prepare_executable(
-                    graph, specs, parsed, fallback=config.invalid_route_fallback)
-                tokens.append(reply.token_count)
-                flags.extend(valid[s.agent_id] for s in specs)
+                executable, valid, token_count = dg.propose_from_text(
+                    completer, build_prompt(state), graph, specs, config.invalid_route_fallback)
             else:
-                executable = dg.oracle_expert(graph, specs)
-                tokens.append(0)
-                flags.extend(True for _ in specs)
-            tau_e = dg.execute_demos(
-                graph, specs, executable, policy_logp=policy_logp,
-                seed=config.seed, step_limit=config.steps_per_episode,
-                env_kwargs={"time_penalty": config.time_penalty,
-                            "shaping_coef": config.shaping_coef,
-                            "arrival_bonus": config.arrival_bonus,
-                            "congestion": config.congestion},
-            )
+                executable, valid, token_count = dg.oracle_expert(graph, specs), [True] * len(specs), 0
+            tokens.append(token_count)
+            flags.extend(valid)
+            tau_e = dg.execute_demos(graph, specs, executable, policy_logp=fresh.policy_logp,
+                                     **config.env_settings)
             for i in range(len(specs)):
                 demo_rewards.append(tau_e[i].episode_reward)
                 dtw_values.append(dtw_distance(
@@ -373,8 +333,7 @@ def cmd_demo_report(args) -> int:
     config = _config_from_doc(doc)
     graph, _, _ = _load_graph_file(doc.get("graph"))
     specs = _specs_from_doc(doc, graph, config)
-    completer = _completer_for(config)
-    records = demo_quality_report(graph, specs, config, completer, args.phases, args.prompts)
+    records = demo_quality_report(graph, specs, config, completer_for(config), args.phases, args.prompts)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "demo_report.csv", "w", newline="") as fh:
@@ -518,7 +477,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, LlmError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

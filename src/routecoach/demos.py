@@ -12,14 +12,15 @@ from __future__ import annotations
 import ast
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .env import AgentSpec, RouteEnv
+from .env import AgentSpec, Observation, RouteEnv
 from .graph import RoadGraph
-from .trajectory import EXPERT_SOURCE, Trajectory, Transition
+from .llm import ChatCompleter
+from .trajectory import EXPERT_SOURCE, Trajectory, run_episode
 
 MOVE_TO = "MoveTo"
 LOGIT_CANDIDATES = 8
@@ -201,6 +202,25 @@ def prepare_executable(
     return ExecutableSet(sequences, frozenset(fallback_agents)), valid
 
 
+def propose_from_text(
+    completer: ChatCompleter,
+    prompt: str,
+    graph: RoadGraph,
+    specs: Sequence[AgentSpec],
+    fallback: str = "oracle",
+) -> tuple[ExecutableSet, list[bool], int]:
+    """Ask a language model for routes and make its reply executable.
+
+    Returns the executable set, each agent's validity flag in spec order,
+    and the completion's token count.  ``LlmError`` from the completer
+    propagates.
+    """
+    reply = completer.complete(prompt)
+    parsed = parse_instructions(reply.text, len(specs), graph)
+    executable, valid = prepare_executable(graph, specs, parsed, fallback=fallback)
+    return executable, [valid[spec.agent_id] for spec in specs], reply.token_count
+
+
 def validity_rate(valid_flags: Sequence[bool]) -> float:
     """Percentage of valid proposals; exact, e.g. 3 of 4 -> 75.0."""
     flags = list(valid_flags)
@@ -258,74 +278,28 @@ def execute_demos(
     executable: ExecutableSet,
     *,
     policy_logp: LogProbFn | None = None,
-    seed: int = 0,
-    step_limit: int = 200,
-    env_kwargs: dict | None = None,
+    **env_kwargs,
 ) -> dict[int, Trajectory]:
     """Replay compiled instruction sets from the initial state.
 
-    Records, per executed action, the current policy's log-probability of
-    that action (uniform over valid actions when no policy is supplied).
-    Agents whose sequence is empty contribute a single-point trajectory.
+    ``env_kwargs`` are the ``RouteEnv`` settings (``step_limit``, reward
+    terms, ``congestion``).  Records, per executed action, the current
+    policy's log-probability of that action (uniform over valid actions
+    when no policy is supplied).  Agents whose sequence is empty sit the
+    episode out and contribute a single-point trajectory.
     """
-    env = RouteEnv(graph, specs, step_limit=step_limit, **(env_kwargs or {}))
-    state, observations = env.reset(seed=seed)
-    plans = {spec.agent_id: compile_to_actions(graph, spec, executable.waypoints(spec))
-             if executable.sequences[spec.agent_id] else []
-             for spec in specs}
-    if any(not plan for plan in plans.values()):
-        # agents without instructions sit the episode out as spectators
-        state = replace(state, done=tuple(
-            state.done[i] or not plans[i] for i in range(env.n_agents)))
-    cursor = {i: 0 for i in plans}
-    transitions: dict[int, list[Transition]] = {i: [] for i in plans}
-    paths = {spec.agent_id: [spec.start] for spec in specs}
-    terminal_obs = {i: observations[i] for i in plans}
-    arrived = {i: False for i in plans}
-    terminated = {i: False for i in plans}
+    env = RouteEnv(graph, specs, **env_kwargs)
+    plans = {spec.agent_id: iter(compile_to_actions(graph, spec, executable.waypoints(spec)))
+             for spec in specs if executable.sequences[spec.agent_id]}
 
-    def pending(i: int) -> bool:
-        return not state.done[i] and cursor[i] < len(plans[i])
+    def choose(i: int, obs: Observation) -> tuple[int, float]:
+        action = next(plans[i])
+        if policy_logp is None:
+            return action, float(np.log(1.0 / obs.mask.sum()))
+        return action, policy_logp(i, obs.vector, obs.mask, action)
 
-    while any(pending(i) for i in plans) and not env.episode_done(state):
-        actions: list[int | None] = [None] * env.n_agents
-        acting = []
-        for i in plans:
-            if env.active(state, i) and pending(i):
-                actions[i] = plans[i][cursor[i]]
-                acting.append(i)
-        if not acting:
-            # nobody can act yet (e.g. waiting on depart times): let time pass
-            state, result = env.step(state, actions)
-            continue
-        prev_obs = {i: env.observe(state, i) for i in acting}
-        state, result = env.step(state, actions)
-        for i in acting:
-            obs = prev_obs[i]
-            action = actions[i]
-            assert action is not None
-            if policy_logp is None:
-                logp = float(np.log(1.0 / obs.mask.sum()))
-            else:
-                logp = policy_logp(i, obs.vector, obs.mask, action)
-            transitions[i].append(Transition(obs, action, float(result.rewards[i]), logp))
-            paths[i].append(state.positions[i])
-            cursor[i] += 1
-            terminal_obs[i] = result.observations[i]
-            if state.done[i]:
-                arrived[i] = state.arrived[i]
-                terminated[i] = True
-
-    return {
-        i: Trajectory(
-            source=EXPERT_SOURCE,
-            agent_id=i,
-            transitions=transitions[i],
-            terminal_obs=terminal_obs[i],
-            junction_path=paths[i],
-            arrived=arrived[i],
-            terminated=terminated[i],
-            fallback_used=i in executable.fallback_agents,
-        )
-        for i in plans
-    }
+    trajectories = run_episode(env, choose, source=EXPERT_SOURCE,
+                               sit_out={spec.agent_id for spec in specs} - plans.keys())
+    for traj in trajectories:
+        traj.fallback_used = traj.agent_id in executable.fallback_agents
+    return {traj.agent_id: traj for traj in trajectories}

@@ -49,7 +49,6 @@ class EnvState:
     positions: tuple[int, ...]
     done: tuple[bool, ...]
     arrived: tuple[bool, ...]
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -134,13 +133,12 @@ class RouteEnv:
 
     # -- state machinery ---------------------------------------------------
 
-    def reset(self, seed: int = 0) -> tuple[EnvState, list[Observation]]:
+    def reset(self) -> tuple[EnvState, list[Observation]]:
         state = EnvState(
             step=0,
             positions=tuple(spec.start for spec in self.specs),
             done=tuple(False for _ in self.specs),
             arrived=tuple(False for _ in self.specs),
-            seed=int(seed),
         )
         return state, [self.observe(state, i) for i in range(self.n_agents)]
 
@@ -228,7 +226,6 @@ class RouteEnv:
             positions=tuple(positions),
             done=tuple(done),
             arrived=tuple(arrived),
-            seed=state.seed,
         )
         result = StepResult(
             observations=[self.observe(new_state, i) for i in range(self.n_agents)],

@@ -96,11 +96,6 @@ class HttpChatCompleter:
         raise LlmError(f"chat endpoint failed after {MAX_ATTEMPTS} attempts: {last_error}") from last_error
 
 
-def llm_generate(prompt: str, config: EndpointConfig, **kwargs) -> CompletionResult:
-    """One-shot completion against a configured endpoint."""
-    return HttpChatCompleter(config, **kwargs).complete(prompt)
-
-
 class MockChatCompleter:
     """Replays numbered ``*.txt`` files from a directory, in sorted order.
 

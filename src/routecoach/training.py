@@ -23,7 +23,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -32,11 +32,11 @@ import numpy as np
 from . import demos as dg
 from . import losses as L
 from . import nets
-from .env import AgentSpec, RouteEnv
+from .env import AgentSpec, Observation, RouteEnv
 from .graph import INF, RoadGraph
-from .llm import ChatCompleter, LlmError, MockChatCompleter
+from .llm import ChatCompleter, EndpointConfig, HttpChatCompleter, LlmError, MockChatCompleter
 from .prompts import PromptState, build_prompt, refine_prompt
-from .trajectory import AGENT_SOURCE, Trajectory, Transition, dtw_distance, traj_to_feature_seq
+from .trajectory import Trajectory, dtw_distance, run_episode, traj_to_feature_seq
 
 ALPHA_FLOOR = 1e-12  # keeps the mixing weight in (0, 1] when exp() underflows
 
@@ -118,6 +118,17 @@ class TrainConfig:
                 return None
         return None
 
+    @property
+    def env_settings(self) -> dict:
+        """The ``RouteEnv`` keyword arguments this configuration sets."""
+        return {
+            "step_limit": self.steps_per_episode,
+            "time_penalty": self.time_penalty,
+            "shaping_coef": self.shaping_coef,
+            "arrival_bonus": self.arrival_bonus,
+            "congestion": self.congestion,
+        }
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -133,6 +144,26 @@ class TrainConfig:
 def config_hash(config: TrainConfig) -> str:
     canonical = json.dumps(config.to_dict(), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+# -- config to runtime ----------------------------------------------------------------
+
+def env_from_config(graph: RoadGraph, specs: Sequence[AgentSpec], config: TrainConfig) -> RouteEnv:
+    return RouteEnv(graph, specs, **config.env_settings)
+
+
+def completer_for(config: TrainConfig) -> ChatCompleter | None:
+    """The chat completer of the "llm" provider; None for the others.
+
+    Scripted replies from ``mock_dir`` when it is set, else the HTTP
+    endpoint configured in the environment, sampled at
+    ``llm_temperature``.  Raises ``LlmError`` when neither is usable.
+    """
+    if config.expert_provider != "llm":
+        return None
+    if config.mock_dir:
+        return MockChatCompleter(config.mock_dir)
+    return HttpChatCompleter(replace(EndpointConfig.from_env(), temperature=config.llm_temperature))
 
 
 @dataclass
@@ -183,7 +214,7 @@ class EpochMetrics:
 @dataclass
 class EvalResult:
     episode_rewards: np.ndarray  # mean-over-agents reward per episode
-    per_agent: np.ndarray        # mean-over-episodes reward per agent
+    per_agent: np.ndarray        # reward per agent
 
     @property
     def mean(self) -> float:
@@ -237,7 +268,6 @@ def rollout(
     policies: Sequence[nets.MlpParams],
     rngs: Sequence[np.random.Generator] | None,
     *,
-    seed: int = 0,
     greedy: bool = False,
 ) -> list[Trajectory]:
     """One episode of decentralized execution; one trajectory per agent.
@@ -247,47 +277,16 @@ def rollout(
     """
     if not greedy and rngs is None:
         raise ValueError("sampling rollouts need per-agent rngs")
-    state, observations = env.reset(seed=seed)
-    n = env.n_agents
-    transitions: list[list[Transition]] = [[] for _ in range(n)]
-    paths = [[env.specs[i].start] for i in range(n)]
-    terminal_obs = list(observations)
-    arrived = [False] * n
-    terminated = [False] * n
-    while not env.episode_done(state):
-        actions: list[int | None] = [None] * n
-        acting: list[tuple[int, int, float]] = []
-        for i in range(n):
-            if not env.active(state, i):
-                continue
-            out = nets.policy_forward(policies[i], observations[i].vector, observations[i].mask)
-            if greedy:
-                action = int(np.argmax(out.probs))
-            else:
-                action = int(rngs[i].choice(out.probs.size, p=out.probs))
-            actions[i] = action
-            acting.append((i, action, float(out.log_probs[action])))
-        state, result = env.step(state, actions)
-        for i, action, logp in acting:
-            transitions[i].append(Transition(observations[i], action, float(result.rewards[i]), logp))
-            paths[i].append(state.positions[i])
-            terminal_obs[i] = result.observations[i]
-            if state.done[i]:
-                arrived[i] = state.arrived[i]
-                terminated[i] = True
-        observations = result.observations
-    return [
-        Trajectory(
-            source=AGENT_SOURCE,
-            agent_id=i,
-            transitions=transitions[i],
-            terminal_obs=terminal_obs[i],
-            junction_path=paths[i],
-            arrived=arrived[i],
-            terminated=terminated[i],
-        )
-        for i in range(n)
-    ]
+
+    def choose(i: int, obs: Observation) -> tuple[int, float]:
+        out = nets.policy_forward(policies[i], obs.vector, obs.mask)
+        if greedy:
+            action = int(np.argmax(out.probs))
+        else:
+            action = int(rngs[i].choice(out.probs.size, p=out.probs))
+        return action, float(out.log_probs[action])
+
+    return run_episode(env, choose)
 
 
 # -- the per-agent update --------------------------------------------------------------
@@ -416,19 +415,10 @@ class Trainer:
             graph, config.n_agents, config.seed)
         if len(self.specs) != config.n_agents:
             raise TrainingError(f"{len(self.specs)} specs for n_agents={config.n_agents}")
-        self.env = RouteEnv(
-            graph, self.specs,
-            step_limit=config.steps_per_episode,
-            time_penalty=config.time_penalty,
-            shaping_coef=config.shaping_coef,
-            arrival_bonus=config.arrival_bonus,
-            congestion=config.congestion,
-        )
+        self.env = env_from_config(graph, self.specs, config)
         self.learners = [self._init_learner(i) for i in range(config.n_agents)]
         self.demo_rng = shared_rng(config.seed, 2)
-        self.completer = completer
-        if self.completer is None and config.expert_provider == "llm" and config.mock_dir:
-            self.completer = MockChatCompleter(config.mock_dir)
+        self.completer = completer if completer is not None else completer_for(config)
         self.prompt_state = PromptState(graph=graph, specs=self.specs)
         self.epoch = 0
         self.metrics: list[EpochMetrics] = []
@@ -450,7 +440,7 @@ class Trainer:
 
     # -- demo generation ---------------------------------------------------
 
-    def _policy_logp(self, agent_id: int, obs_vec: np.ndarray, mask: np.ndarray, action: int) -> float:
+    def policy_logp(self, agent_id: int, obs_vec: np.ndarray, mask: np.ndarray, action: int) -> float:
         out = nets.policy_forward(self.learners[agent_id].policy, obs_vec, mask)
         return float(out.log_probs[action])
 
@@ -459,7 +449,10 @@ class Trainer:
         provider = self.config.expert_provider
         if provider == "llm":
             try:
-                return self._propose_from_text()
+                executable, valid, tokens = dg.propose_from_text(
+                    self.completer, build_prompt(self.prompt_state), self.graph, self.specs,
+                    self.config.invalid_route_fallback)
+                return executable, dg.validity_rate(valid), tokens
             except LlmError:
                 if self.config.provider_fallback in ("oracle", "logit"):
                     provider = self.config.provider_fallback
@@ -472,30 +465,10 @@ class Trainer:
             return routes, 100.0, 0
         raise TrainingError(f"no demonstrations available from provider {provider!r}")
 
-    def _propose_from_text(self) -> tuple[dg.ExecutableSet, float, int]:
-        if self.completer is None:
-            from .llm import EndpointConfig, HttpChatCompleter
-            self.completer = HttpChatCompleter(EndpointConfig.from_env())
-        reply = self.completer.complete(build_prompt(self.prompt_state))
-        parsed = dg.parse_instructions(reply.text, len(self.specs), self.graph)
-        executable, valid = dg.prepare_executable(
-            self.graph, self.specs, parsed, fallback=self.config.invalid_route_fallback)
-        return executable, dg.validity_rate([valid[s.agent_id] for s in self.specs]), reply.token_count
-
     def _regenerate_demos(self, k: int, tau_a: list[Trajectory]) -> None:
         executable, validity, _tokens = self._propose_routes()
-        tau_e = dg.execute_demos(
-            self.graph, self.specs, executable,
-            policy_logp=self._policy_logp,
-            seed=self.config.seed,
-            step_limit=self.config.steps_per_episode,
-            env_kwargs={
-                "time_penalty": self.config.time_penalty,
-                "shaping_coef": self.config.shaping_coef,
-                "arrival_bonus": self.config.arrival_bonus,
-                "congestion": self.config.congestion,
-            },
-        )
+        tau_e = dg.execute_demos(self.graph, self.specs, executable,
+                                 policy_logp=self.policy_logp, **self.config.env_settings)
         self._validity = validity
         kind = self.config.mode_kind
         for i, learner in enumerate(self.learners):
@@ -528,7 +501,6 @@ class Trainer:
             self.env,
             [ln.policy for ln in self.learners],
             [ln.rng for ln in self.learners],
-            seed=cfg.seed,
         )
         if cfg.expert_provider != "none" and (k == 1 or k % cfg.demo_interval == 0):
             self._regenerate_demos(k, tau_a)
@@ -612,15 +584,14 @@ class Trainer:
 
 
 def evaluate(policies: Sequence[nets.MlpParams], env: RouteEnv, episodes: int) -> EvalResult:
-    """Greedy (argmax) evaluation; no learning, no sampling."""
-    episode_rewards = np.zeros(episodes)
-    per_agent = np.zeros(env.n_agents)
-    for ep in range(episodes):
-        trajectories = rollout(env, policies, None, seed=ep, greedy=True)
-        rewards = np.array([t.episode_reward for t in trajectories])
-        episode_rewards[ep] = rewards.mean()
-        per_agent += rewards / episodes
-    return EvalResult(episode_rewards=episode_rewards, per_agent=per_agent)
+    """Greedy (argmax) evaluation; no learning, no sampling.
+
+    Argmax policies in the deterministic environment play the same episode
+    every time, so it is run once and its reward is reported for each of
+    the ``episodes`` requested.
+    """
+    rewards = np.array([t.episode_reward for t in rollout(env, policies, None, greedy=True)])
+    return EvalResult(episode_rewards=np.full(episodes, rewards.mean()), per_agent=rewards)
 
 
 # -- checkpoints ------------------------------------------------------------------------

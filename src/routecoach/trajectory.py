@@ -1,16 +1,19 @@
-"""Trajectory records for both data sources, and DTW trajectory similarity.
+"""Trajectory records for both data sources, the episode loop, and DTW.
 
 A trajectory is tagged with its source: ``"a"`` for actions sampled from
 the agent's own policy, ``"e"`` for actions compiled from an expert
-instruction set and replayed in the environment.
+instruction set and replayed in the environment.  Both are recorded by
+the same loop, ``run_episode``; they differ only in where an agent's
+action comes from.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable, Collection
 
 import numpy as np
 
-from .env import Observation
+from .env import Observation, RouteEnv
 from .graph import RoadGraph
 
 AGENT_SOURCE = "a"
@@ -73,6 +76,45 @@ class Trajectory:
 
     def mask_matrix(self) -> np.ndarray:
         return np.stack([t.obs.mask for t in self.transitions])
+
+
+def run_episode(
+    env: RouteEnv,
+    choose: Callable[[int, Observation], tuple[int, float]],
+    *,
+    source: str = AGENT_SOURCE,
+    sit_out: Collection[int] = (),
+) -> list[Trajectory]:
+    """Drive one joint-step episode from the initial state; one trajectory per agent.
+
+    ``choose(i, obs)`` returns the action of agent ``i``, given only its
+    own observation, and the log-probability to record for it; it is asked
+    once per step for every agent that must act.  Agents in ``sit_out`` are
+    done from the start: they never act or count as traffic, and keep a
+    single-point trajectory.  The episode ends when every agent is done or
+    the step limit is reached; steps where nobody may act yet (agents
+    waiting on their depart times) still let time pass.
+    """
+    state, observations = env.reset()
+    state = replace(state, done=tuple(d or i in sit_out for i, d in enumerate(state.done)))
+    trajectories = [Trajectory(source, spec.agent_id, [], observations[i], [spec.start])
+                    for i, spec in enumerate(env.specs)]
+    while not env.episode_done(state):
+        actions: list[int | None] = [None] * env.n_agents
+        logps: dict[int, float] = {}
+        for i in range(env.n_agents):
+            if env.active(state, i):
+                actions[i], logps[i] = choose(i, observations[i])
+        state, result = env.step(state, actions)
+        for i, logp in logps.items():
+            traj = trajectories[i]
+            traj.transitions.append(Transition(observations[i], actions[i], float(result.rewards[i]), logp))
+            traj.junction_path.append(state.positions[i])
+            traj.terminal_obs = result.observations[i]
+            if state.done[i]:
+                traj.arrived, traj.terminated = state.arrived[i], True
+        observations = result.observations
+    return trajectories
 
 
 def traj_to_feature_seq(traj: Trajectory, graph: RoadGraph) -> np.ndarray:

@@ -443,7 +443,7 @@ def _ippo_matches_expert_free_build() -> bool:
                          "rng": agent_rng(cfg.seed, 1, i)})
     for _ in range(cfg.epochs):
         trajectories = rollout(env, [l["policy"] for l in learners],
-                               [l["rng"] for l in learners], seed=cfg.seed)
+                               [l["rng"] for l in learners])
         for learner, tau in zip(learners, trajectories):
             if len(tau) == 0:
                 continue

@@ -186,6 +186,24 @@ class TestDemoReport:
         assert tokens[1] > tokens[0]  # refinement grows the prompt
 
 
+class TestLlmConfigErrors:
+    def test_unset_endpoint_exits_2(self, tmp_path, graph_file, monkeypatch, capsys):
+        monkeypatch.delenv("ROUTECOACH_LLM_BASE_URL", raising=False)
+        code = main(["demo-report", "--graph", graph_file, "--out", str(tmp_path / "report"),
+                     "--provider", "llm", "--set", "n_agents=2"])
+        assert code == 2
+        assert "error: ROUTECOACH_LLM_BASE_URL" in capsys.readouterr().err
+
+    def test_empty_mock_dir_exits_2(self, tmp_path, base_config, capsys):
+        mock_dir = tmp_path / "mock"
+        mock_dir.mkdir()
+        code = main(["train", "--config", base_config, "--out", str(tmp_path / "run"),
+                     "--provider", "llm", "--mock-dir", str(mock_dir)])
+        assert code == 2
+        assert "no .txt scripts" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
 class TestPlotData:
     def test_aggregates_and_smooths(self, tmp_path, base_config):
         runs = []

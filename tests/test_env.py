@@ -91,8 +91,8 @@ def test_masked_action_rejected(line, line_specs):
 def test_reset_deterministic(grid5):
     specs = tuple(AgentSpec(i, i, 24 - i) for i in range(3))
     env = RouteEnv(grid5, specs)
-    _, obs1 = env.reset(seed=7)
-    _, obs2 = env.reset(seed=7)
+    _, obs1 = env.reset()
+    _, obs2 = env.reset()
     for a, b in zip(obs1, obs2):
         np.testing.assert_array_equal(a.vector, b.vector)
         np.testing.assert_array_equal(a.mask, b.mask)
@@ -146,7 +146,7 @@ def test_trajectory_determinism(grid5):
     env = RouteEnv(grid5, specs)
     rng = np.random.default_rng(3)
     actions = []
-    state, obs = env.reset(seed=5)
+    state, obs = env.reset()
     while not env.episode_done(state):
         joint = [int(rng.integers(obs[i].mask.sum())) if env.active(state, i) else None
                  for i in range(2)]
@@ -155,7 +155,7 @@ def test_trajectory_determinism(grid5):
         obs = res.observations
     final_a = state
 
-    state, obs = env.reset(seed=5)
+    state, obs = env.reset()
     for joint in actions:
         state, res = env.step(state, joint)
     assert state == final_a  # bit-exact replay

@@ -1,4 +1,4 @@
-"""Pinned ``metrics.csv`` digests for three small fixed training runs.
+"""Pinned output digests for small fixed training, evaluation and report runs.
 
 The rerun tests elsewhere only check that two runs agree with each other;
 these check that a run still produces the bytes it produced before a
@@ -8,17 +8,29 @@ double arithmetic in numpy's matmul/tanh/exp; on a platform whose BLAS
 sums differently they must be recorded again, from an unchanged tree.
 """
 import hashlib
+import json
 
 import pytest
 
-from routecoach import AgentSpec, grid_graph
+from routecoach import AgentSpec, grid_graph, write_graph
+from routecoach.cli import main
 from routecoach.training import TrainConfig, Trainer
 
-# sha256 of metrics.csv, recorded before the fused per-agent update
+# sha256 of metrics.csv; the first three recorded before the fused per-agent
+# update, "mock-llm-skip-congestion" before the shared episode loop
 PINNED = {
     "dynamic-oracle": "6155b46d9d02d8753e1ba6fbf53eca73acfd55f74bc7e4467bd53627ffc86b43",
     "logit-ppo": "dff8bff3f2bf2f2b963346dd35fce3358fd8a47efed751bb45fe7c65f04458f3",
     "mock-llm": "21217fee12d41fcc99034a5f764fdf91cb1fdff31130cae9c2574a634dec6d77",
+    "mock-llm-skip-congestion": "dd730d56a01962776b566d6814753ca4c0589c1d431cbf8b39e5c92922027f44",
+}
+
+# sha256 of files written by the command line, recorded before the shared
+# episode loop
+PINNED_CLI = {
+    "eval.csv": "0d86b8867eeeff2081fc0d6cd6ac252f1b4c55f536f632f086e302031dd004be",
+    "demo_report.csv-oracle": "47ccd5fe4c5113456e0d9c58d553dc044fa6aba0034e3d482730884834f5f275",
+    "demo_report.csv-mock": "677a7d41873b76d102ae36e9cd4e1dad23b5e5be84fc9c800a5461a0b6de0c91",
 }
 
 MOCK_REPLIES = (
@@ -28,11 +40,26 @@ MOCK_REPLIES = (
     "{'0': [0, 1, 4, 7, 8], 1: [2, 5, 4, 3, 6], '2': [6, 3, 4, 5, 8]}",
 )
 
+# agent 1 waits three steps before it departs; agents 0 and 2 can meet on 7 -> 8
+WAITING_SPECS = (AgentSpec(0, 0, 8), AgentSpec(1, 2, 6, depart_time=3), AgentSpec(2, 6, 8))
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _mock_dir(tmp_path):
+    mock_dir = tmp_path / "mock"
+    mock_dir.mkdir()
+    for i, text in enumerate(MOCK_REPLIES):
+        (mock_dir / f"{i:03d}.txt").write_text(text)
+    return mock_dir
+
 
 def _train(tmp_path, config, graph, specs=None) -> str:
     out = tmp_path / "run"
     Trainer(config, graph, specs).train(out_dir=out)
-    return hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()
+    return _digest(out / "metrics.csv")
 
 
 def _run(name, tmp_path) -> str:
@@ -44,16 +71,52 @@ def _run(name, tmp_path) -> str:
         config = TrainConfig(n_agents=4, epochs=8, steps_per_episode=40, demo_interval=2,
                              mode="logit-ppo", seed=5)
         return _train(tmp_path, config, grid_graph(4))
-    mock_dir = tmp_path / "mock"
-    mock_dir.mkdir()
-    for i, text in enumerate(MOCK_REPLIES):
-        (mock_dir / f"{i:03d}.txt").write_text(text)
+    mock_dir = _mock_dir(tmp_path)
+    if name == "mock-llm":
+        config = TrainConfig(n_agents=3, epochs=10, steps_per_episode=30, demo_interval=2,
+                             expert_provider="llm", mock_dir=str(mock_dir), mode="dynamic", seed=2)
+        specs = (AgentSpec(0, 0, 8), AgentSpec(1, 2, 6), AgentSpec(2, 6, 8))
+        return _train(tmp_path, config, grid_graph(3), specs)
+    # invalid proposals sit out instead of falling back to the oracle
     config = TrainConfig(n_agents=3, epochs=10, steps_per_episode=30, demo_interval=2,
-                         expert_provider="llm", mock_dir=str(mock_dir), mode="dynamic", seed=2)
-    specs = (AgentSpec(0, 0, 8), AgentSpec(1, 2, 6), AgentSpec(2, 6, 8))
-    return _train(tmp_path, config, grid_graph(3), specs)
+                         expert_provider="llm", mock_dir=str(mock_dir), mode="dynamic", seed=2,
+                         invalid_route_fallback="skip", congestion=True)
+    return _train(tmp_path, config, grid_graph(3), WAITING_SPECS)
+
+
+def _cli_run(name, tmp_path) -> str:
+    doc = {
+        "graph": str(write_graph(grid_graph(3), tmp_path / "grid3.json")),
+        "n_agents": 3,
+        "agents": [[s.start, s.dest, s.depart_time] for s in WAITING_SPECS],
+        "epochs": 6,
+        "steps_per_episode": 30,
+        "demo_interval": 2,
+        "seed": 4,
+        "congestion": True,
+        "invalid_route_fallback": "skip",
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    if name == "eval.csv":
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["evaluate", "--run", str(out), "--episodes", "3"]) == 0
+        return _digest(out / "eval.csv")
+    provider = name.rsplit("-", 1)[1]
+    args = ["demo-report", "--config", str(config), "--out", str(out),
+            "--phases", "2", "--prompts", "3", "--provider", provider]
+    if provider == "mock":
+        args += ["--mock-dir", str(_mock_dir(tmp_path))]
+    assert main(args) == 0
+    return _digest(out / "demo_report.csv")
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_metrics_csv_matches_pin(name, tmp_path):
     assert _run(name, tmp_path) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CLI))
+def test_cli_output_matches_pin(name, tmp_path):
+    assert _cli_run(name, tmp_path) == PINNED_CLI[name]

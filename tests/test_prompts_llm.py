@@ -11,9 +11,9 @@ from routecoach.llm import (
     HttpChatCompleter,
     LlmError,
     MockChatCompleter,
-    llm_generate,
 )
 from routecoach.prompts import PromptState, build_prompt, count_tokens, refine_prompt
+from routecoach.training import TrainConfig, completer_for
 
 
 @pytest.fixture()
@@ -82,7 +82,7 @@ class TestHttpCompleter:
         payload = {"choices": [{"message": {"content": "{'0': [0, 1]}"}}],
                    "usage": {"total_tokens": 42}}
         with mock.patch.object(requests, "post", return_value=_response(payload)) as post:
-            result = llm_generate("hello world", self.CONFIG)
+            result = HttpChatCompleter(self.CONFIG).complete("hello world")
         assert result == CompletionResult(text="{'0': [0, 1]}", token_count=42)
         body = post.call_args.kwargs["json"]
         assert body["messages"] == [{"role": "user", "content": "hello world"}]
@@ -92,7 +92,7 @@ class TestHttpCompleter:
     def test_whitespace_tokens_when_usage_missing(self):
         payload = {"choices": [{"message": {"content": "a b c"}}]}
         with mock.patch.object(requests, "post", return_value=_response(payload)):
-            result = llm_generate("one two", self.CONFIG)
+            result = HttpChatCompleter(self.CONFIG).complete("one two")
         assert result.token_count == 5
 
     def test_retries_then_succeeds(self):
@@ -131,6 +131,16 @@ class TestHttpCompleter:
         monkeypatch.setenv("ROUTECOACH_LLM_TIMEOUT", "7.5")
         cfg = EndpointConfig.from_env()
         assert (cfg.base_url, cfg.api_key, cfg.model, cfg.timeout) == ("http://x/v1", "secret", "m2", 7.5)
+
+
+class TestCompleterFor:
+    def test_llm_temperature_reaches_the_request(self, monkeypatch):
+        monkeypatch.setenv("ROUTECOACH_LLM_BASE_URL", "http://llm.test/v1")
+        completer = completer_for(TrainConfig(expert_provider="llm", llm_temperature=0.7))
+        payload = {"choices": [{"message": {"content": "ok"}}], "usage": {"total_tokens": 1}}
+        with mock.patch.object(requests, "post", return_value=_response(payload)) as post:
+            completer.complete("p")
+        assert post.call_args.kwargs["json"]["temperature"] == 0.7
 
 
 class TestMockCompleter:

@@ -6,7 +6,7 @@ from routecoach import demos as dg
 from routecoach import losses as L
 from routecoach import nets
 from routecoach.env import RouteEnv
-from routecoach.llm import MockChatCompleter
+from routecoach.llm import LlmError, MockChatCompleter
 from routecoach.trajectory import dtw_distance, traj_to_feature_seq
 from routecoach.training import (
     ALPHA_FLOOR,
@@ -102,7 +102,7 @@ class TestRollout:
 
         def run():
             rngs = [agent_rng(0, 1, i) for i in range(2)]
-            return rollout(env, policies, rngs, seed=0)
+            return rollout(env, policies, rngs)
 
         a, b = run(), run()
         for ta, tb in zip(a, b):
@@ -121,7 +121,7 @@ class TestRollout:
         rng = agent_rng(0, 1, 0)
         first_actions = []
         for _ in range(1000):
-            traj = rollout(env, [policy], [rng], seed=0)[0]
+            traj = rollout(env, [policy], [rng])[0]
             first_actions.append(traj.transitions[0].action)
         freq = np.bincount(first_actions, minlength=2) / 1000
         chi2 = ((freq - 0.5) ** 2 / 0.5).sum() * 1000
@@ -132,7 +132,7 @@ class TestRollout:
         env = RouteEnv(grid5, specs, step_limit=200)
         policies = [nets.init_mlp(agent_rng(0, 0, i), env.obs_dim, env.n_actions) for i in range(10)]
         rngs = [agent_rng(0, 1, i) for i in range(10)]
-        trajs = rollout(env, policies, rngs, seed=0)
+        trajs = rollout(env, policies, rngs)
         assert len(trajs) == 10
         assert all(len(t) <= 200 for t in trajs)
 
@@ -152,7 +152,7 @@ class TestUpdateAgent:
         cfg = small_config(n_agents=1, mode=mode, seed=seed)
         trainer = Trainer(cfg, graph, specs)
         tau_a = rollout(trainer.env, [trainer.learners[0].policy],
-                        [trainer.learners[0].rng], seed=0)[0]
+                        [trainer.learners[0].rng])[0]
         tau_e = dg.execute_demos(graph, specs, dg.oracle_expert(graph, specs),
                                  step_limit=cfg.steps_per_episode)[0]
         return trainer, cfg, tau_a, tau_e
@@ -262,7 +262,6 @@ class TestTrainerLoop:
 
         class Exploding:
             def complete(self, prompt):
-                from routecoach.llm import LlmError
                 raise LlmError("endpoint down")
 
         cfg = small_config(epochs=1, expert_provider="llm", provider_fallback="oracle")
@@ -270,6 +269,12 @@ class TestTrainerLoop:
         metrics = trainer.run_epoch()
         assert metrics.validity_rate == 100.0
         assert trainer.learners[0].last_expert is not None
+
+    def test_unconfigured_llm_provider_fails_at_construction(self, grid3_setup, monkeypatch):
+        graph, specs = grid3_setup
+        monkeypatch.delenv("ROUTECOACH_LLM_BASE_URL", raising=False)
+        with pytest.raises(LlmError, match="ROUTECOACH_LLM_BASE_URL"):
+            Trainer(small_config(expert_provider="llm"), graph, specs)
 
     def test_prompt_refined_only_for_text_provider(self, grid3_setup, tmp_path):
         graph, specs = grid3_setup
@@ -367,11 +372,11 @@ def _primitive_build(cfg, graph, specs):
 
     for k in range(1, cfg.epochs + 1):
         trajs = rollout(env, [l["policy"] for l in learners],
-                        [l["rng"] for l in learners], seed=cfg.seed)
+                        [l["rng"] for l in learners])
         if cfg.mode != "ippo" and (k == 1 or k % cfg.demo_interval == 0):
             demos = dg.execute_demos(graph, specs, dg.oracle_expert(graph, specs),
-                                     policy_logp=policy_logp, seed=cfg.seed,
-                                     step_limit=cfg.steps_per_episode, env_kwargs=env_kwargs)
+                                     policy_logp=policy_logp,
+                                     step_limit=cfg.steps_per_episode, **env_kwargs)
             for i, l in enumerate(learners):
                 l["expert"] = demos[i]
                 dtw = dtw_distance(traj_to_feature_seq(trajs[i], graph),
