@@ -21,13 +21,13 @@ specs = (AgentSpec(0, 0, 24), AgentSpec(1, 4, 20))
 oracle = dg.oracle_expert(grid, specs)
 print("oracle routes:")
 for spec in specs:
-    print(f"  agent {spec.agent_id}: {oracle.waypoints(spec)}")
+    print(f"  agent {spec.agent_id}: {list(oracle.routes[spec.agent_id])}")
 
 rng = np.random.default_rng(0)
 print("\nlogit-sampled routes (temperature 2: spread; 0.001: greedy):")
 for temp in (2.0, 0.001):
     routes = dg.logit_expert(grid, specs, temperature=temp, rng=rng)
-    print(f"  T={temp}: agent 0 -> {routes.waypoints(specs[0])}")
+    print(f"  T={temp}: agent 0 -> {list(routes.routes[0])}")
 
 state = PromptState(graph=grid, specs=specs)
 prompt = build_prompt(state)
@@ -44,9 +44,8 @@ with tempfile.TemporaryDirectory() as tmp:
 parsed = dg.parse_instructions(reply.text, len(specs), grid)
 print("\nparsed waypoints:", parsed.waypoints)
 print("parse errors:", parsed.errors)
-executable, valid = dg.prepare_executable(grid, specs, parsed, fallback="oracle")
-print("validity flags:", valid, "->",
-      f"{dg.validity_rate([valid[s.agent_id] for s in specs]):.1f}% valid")
+executable = dg.prepare_executable(grid, specs, parsed, fallback="oracle")
+print("validity flags:", executable.valid(), "->", f"{dg.validity_rate(executable.valid()):.1f}% valid")
 print("agent 1 fell back to the oracle:", 1 in executable.fallback_agents)
 
 trajectories = dg.execute_demos(grid, specs, executable)

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -25,8 +26,6 @@ from .env import AgentSpec
 from .fixtures import grid_graph, hilly_graph, write_graph
 from .graph import GraphError, RoadGraph, load_graph
 from .llm import ChatCompleter, LlmError
-from .prompts import build_prompt, refine_prompt
-from .trajectory import dtw_distance, traj_to_feature_seq
 from .training import (
     TrainConfig,
     Trainer,
@@ -278,59 +277,45 @@ def demo_quality_report(
 ) -> list[dg.DemoQualityRecord]:
     """Collect demonstration sets per refinement phase and grade them.
 
-    Each phase gathers ``prompts_per_phase`` demonstration sets, reporting
-    token usage, route validity, executed reward, and the DTW distance of
-    the demos against rollouts of a fresh (untrained) policy; the prompt
-    is refined between phases using the last collected trajectory pair.
+    Each phase runs the trainer's demonstration round ``prompts_per_phase``
+    times against rollouts of a fresh (untrained) policy, reporting token
+    usage, route validity, executed reward and DTW distance; the prompt is
+    refined between phases from the phase's last round.  There is no
+    provider fallback: a failing endpoint raises rather than being graded
+    as oracle routes.
     """
-    fresh = Trainer(config, graph, specs, completer=completer)
-    policies = [ln.policy for ln in fresh.learners]
-    rngs = [ln.rng for ln in fresh.learners]
-    state = fresh.prompt_state
+    if phases < 1 or prompts_per_phase < 1:
+        raise ConfigError(f"need at least one phase and one prompt per phase, "
+                          f"got {phases} and {prompts_per_phase}")
+    trainer = Trainer(replace(config, provider_fallback="none"), graph, specs, completer=completer)
+    policies = [ln.policy for ln in trainer.learners]
+    rngs = [ln.rng for ln in trainer.learners]
     records: list[dg.DemoQualityRecord] = []
     for _phase in range(phases):
         tokens, flags, demo_rewards, dtw_values = [], [], [], []
-        last_pair = None
         for _p in range(prompts_per_phase):
-            tau_a = rollout(fresh.env, policies, rngs)
-            if completer is not None:
-                executable, valid, token_count = dg.propose_from_text(
-                    completer, build_prompt(state), graph, specs, config.invalid_route_fallback)
-            else:
-                executable, valid, token_count = dg.oracle_expert(graph, specs), [True] * len(specs), 0
+            tau_a = rollout(trainer.env, policies, rngs)
+            executable, token_count, tau_e, dtw = trainer.demonstrate(tau_a)
             tokens.append(token_count)
-            flags.extend(valid)
-            tau_e = dg.execute_demos(graph, specs, executable, policy_logp=fresh.policy_logp,
-                                     **config.env_settings)
-            for i in range(len(specs)):
-                demo_rewards.append(tau_e[i].episode_reward)
-                dtw_values.append(dtw_distance(
-                    traj_to_feature_seq(tau_a[i], graph), traj_to_feature_seq(tau_e[i], graph)))
-            last_pair = (tau_a, tau_e)
+            flags.extend(executable.valid())
+            demo_rewards.extend(tau_e[i].episode_reward for i in range(len(specs)))
+            dtw_values.extend(dtw)
         records.append(dg.DemoQualityRecord(
             token_count=int(round(np.mean(tokens))),
             validity_rate=dg.validity_rate(flags),
             mean_reward=float(np.mean(demo_rewards)),
             mean_dtw=float(np.mean(dtw_values)),
         ))
-        if completer is not None and last_pair is not None:
-            tau_a, tau_e = last_pair
-            state = refine_prompt(
-                state,
-                {i: (tau_a[i].junction_path, tau_a[i].episode_reward) for i in range(len(specs))},
-                {i: (tau_e[i].junction_path, tau_e[i].episode_reward) for i in tau_e},
-                {i: dtw_values[-len(specs) + i] for i in range(len(specs))},
-            )
+        trainer.refine(tau_a, tau_e, dtw)
     return records
 
 
 def cmd_demo_report(args) -> int:
     doc = _resolve(args, {"graph": args.graph, "seed": args.seed, "mock_dir": args.mock_dir})
-    if args.provider == "oracle":
-        doc["expert_provider"] = "oracle"
-    else:
-        doc["expert_provider"] = "llm"
+    doc["expert_provider"] = "oracle" if args.provider == "oracle" else "llm"
     config = _config_from_doc(doc)
+    if config.expert_provider != doc["expert_provider"]:
+        raise ConfigError(f"mode {config.mode!r} overrides --provider {args.provider}")
     graph, _, _ = _load_graph_file(doc.get("graph"))
     specs = _specs_from_doc(doc, graph, config)
     records = demo_quality_report(graph, specs, config, completer_for(config), args.phases, args.prompts)

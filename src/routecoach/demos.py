@@ -1,4 +1,4 @@
-"""Expert demonstrations: instruction sets, route checking, execution.
+"""Expert demonstrations: route sets, route checking, execution.
 
 Route proposals arrive as per-agent waypoint lists (from a language-model
 endpoint, the shortest-path oracle, or the logit route sampler), are
@@ -22,28 +22,25 @@ from .graph import RoadGraph
 from .llm import ChatCompleter
 from .trajectory import EXPERT_SOURCE, Trajectory, run_episode
 
-MOVE_TO = "MoveTo"
 LOGIT_CANDIDATES = 8
 
 LogProbFn = Callable[[int, np.ndarray, np.ndarray, int], float]
 
 
-@dataclass(frozen=True)
-class Instruction:
-    command: str
-    parameter: int
-    agent_id: int
-
-
 @dataclass
 class ExecutableSet:
-    """Per-agent instruction sequences; every agent has one, possibly empty."""
+    """Each agent's full start -> destination junction route, in spec order.
 
-    sequences: dict[int, tuple[Instruction, ...]]
+    An empty route sits the agent out.  ``fallback_agents`` are the agents
+    whose proposal was invalid and was replaced (or dropped).
+    """
+
+    routes: dict[int, tuple[int, ...]]
     fallback_agents: frozenset[int] = frozenset()
 
-    def waypoints(self, spec: AgentSpec) -> list[int]:
-        return [spec.start] + [inst.parameter for inst in self.sequences[spec.agent_id]]
+    def valid(self) -> list[bool]:
+        """Each agent's validity flag for the proposal as given, in spec order."""
+        return [agent_id not in self.fallback_agents for agent_id in self.routes]
 
 
 @dataclass
@@ -162,44 +159,35 @@ def compile_to_actions(graph: RoadGraph, spec: AgentSpec, waypoints: Sequence[in
     return actions
 
 
-def instructions_for(agent_id: int, waypoints: Sequence[int], spec: AgentSpec) -> tuple[Instruction, ...]:
-    body = list(waypoints)
-    if body and body[0] == spec.start:
-        body = body[1:]  # start junction is implied
-    return tuple(Instruction(MOVE_TO, j, agent_id) for j in body)
-
-
 def prepare_executable(
     graph: RoadGraph,
     specs: Sequence[AgentSpec],
     parsed: ParsedRoutes,
     fallback: str = "oracle",
-) -> tuple[ExecutableSet, dict[int, bool]]:
+) -> ExecutableSet:
     """Turn raw proposals into an executable set, substituting bad routes.
 
-    Returns the set plus a per-agent validity flag for the proposals as
-    given (fallback substitutions still count as invalid proposals).
+    An agent without a valid proposal is a fallback agent: it gets its
+    shortest path (``"oracle"``) or sits out (``"skip"``), and still
+    counts as invalid in ``ExecutableSet.valid()``.
     """
     if fallback not in ("oracle", "skip"):
         raise ValueError(f"unknown fallback policy {fallback!r}")
-    sequences: dict[int, tuple[Instruction, ...]] = {}
+    routes: dict[int, tuple[int, ...]] = {}
     fallback_agents = set()
-    valid: dict[int, bool] = {}
     for spec in specs:
         waypoints = parsed.waypoints.get(spec.agent_id)
-        ok = waypoints is not None and validate_route(graph, spec, waypoints)
-        valid[spec.agent_id] = ok
-        if ok:
-            sequences[spec.agent_id] = instructions_for(spec.agent_id, waypoints, spec)
-        elif fallback == "oracle":
+        if waypoints is not None and validate_route(graph, spec, waypoints):
+            routes[spec.agent_id] = tuple(waypoints)
+            continue
+        fallback_agents.add(spec.agent_id)
+        if fallback == "oracle":
             sp = graph.shortest_path(spec.start, spec.dest)
             assert sp is not None  # guaranteed by spec validation
-            sequences[spec.agent_id] = instructions_for(spec.agent_id, sp[1], spec)
-            fallback_agents.add(spec.agent_id)
+            routes[spec.agent_id] = tuple(sp[1])
         else:
-            sequences[spec.agent_id] = ()
-            fallback_agents.add(spec.agent_id)
-    return ExecutableSet(sequences, frozenset(fallback_agents)), valid
+            routes[spec.agent_id] = ()
+    return ExecutableSet(routes, frozenset(fallback_agents))
 
 
 def propose_from_text(
@@ -208,17 +196,15 @@ def propose_from_text(
     graph: RoadGraph,
     specs: Sequence[AgentSpec],
     fallback: str = "oracle",
-) -> tuple[ExecutableSet, list[bool], int]:
+) -> tuple[ExecutableSet, int]:
     """Ask a language model for routes and make its reply executable.
 
-    Returns the executable set, each agent's validity flag in spec order,
-    and the completion's token count.  ``LlmError`` from the completer
-    propagates.
+    Returns the executable set and the completion's token count.
+    ``LlmError`` from the completer propagates.
     """
     reply = completer.complete(prompt)
     parsed = parse_instructions(reply.text, len(specs), graph)
-    executable, valid = prepare_executable(graph, specs, parsed, fallback=fallback)
-    return executable, [valid[spec.agent_id] for spec in specs], reply.token_count
+    return prepare_executable(graph, specs, parsed, fallback=fallback), reply.token_count
 
 
 def validity_rate(valid_flags: Sequence[bool]) -> float:
@@ -233,13 +219,13 @@ def validity_rate(valid_flags: Sequence[bool]) -> float:
 
 def oracle_expert(graph: RoadGraph, specs: Sequence[AgentSpec]) -> ExecutableSet:
     """Shortest-path routes for every agent; always valid."""
-    sequences = {}
+    routes = {}
     for spec in specs:
         sp = graph.shortest_path(spec.start, spec.dest)
         if sp is None:
             raise ValueError(f"agent {spec.agent_id}: destination unreachable")
-        sequences[spec.agent_id] = instructions_for(spec.agent_id, sp[1], spec)
-    return ExecutableSet(sequences)
+        routes[spec.agent_id] = tuple(sp[1])
+    return ExecutableSet(routes)
 
 
 def logit_expert(
@@ -255,7 +241,7 @@ def logit_expert(
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    sequences = {}
+    routes = {}
     for spec in specs:
         candidates = graph.k_shortest_paths(spec.start, spec.dest, LOGIT_CANDIDATES)
         if not candidates:
@@ -265,9 +251,8 @@ def logit_expert(
         logits -= logits.max()
         probs = np.exp(logits)
         probs /= probs.sum()
-        chosen = candidates[rng.choice(len(candidates), p=probs)][1]
-        sequences[spec.agent_id] = instructions_for(spec.agent_id, chosen, spec)
-    return ExecutableSet(sequences)
+        routes[spec.agent_id] = tuple(candidates[rng.choice(len(candidates), p=probs)][1])
+    return ExecutableSet(routes)
 
 
 # -- execution ----------------------------------------------------------------------
@@ -280,17 +265,17 @@ def execute_demos(
     policy_logp: LogProbFn | None = None,
     **env_kwargs,
 ) -> dict[int, Trajectory]:
-    """Replay compiled instruction sets from the initial state.
+    """Replay compiled routes from the initial state.
 
     ``env_kwargs`` are the ``RouteEnv`` settings (``step_limit``, reward
     terms, ``congestion``).  Records, per executed action, the current
     policy's log-probability of that action (uniform over valid actions
-    when no policy is supplied).  Agents whose sequence is empty sit the
+    when no policy is supplied).  Agents whose route is empty sit the
     episode out and contribute a single-point trajectory.
     """
     env = RouteEnv(graph, specs, **env_kwargs)
-    plans = {spec.agent_id: iter(compile_to_actions(graph, spec, executable.waypoints(spec)))
-             for spec in specs if executable.sequences[spec.agent_id]}
+    plans = {spec.agent_id: iter(compile_to_actions(graph, spec, executable.routes[spec.agent_id]))
+             for spec in specs if executable.routes[spec.agent_id]}
 
     def choose(i: int, obs: Observation) -> tuple[int, float]:
         action = next(plans[i])
@@ -300,6 +285,4 @@ def execute_demos(
 
     trajectories = run_episode(env, choose, source=EXPERT_SOURCE,
                                sit_out={spec.agent_id for spec in specs} - plans.keys())
-    for traj in trajectories:
-        traj.fallback_used = traj.agent_id in executable.fallback_agents
     return {traj.agent_id: traj for traj in trajectories}

@@ -2,7 +2,7 @@
 
 Every epoch runs one episode of policy rollouts.  On a fixed interval
 (``demo_interval``, plus the very first epoch) the expert provider is
-asked for fresh instruction sets, the demos are executed, and each
+asked for fresh routes, the demos are executed, and each
 agent's loss-mixing weight is recomputed from the DTW distance between
 its own trajectory and its expert's; between regenerations the expert
 trajectories and weights are reused.  Each agent then updates its three
@@ -89,6 +89,10 @@ class TrainConfig:
             raise ValueError("demo_interval must be >= 1")
         if self.expert_provider not in PROVIDERS:
             raise ValueError(f"unknown expert provider {self.expert_provider!r}")
+        if self.provider_fallback not in ("oracle", "logit", "none"):
+            raise ValueError(f"unknown provider_fallback {self.provider_fallback!r}")
+        if self.invalid_route_fallback not in ("oracle", "skip"):
+            raise ValueError(f"unknown invalid_route_fallback {self.invalid_route_fallback!r}")
         kind = self.mode_kind  # validates the mode string
         if self.mode == "ippo":
             self.expert_provider = "none"
@@ -449,15 +453,14 @@ class Trainer:
         provider = self.config.expert_provider
         if provider == "llm":
             try:
-                executable, valid, tokens = dg.propose_from_text(
+                executable, tokens = dg.propose_from_text(
                     self.completer, build_prompt(self.prompt_state), self.graph, self.specs,
                     self.config.invalid_route_fallback)
-                return executable, dg.validity_rate(valid), tokens
+                return executable, dg.validity_rate(executable.valid()), tokens
             except LlmError:
-                if self.config.provider_fallback in ("oracle", "logit"):
-                    provider = self.config.provider_fallback
-                else:
+                if self.config.provider_fallback == "none":
                     raise
+                provider = self.config.provider_fallback
         if provider == "oracle":
             return dg.oracle_expert(self.graph, self.specs), 100.0, 0
         if provider == "logit":
@@ -465,31 +468,49 @@ class Trainer:
             return routes, 100.0, 0
         raise TrainingError(f"no demonstrations available from provider {provider!r}")
 
-    def _regenerate_demos(self, k: int, tau_a: list[Trajectory]) -> None:
-        executable, validity, _tokens = self._propose_routes()
+    def demonstrate(
+        self, tau_a: Sequence[Trajectory],
+    ) -> tuple[dg.ExecutableSet, int, dict[int, Trajectory], list[float]]:
+        """One demonstration round against the agents' trajectories ``tau_a``.
+
+        Proposes routes, executes them under the current policies, and
+        measures each agent's DTW distance to its demonstration.  Returns
+        (executable set, token count, expert trajectories, DTW per agent).
+        """
+        executable, _validity, tokens = self._propose_routes()
         tau_e = dg.execute_demos(self.graph, self.specs, executable,
                                  policy_logp=self.policy_logp, **self.config.env_settings)
-        self._validity = validity
+        dtw = [dtw_distance(traj_to_feature_seq(tau_a[i], self.graph),
+                            traj_to_feature_seq(tau_e[i], self.graph))
+               for i in range(len(self.learners))]
+        return executable, tokens, tau_e, dtw
+
+    def refine(self, tau_a: Sequence[Trajectory], tau_e: dict[int, Trajectory],
+               dtw: Sequence[float]) -> None:
+        """Append a round's feedback to the prompt; only the "llm" provider has one."""
+        if self.config.expert_provider != "llm":
+            return
+        self.prompt_state = refine_prompt(
+            self.prompt_state,
+            {i: (t.junction_path, t.episode_reward) for i, t in enumerate(tau_a)},
+            {i: (t.junction_path, t.episode_reward) for i, t in tau_e.items()},
+            dict(enumerate(dtw)),
+        )
+
+    def _regenerate_demos(self, k: int, tau_a: list[Trajectory]) -> None:
+        executable, _tokens, tau_e, dtw = self.demonstrate(tau_a)
+        self._validity = dg.validity_rate(executable.valid())
         kind = self.config.mode_kind
         for i, learner in enumerate(self.learners):
             learner.last_expert = tau_e[i]
-            learner.last_dtw = dtw_distance(
-                traj_to_feature_seq(tau_a[i], self.graph),
-                traj_to_feature_seq(tau_e[i], self.graph),
-            )
+            learner.last_dtw = dtw[i]
             if kind in ("dynamic", "logit-ppo"):
                 learner.alpha = max(L.alpha_weight(k, self.config.epochs, learner.last_dtw), ALPHA_FLOOR)
             elif kind == "fixed":
                 learner.alpha = float(self.config.fixed_alpha)
             else:
                 learner.alpha = 1.0
-        if self.config.expert_provider == "llm":
-            self.prompt_state = refine_prompt(
-                self.prompt_state,
-                {i: (tau_a[i].junction_path, tau_a[i].episode_reward) for i in range(len(tau_a))},
-                {i: (tau_e[i].junction_path, tau_e[i].episode_reward) for i in tau_e},
-                {i: self.learners[i].last_dtw for i in range(len(self.learners))},
-            )
+        self.refine(tau_a, tau_e, dtw)
 
     # -- epoch loop ----------------------------------------------------------
 

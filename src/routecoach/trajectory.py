@@ -2,7 +2,7 @@
 
 A trajectory is tagged with its source: ``"a"`` for actions sampled from
 the agent's own policy, ``"e"`` for actions compiled from an expert
-instruction set and replayed in the environment.  Both are recorded by
+route and replayed in the environment.  Both are recorded by
 the same loop, ``run_episode``; they differ only in where an agent's
 action comes from.
 """
@@ -44,7 +44,6 @@ class Trajectory:
     junction_path: list[int]
     arrived: bool = False
     terminated: bool = False
-    fallback_used: bool = False
 
     def __post_init__(self) -> None:
         if self.source not in (AGENT_SOURCE, EXPERT_SOURCE):

@@ -336,7 +336,7 @@ def test_a8_validity_accounting(tmp_path):
     specs2 = (rc.AgentSpec(0, 0, 24), rc.AgentSpec(1, 4, 20))
     oracle_routes = dg.oracle_expert(GRID, specs2)
     oracle_valid = dg.validity_rate(
-        [dg.validate_route(GRID, s, oracle_routes.waypoints(s)) for s in specs2])
+        [dg.validate_route(GRID, s, oracle_routes.routes[s.agent_id]) for s in specs2])
     oracle_ok = oracle_valid == 100.0
 
     # scripted mock: phase 1 all invalid, phase 2 one valid detour, phase 3 optimal

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from routecoach import grid_graph, write_graph
-from routecoach.cli import main, moving_average
+from routecoach import AgentSpec, grid_graph, write_graph
+from routecoach.cli import demo_quality_report, main, moving_average
+from routecoach.llm import LlmError
+from routecoach.training import TrainConfig
 
 
 @pytest.fixture()
@@ -77,6 +79,18 @@ class TestTrain:
         cfg.write_text(json.dumps({"graph": graph_file, "mode": "wat"}))
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert "wat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", ["provider_fallback=orcale", "invalid_route_fallback=orcale"])
+    def test_bad_fallback_exits_2_without_run_dir(self, tmp_path, base_config, capsys, setting):
+        mock_dir = tmp_path / "mock"
+        mock_dir.mkdir()
+        (mock_dir / "000.txt").write_text('{"0": [0, 1, 2, 5, 8]}')
+        out = tmp_path / "run"
+        code = main(["train", "--config", base_config, "--out", str(out), "--provider", "llm",
+                     "--mock-dir", str(mock_dir), "--set", setting])
+        assert code == 2
+        assert "error: bad configuration" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_set_overrides_dotted(self, tmp_path, base_config):
         out = tmp_path / "run"
@@ -184,6 +198,40 @@ class TestDemoReport:
         tokens = [int(r[1]) for r in rows[1:]]
         assert validity[0] < validity[1] == 100.0
         assert tokens[1] > tokens[0]  # refinement grows the prompt
+
+
+    @pytest.mark.parametrize("flag", ["--prompts", "--phases"])
+    def test_counts_below_one_exit_2(self, tmp_path, graph_file, capsys, flag):
+        out = tmp_path / "report"
+        code = main(["demo-report", "--graph", graph_file, "--out", str(out),
+                     "--set", "n_agents=2", flag, "0"])
+        assert code == 2
+        assert "error: need at least one phase and one prompt" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["ippo", "logit-ppo"])
+    def test_mode_overriding_provider_exits_2(self, tmp_path, graph_file, capsys, mode):
+        mock_dir = tmp_path / "mock"
+        mock_dir.mkdir()
+        (mock_dir / "000.txt").write_text('{"0": [0, 1, 2, 5, 8]}')
+        out = tmp_path / "report"
+        code = main(["demo-report", "--graph", graph_file, "--out", str(out),
+                     "--provider", "mock", "--mock-dir", str(mock_dir),
+                     "--set", "n_agents=2", "--set", f"mode={mode}"])
+        assert code == 2
+        assert f"error: mode '{mode}' overrides --provider mock" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failing_endpoint_raises_instead_of_oracle_fallback(self):
+        class Exploding:
+            def complete(self, prompt):
+                raise LlmError("endpoint down")
+
+        cfg = TrainConfig(n_agents=2, steps_per_episode=20, expert_provider="llm")
+        assert cfg.provider_fallback == "oracle"
+        with pytest.raises(LlmError, match="endpoint down"):
+            demo_quality_report(grid_graph(3), (AgentSpec(0, 0, 8), AgentSpec(1, 2, 6)), cfg,
+                                Exploding(), phases=1, prompts_per_phase=1)
 
 
 class TestLlmConfigErrors:

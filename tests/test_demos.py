@@ -104,19 +104,19 @@ class TestExperts:
     def test_oracle_line(self, line):
         specs = (AgentSpec(0, 0, 2),)
         routes = dg.oracle_expert(line, specs)
-        assert routes.waypoints(specs[0]) == [0, 1, 2]
+        assert routes.routes[0] == (0, 1, 2)
 
     def test_oracle_two_node(self):
         g = line_graph((4.0,))
         specs = (AgentSpec(0, 0, 1),)
         routes = dg.oracle_expert(g, specs)
-        assert [i.parameter for i in routes.sequences[0]] == [1]
+        assert routes.routes[0] == (0, 1)
 
     def test_oracle_always_validates(self, grid5):
         specs = tuple(AgentSpec(i, i, 24 - i) for i in range(5))
         routes = dg.oracle_expert(grid5, specs)
         for spec in specs:
-            assert dg.validate_route(grid5, spec, routes.waypoints(spec))
+            assert dg.validate_route(grid5, spec, routes.routes[spec.agent_id])
 
     def test_oracle_unreachable(self):
         g = line_graph((1.0,))
@@ -127,7 +127,7 @@ class TestExperts:
         rng = np.random.default_rng(0)
         specs = (AgentSpec(0, 0, 2),)
         routes = dg.logit_expert(line, specs, 1.0, rng)
-        assert routes.waypoints(specs[0]) == [0, 1, 2]
+        assert routes.routes[0] == (0, 1, 2)
 
     def test_logit_equal_costs_split_evenly(self):
         # two disjoint equal-cost routes 0 -> 3
@@ -141,7 +141,7 @@ class TestExperts:
         counts = {1: 0, 2: 0}
         for _ in range(10000):
             routes = dg.logit_expert(g, specs, temperature=3.0, rng=rng)
-            counts[routes.waypoints(specs[0])[1]] += 1
+            counts[routes.routes[0][1]] += 1
         assert counts[1] / 10000 == pytest.approx(0.5, abs=0.02)
 
     def test_logit_low_temperature_prefers_shortest(self, grid5):
@@ -152,7 +152,7 @@ class TestExperts:
         draws = 10000
         for _ in range(draws):
             routes = dg.logit_expert(grid5, specs, temperature=1e-3, rng=rng)
-            waypoints = routes.waypoints(specs[0])
+            waypoints = routes.routes[0]
             cost = sum(grid5.edge_between(u, v).length for u, v in zip(waypoints, waypoints[1:]))
             hits += cost == pytest.approx(best_cost)
         assert hits / draws > 0.99
@@ -166,17 +166,18 @@ class TestPrepareAndExecute:
     def test_fallback_oracle_substitutes(self, grid3):
         specs = (AgentSpec(0, 0, 8), AgentSpec(1, 2, 6))
         parsed = dg.parse_instructions('{"0": [0, 1, 2, 5, 8]}', 2, grid3)
-        executable, valid = dg.prepare_executable(grid3, specs, parsed, fallback="oracle")
-        assert valid == {0: True, 1: False}
+        executable = dg.prepare_executable(grid3, specs, parsed, fallback="oracle")
+        assert executable.valid() == [True, False]
         assert executable.fallback_agents == {1}
-        assert dg.validate_route(grid3, specs[1], executable.waypoints(specs[1]))
+        assert executable.routes[0] == (0, 1, 2, 5, 8)
+        assert dg.validate_route(grid3, specs[1], executable.routes[1])
 
     def test_fallback_skip_leaves_empty(self, grid3):
         specs = (AgentSpec(0, 0, 8),)
         parsed = dg.parse_instructions("garbage", 1, grid3)
-        executable, valid = dg.prepare_executable(grid3, specs, parsed, fallback="skip")
-        assert executable.sequences[0] == ()
-        assert valid == {0: False}
+        executable = dg.prepare_executable(grid3, specs, parsed, fallback="skip")
+        assert executable.routes[0] == ()
+        assert executable.valid() == [False]
 
     def test_execute_reaches_destination(self, line):
         specs = (AgentSpec(0, 0, 2),)
@@ -209,14 +210,16 @@ class TestPrepareAndExecute:
     def test_execute_flags_fallback_agents(self, grid3):
         specs = (AgentSpec(0, 0, 8),)
         parsed = dg.parse_instructions("nothing here", 1, grid3)
-        executable, _ = dg.prepare_executable(grid3, specs, parsed, fallback="oracle")
+        executable = dg.prepare_executable(grid3, specs, parsed, fallback="oracle")
+        assert executable.fallback_agents == {0}
         trajs = dg.execute_demos(grid3, specs, executable)
-        assert trajs[0].fallback_used
+        assert trajs[0].junction_path == grid3.shortest_path(0, 8)[1]
+        assert trajs[0].arrived
 
     def test_execute_skip_agent_single_point(self, grid3):
         specs = (AgentSpec(0, 0, 8),)
         parsed = dg.parse_instructions("nothing here", 1, grid3)
-        executable, _ = dg.prepare_executable(grid3, specs, parsed, fallback="skip")
+        executable = dg.prepare_executable(grid3, specs, parsed, fallback="skip")
         trajs = dg.execute_demos(grid3, specs, executable)
         assert len(trajs[0]) == 0
         assert trajs[0].junction_path == [0]

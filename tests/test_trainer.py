@@ -75,6 +75,14 @@ class TestConfig:
         assert config_hash(again) == config_hash(cfg)
         assert config_hash(small_config(seed=4)) != config_hash(cfg)
 
+    @pytest.mark.parametrize("field,value", [
+        ("provider_fallback", "orcale"), ("provider_fallback", "llm"),
+        ("invalid_route_fallback", "orcale"), ("invalid_route_fallback", "none"),
+    ])
+    def test_bad_fallback_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             TrainConfig.from_dict({"learning_rte": 1e-3})
@@ -254,7 +262,7 @@ class TestTrainerLoop:
         trainer = Trainer(cfg, graph, specs, completer=MockChatCompleter(mock_dir))
         metrics = trainer.run_epoch()
         assert metrics.validity_rate == 50.0
-        assert trainer.learners[1].last_expert.fallback_used
+        assert trainer.learners[1].last_expert.junction_path == graph.shortest_path(2, 6)[1]
         assert trainer.learners[1].last_expert.arrived
 
     def test_llm_failure_falls_back_to_oracle(self, grid3_setup):
