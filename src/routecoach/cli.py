@@ -3,7 +3,8 @@
 Subcommands: ``train``, ``evaluate``, ``sweep-agents``, ``ablation``,
 ``demo-report``, ``plot-data`` (plus ``make-graph`` for generating the
 built-in fixture maps).  Configuration comes from a JSON file plus
-``--set dotted.path=value`` overrides and a few direct flags; every run
+``--set key=value`` overrides and a few direct flags; a key that is neither
+a ``TrainConfig`` field nor ``graph`` or ``agents`` is rejected.  Every run
 writes a manifest capturing the fully resolved configuration before any
 training starts.
 """
@@ -71,19 +72,12 @@ def _read_config_file(path: str | None) -> dict:
 def _apply_sets(doc: dict, assignments: Sequence[str]) -> dict:
     for item in assignments:
         if "=" not in item:
-            raise ConfigError(f"--set expects dotted.path=value, got {item!r}")
-        dotted, raw = item.split("=", 1)
+            raise ConfigError(f"--set expects key=value, got {item!r}")
+        key, raw = item.split("=", 1)
         try:
-            value = json.loads(raw)
+            doc[key] = json.loads(raw)
         except json.JSONDecodeError:
-            value = raw
-        target = doc
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            target = target.setdefault(part, {})
-            if not isinstance(target, dict):
-                raise ConfigError(f"--set path {dotted!r} crosses a non-object value")
-        target[parts[-1]] = value
+            doc[key] = raw
     return doc
 
 
@@ -113,7 +107,8 @@ def _resolve(args, extra_flags: dict | None = None) -> dict:
 
 
 def _config_from_doc(doc: dict) -> TrainConfig:
-    fields = {k: v for k, v in doc.items() if k in TrainConfig.__dataclass_fields__}
+    """The ``TrainConfig`` of a resolved doc; ``graph`` and ``agents`` are the CLI's own keys."""
+    fields = {k: v for k, v in doc.items() if k not in ("graph", "agents")}
     try:
         return TrainConfig.from_dict(fields)
     except (TypeError, ValueError) as exc:
@@ -186,6 +181,9 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"no manifest.json under {run}")
     manifest = json.loads(manifest_path.read_text())
     config = TrainConfig.from_dict(manifest["config"])
+    episodes = config.eval_episodes if args.episodes is None else args.episodes
+    if episodes < 1:
+        raise ConfigError(f"--episodes must be at least 1, got {episodes}")
     graph, graph_path, graph_text = _load_graph_file(manifest["graph_file"])
     if hashlib.sha256(graph_text.encode()).hexdigest() != manifest["graph_sha256"]:
         raise ConfigError(f"graph file {graph_path} changed since training (sha256 differs from the manifest)")
@@ -193,7 +191,6 @@ def cmd_evaluate(args) -> int:
     params, ck_manifest = load_checkpoint(run / "checkpoints")
     if ck_manifest["config_hash"] != manifest["config_hash"]:
         raise ConfigError("checkpoint was produced by a different configuration than the manifest")
-    episodes = args.episodes or config.eval_episodes
     result = evaluate([p["policy"] for p in params], env_from_config(graph, specs, config), episodes)
     out = Path(args.out) if args.out else run
     out.mkdir(parents=True, exist_ok=True)
@@ -244,6 +241,7 @@ def cmd_sweep_agents(args) -> int:
 
 def cmd_ablation(args) -> int:
     doc = _resolve(args, {"graph": args.graph, "epochs": args.epochs})
+    _config_from_doc(doc)  # a bad configuration fails before anything is written
     graph, _, _ = _load_graph_file(doc.get("graph"))
     seeds = args.seeds
     out = Path(args.out)
@@ -398,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, out_required=True):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--set", action="append", metavar="PATH=VALUE",
-                       help="override a config entry by dotted path")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="override a config entry")
         p.add_argument("--graph", help="graph JSON file")
         p.add_argument("--out", required=out_required, help="output directory")
 

@@ -116,7 +116,7 @@ class RouteEnv:
                 raise EnvError(f"agent {i}: start equals destination ({spec.start})")
             if spec.depart_time < 0:
                 raise EnvError(f"agent {i}: negative depart_time {spec.depart_time}")
-            if self.graph.shortest_path(spec.start, spec.dest) is None:
+            if self.graph.distances_to(spec.dest)[spec.start] == INF:
                 raise EnvError(f"agent {i}: destination {spec.dest} unreachable from start {spec.start}")
 
     @property

@@ -49,6 +49,10 @@ class RoadGraph:
             adjacency[e.src].append(e)
         self._adjacency = {j: tuple(sorted(out, key=lambda e: e.dst)) for j, out in adjacency.items()}
         self.max_out_degree = max((len(out) for out in self._adjacency.values()), default=0)
+        self._successors = {j: [(e.dst, e.length) for e in out] for j, out in self._adjacency.items()}
+        self._predecessors: dict[int, list[tuple[int, float]]] = {j: [] for j in self.nodes}
+        for e in self.edges:
+            self._predecessors[e.dst].append((e.src, e.length))
         self._dist_cache: dict[int, dict[int, float]] = {}
         self._diameter: float | None = None
 
@@ -76,64 +80,39 @@ class RoadGraph:
         """
         if a not in self.nodes or b not in self.nodes:
             raise GraphError(f"unknown junction in shortest_path({a}, {b})")
-        frontier: list[tuple[float, tuple[int, ...]]] = [(0.0, (a,))]
-        settled: set[int] = set()
-        while frontier:
-            dist, path = heappop(frontier)
-            node = path[-1]
-            if node in settled:
-                continue
-            settled.add(node)
-            if node == b:
-                return dist, list(path)
-            for e in self._adjacency[node]:
-                if e.dst not in settled:
-                    heappush(frontier, (dist + e.length, path + (e.dst,)))
-        return None
+        return self._restricted_shortest(a, b, set(), set())
 
     def distances_from(self, src: int) -> dict[int, float]:
         """Shortest-path distance from ``src`` to every junction (inf if unreachable)."""
         if src not in self.nodes:
             raise GraphError(f"unknown junction {src}")
-        dist = {j: INF for j in self.nodes}
-        dist[src] = 0.0
-        frontier = [(0.0, src)]
-        while frontier:
-            d, node = heappop(frontier)
-            if d > dist[node]:
-                continue
-            for e in self._adjacency[node]:
-                nd = d + e.length
-                if nd < dist[e.dst]:
-                    dist[e.dst] = nd
-                    heappush(frontier, (nd, e.dst))
-        return dist
+        return self._distances(src, self._successors)
 
     def distances_to(self, dest: int) -> dict[int, float]:
         """Shortest-path distance from every junction to ``dest``.
 
         Unreachable junctions map to ``inf``.  Cached per destination.
         """
-        if dest in self._dist_cache:
-            return self._dist_cache[dest]
-        if dest not in self.nodes:
-            raise GraphError(f"unknown junction {dest}")
-        reverse: dict[int, list[tuple[int, float]]] = {j: [] for j in self.nodes}
-        for e in self.edges:
-            reverse[e.dst].append((e.src, e.length))
+        if dest not in self._dist_cache:
+            if dest not in self.nodes:
+                raise GraphError(f"unknown junction {dest}")
+            self._dist_cache[dest] = self._distances(dest, self._predecessors)
+        return self._dist_cache[dest]
+
+    def _distances(self, source: int, neighbours: dict[int, list[tuple[int, float]]]) -> dict[int, float]:
+        """Dijkstra from ``source`` over ``(junction, length)`` neighbour lists."""
         dist = {j: INF for j in self.nodes}
-        dist[dest] = 0.0
-        frontier = [(0.0, dest)]
+        dist[source] = 0.0
+        frontier = [(0.0, source)]
         while frontier:
             d, node = heappop(frontier)
             if d > dist[node]:
                 continue
-            for src, length in reverse[node]:
+            for nxt, length in neighbours[node]:
                 nd = d + length
-                if nd < dist[src]:
-                    dist[src] = nd
-                    heappush(frontier, (nd, src))
-        self._dist_cache[dest] = dist
+                if nd < dist[nxt]:
+                    dist[nxt] = nd
+                    heappush(frontier, (nd, nxt))
         return dist
 
     @property

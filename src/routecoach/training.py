@@ -300,7 +300,6 @@ def update_agent(
     tau_a: Trajectory,
     tau_e: Trajectory | None,
     k: int,
-    total_epochs: int,
     config: TrainConfig,
 ) -> dict[str, float]:
     """One full update round for a single agent, from its own data only.
@@ -504,12 +503,10 @@ class Trainer:
         for i, learner in enumerate(self.learners):
             learner.last_expert = tau_e[i]
             learner.last_dtw = dtw[i]
-            if kind in ("dynamic", "logit-ppo"):
-                learner.alpha = max(L.alpha_weight(k, self.config.epochs, learner.last_dtw), ALPHA_FLOOR)
-            elif kind == "fixed":
+            if kind == "fixed":
                 learner.alpha = float(self.config.fixed_alpha)
             else:
-                learner.alpha = 1.0
+                learner.alpha = max(L.alpha_weight(k, self.config.epochs, learner.last_dtw), ALPHA_FLOOR)
         self.refine(tau_a, tau_e, dtw)
 
     # -- epoch loop ----------------------------------------------------------
@@ -528,7 +525,7 @@ class Trainer:
         loss_policy, loss_va, loss_ve = [], [], []
         for i, learner in enumerate(self.learners):
             learner.last_agent = tau_a[i]
-            stats = update_agent(learner, tau_a[i], learner.last_expert, k, cfg.epochs, cfg)
+            stats = update_agent(learner, tau_a[i], learner.last_expert, k, cfg)
             loss_policy.append(stats["loss_policy"])
             loss_va.append(stats["loss_value_a"])
             loss_ve.append(stats["loss_value_e"])

@@ -92,6 +92,24 @@ class TestTrain:
         assert "error: bad configuration" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting", ["learning_rat=0.5", "foo.bar=1"])
+    def test_unknown_set_key_exits_2_without_run_dir(self, tmp_path, base_config, capsys, setting):
+        out = tmp_path / "run"
+        assert main(["train", "--config", base_config, "--out", str(out), "--set", setting]) == 2
+        err = capsys.readouterr().err
+        assert "error: bad configuration" in err and setting.split("=")[0] in err
+        assert not out.exists()
+
+    def test_unknown_key_in_config_file_exits_2_without_run_dir(self, tmp_path, base_config, capsys):
+        doc = json.loads(open(base_config).read())
+        doc["learning_rat"] = 0.5
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "learning_rat" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_set_overrides_dotted(self, tmp_path, base_config):
         out = tmp_path / "run"
         assert main(["train", "--config", base_config, "--out", str(out),
@@ -125,6 +143,14 @@ class TestEvaluate:
         manifest["config_hash"] = "0" * 64
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert main(["evaluate", "--run", str(out)]) == 2
+
+    @pytest.mark.parametrize("episodes", ["0", "-3"])
+    def test_episodes_below_one_exit_2(self, tmp_path, base_config, capsys, episodes):
+        out = tmp_path / "run"
+        main(["train", "--config", base_config, "--out", str(out)])
+        assert main(["evaluate", "--run", str(out), "--episodes", episodes]) == 2
+        assert "--episodes must be at least 1" in capsys.readouterr().err
+        assert not (out / "eval.csv").exists()
 
     def test_graph_edited_after_training_rejected(self, tmp_path, base_config, graph_file, capsys):
         out = tmp_path / "run"
@@ -163,6 +189,13 @@ class TestAblation:
         assert rows[0] == ["epoch", "dynamic", "fixed_alpha_0_2", "fixed_alpha_0_5",
                            "logit_ppo", "ippo"]
         assert len(rows) == 4
+
+    def test_unknown_key_exits_2_before_writing(self, tmp_path, graph_file, capsys):
+        out = tmp_path / "ablation"
+        assert main(["ablation", "--graph", graph_file, "--out", str(out),
+                     "--set", "epoch=3"]) == 2
+        assert "epoch" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDemoReport:

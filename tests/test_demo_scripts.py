@@ -23,3 +23,4 @@ def test_demo_script_runs(script, tmp_path):
     done = subprocess.run([sys.executable, str(ROOT / "demos" / script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert not list(tmp_path.glob("routecoach_demo_*"))  # temp dirs are cleaned up

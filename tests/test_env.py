@@ -141,6 +141,17 @@ def test_bad_specs_rejected(line):
         RouteEnv(line, (AgentSpec(1, 0, 2),))
 
 
+def test_construction_reads_reachability_without_path_search(grid5, line, monkeypatch):
+    def no_search(self, a, b):
+        raise AssertionError("RouteEnv searched for a path")
+
+    monkeypatch.setattr(RoadGraph, "shortest_path", no_search)
+    env = RouteEnv(grid5, (AgentSpec(0, 0, 24), AgentSpec(1, 24, 0)))
+    assert env._dist[0] is grid5.distances_to(24)
+    with pytest.raises(EnvError, match="unreachable"):
+        RouteEnv(line, (AgentSpec(0, 2, 0),))
+
+
 def test_trajectory_determinism(grid5):
     specs = (AgentSpec(0, 0, 24), AgentSpec(1, 24, 0))
     env = RouteEnv(grid5, specs)

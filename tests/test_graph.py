@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from routecoach.graph import Edge, GraphError, RoadGraph, load_graph
+from routecoach.graph import INF, Edge, GraphError, RoadGraph, load_graph
 from routecoach.fixtures import grid_graph, hilly_graph, write_graph
 
 
@@ -125,6 +125,21 @@ def test_distances_cached_and_correct(grid5):
     assert dist[0] == pytest.approx(8.0)
     assert dist[24] == 0.0
     assert grid5.distances_to(24) is dist  # cached
+
+
+@pytest.mark.parametrize("name", ["hilly", "line"])
+def test_distances_from_agrees_with_distances_to_and_shortest_path(name, request):
+    # both graphs have one-way links, so the forward and reverse searches differ;
+    # on line the way back is missing, so some pairs are unreachable
+    graph = request.getfixturevalue(name)
+    for a, b in itertools.product(graph.nodes, repeat=2):
+        forward = graph.distances_from(a)[b]
+        path = graph.shortest_path(a, b)
+        if path is None:
+            assert forward == INF and graph.distances_to(b)[a] == INF
+        else:
+            assert forward == pytest.approx(graph.distances_to(b)[a])
+            assert forward == pytest.approx(path[0])
 
 
 def test_diameter(grid5, hilly):

@@ -169,7 +169,7 @@ class TestUpdateAgent:
         trainer, cfg, tau_a, tau_e = self._learner_and_trajs(mode="ippo")
         learner = trainer.learners[0]
         before = learner.value_e.copy()
-        stats = update_agent(learner, tau_a, tau_e, 1, cfg.epochs, cfg)
+        stats = update_agent(learner, tau_a, tau_e, 1, cfg)
         # expert value net untouched, expert loss not reported
         for w0, w1 in zip(before.weights, learner.value_e.weights):
             np.testing.assert_array_equal(w0, w1)
@@ -184,7 +184,7 @@ class TestUpdateAgent:
         learner = trainer.learners[0]
         learner.alpha = 0.5
         before = learner.policy.flat()
-        stats = update_agent(learner, tau_a, tau_e, 1, cfg.epochs, cfg)
+        stats = update_agent(learner, tau_a, tau_e, 1, cfg)
         assert np.isfinite(stats["loss_policy"])
         assert np.isfinite(stats["loss_value_a"])
         assert np.isfinite(stats["loss_value_e"])
