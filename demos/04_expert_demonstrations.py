@@ -51,4 +51,4 @@ print("agent 1 fell back to the oracle:", 1 in executable.fallback_agents)
 trajectories = dg.execute_demos(grid, specs, executable)
 for i, traj in trajectories.items():
     print(f"executed demo, agent {i}: reward {traj.episode_reward:.1f}, "
-          f"arrived {traj.arrived}, route {traj.junction_path}")
+          f"arrived {traj.arrived}, route {traj.junction_path.tolist()}")

@@ -15,7 +15,7 @@ from .losses import (
     total_policy_objective,
     value_loss,
 )
-from .trajectory import Trajectory, Transition, dtw_distance, traj_to_feature_seq
+from .trajectory import Trajectory, dtw_distance, traj_to_feature_seq
 from .training import TrainConfig, Trainer, evaluate, generate_agent_specs, rollout
 
 __all__ = [
@@ -24,6 +24,6 @@ __all__ = [
     "Edge", "GraphError", "RoadGraph", "load_graph",
     "alpha_weight", "advantages", "bootstrapped_returns", "clipped_surrogate",
     "mixed_policy_objective", "standardize", "total_policy_objective", "value_loss",
-    "Trajectory", "Transition", "dtw_distance", "traj_to_feature_seq",
+    "Trajectory", "dtw_distance", "traj_to_feature_seq",
     "TrainConfig", "Trainer", "evaluate", "generate_agent_specs", "rollout",
 ]

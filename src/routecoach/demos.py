@@ -13,18 +13,16 @@ import ast
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .env import AgentSpec, Observation, RouteEnv
+from .env import AgentSpec, RouteEnv
 from .graph import RoadGraph
 from .llm import ChatCompleter
 from .trajectory import EXPERT_SOURCE, Trajectory, run_episode
 
 LOGIT_CANDIDATES = 8
-
-LogProbFn = Callable[[int, np.ndarray, np.ndarray, int], float]
 
 
 @dataclass
@@ -261,27 +259,23 @@ def execute_demos(
     graph: RoadGraph,
     specs: Sequence[AgentSpec],
     executable: ExecutableSet,
-    *,
-    policy_logp: LogProbFn | None = None,
     **env_kwargs,
 ) -> dict[int, Trajectory]:
     """Replay compiled routes from the initial state.
 
     ``env_kwargs`` are the ``RouteEnv`` settings (``step_limit``, reward
-    terms, ``congestion``).  Records, per executed action, the current
-    policy's log-probability of that action (uniform over valid actions
-    when no policy is supplied).  Agents whose route is empty sit the
-    episode out and contribute a single-point trajectory.
+    terms, ``congestion``).  Records, per executed action, the uniform
+    log-probability over the valid actions; the update computes the
+    policy's own.  Agents whose route is empty sit the episode out and
+    contribute a single-point trajectory.
     """
     env = RouteEnv(graph, specs, **env_kwargs)
     plans = {spec.agent_id: iter(compile_to_actions(graph, spec, executable.routes[spec.agent_id]))
              for spec in specs if executable.routes[spec.agent_id]}
 
-    def choose(i: int, obs: Observation) -> tuple[int, float]:
-        action = next(plans[i])
-        if policy_logp is None:
-            return action, float(np.log(1.0 / obs.mask.sum()))
-        return action, policy_logp(i, obs.vector, obs.mask, action)
+    def choose(agents: np.ndarray, obs: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        actions = np.array([next(plans[i]) for i in agents])
+        return actions, np.log(1.0 / masks[agents].sum(axis=1))
 
     trajectories = run_episode(env, choose, source=EXPERT_SOURCE,
                                sit_out={spec.agent_id for spec in specs} - plans.keys())

@@ -7,6 +7,12 @@ out-degree): its current and destination junction ids (normalized to
 Slots beyond the junction's out-degree are padded with score 0 and id -1
 and masked out via the boolean action mask.
 
+An observation depends only on the junction and the destination (the mask
+also on whether the agent has departed), so on first use the environment
+tabulates, for each distinct destination of its agents, the observation at
+every junction; observing is then a row lookup, and the tables, shared by
+every episode, are read-only.
+
 Per-step reward is ``-time_penalty + shaping_coef * (dist(prev, dest) -
 dist(curr, dest)) + arrival_bonus * [arrived]``.  The shaping term is
 potential-based, so it telescopes to ``shaping_coef * dist(start, dest)``
@@ -15,7 +21,7 @@ over any episode that reaches the destination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -39,24 +45,42 @@ class AgentSpec:
 
 @dataclass(frozen=True)
 class Observation:
-    vector: np.ndarray  # shape (2 + 2m,), float64
-    mask: np.ndarray    # shape (m,), bool
+    vector: np.ndarray  # shape (2 + 2m,), float64, read-only
+    mask: np.ndarray    # shape (m,), bool, read-only
 
 
 @dataclass(frozen=True)
 class EnvState:
+    """The joint state after ``step`` steps; its arrays are read-only."""
+
     step: int
-    positions: tuple[int, ...]
-    done: tuple[bool, ...]
-    arrived: tuple[bool, ...]
+    positions: np.ndarray  # (n_agents,) int
+    done: np.ndarray       # (n_agents,) bool
+    arrived: np.ndarray    # (n_agents,) bool
 
 
 @dataclass(frozen=True)
 class StepResult:
-    observations: list[Observation]
     rewards: np.ndarray
     done: np.ndarray
     episode_done: bool
+
+
+@dataclass(frozen=True)
+class _Tables:
+    """Lookup tables of one environment, built on first use; ``obs`` and ``masks`` are read-only."""
+
+    obs: np.ndarray       # (n_dests, n_nodes, 2 + 2m): the observation at each junction, per destination
+    masks: np.ndarray     # (n_nodes, m): the valid slots of each junction
+    succ: np.ndarray      # (n_nodes, m): each slot's end junction, 0 on padded slots
+    degree: np.ndarray    # (n_nodes,) out-degree
+    gain: np.ndarray      # (n_dests, n_nodes, m): dist(junction, dest) - dist(slot's end, dest)
+    dest_row: np.ndarray  # (n_agents,) each agent's destination's index in ``obs`` and ``gain``
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def edge_score(graph: RoadGraph, edge: Edge, dest: int) -> float:
@@ -103,7 +127,9 @@ class RouteEnv:
         self.arrival_bonus = float(arrival_bonus)
         self.congestion = bool(congestion)
         self._validate_specs()
-        self._dist = {spec.agent_id: graph.distances_to(spec.dest) for spec in self.specs}
+        self._dests = np.array([spec.dest for spec in self.specs], dtype=np.int64)
+        self._depart = np.array([spec.depart_time for spec in self.specs], dtype=np.int64)
+        self._table_cache: _Tables | None = None
 
     def _validate_specs(self) -> None:
         for i, spec in enumerate(self.specs):
@@ -131,14 +157,54 @@ class RouteEnv:
     def n_actions(self) -> int:
         return self.graph.max_out_degree
 
+    # -- lookup tables -----------------------------------------------------
+
+    def _tables(self) -> _Tables:
+        """The tables, built with ``edge_score``'s arithmetic on first use."""
+        if self._table_cache is None:
+            graph = self.graph
+            n = graph.node_count
+            dst, length = graph.out_arrays
+            valid = dst >= 0
+            succ = np.where(valid, dst, 0)
+            dests, dest_row = np.unique(self._dests, return_inverse=True)
+            dist = np.array([[d[j] for j in range(n)] for d in map(graph.distances_to, dests.tolist())])
+            remaining = dist[:, succ]
+            denom = max(n - 1, 1)
+            diameter = graph.diameter
+            score = -(length + remaining) / diameter if diameter > 0 else np.zeros_like(remaining)
+            score = np.where(valid, np.where(remaining == INF, UNREACHABLE_SCORE, score), 0.0)
+            obs = np.empty((len(dests), n, 2 + 2 * graph.max_out_degree))
+            obs[:, :, 0] = np.arange(n) / denom
+            obs[:, :, 1] = (dests / denom)[:, None]
+            obs[:, :, 2::2] = score
+            obs[:, :, 3::2] = np.where(valid, dst / denom, PAD_ID)
+            with np.errstate(invalid="ignore"):  # inf - inf: both ends cut off from the destination
+                gain = dist[:, :, None] - remaining
+            self._table_cache = _Tables(
+                obs=_read_only(obs), masks=_read_only(valid), succ=succ,
+                degree=valid.sum(axis=1), gain=gain, dest_row=dest_row)
+        return self._table_cache
+
+    def agent_tables(self, agent_id: int) -> tuple[np.ndarray, np.ndarray]:
+        """(observation table, mask table) of a departed agent, rows by junction.
+
+        Read-only, and shared with every episode of this environment.
+        """
+        tables = self._tables()
+        return tables.obs[tables.dest_row[agent_id]], tables.masks
+
     # -- state machinery ---------------------------------------------------
 
-    def reset(self) -> tuple[EnvState, list[Observation]]:
+    def reset(self, sit_out: Collection[int] = ()) -> tuple[EnvState, list[Observation]]:
+        """The initial state and observations; agents in ``sit_out`` start done."""
+        done = np.zeros(self.n_agents, dtype=bool)
+        done[list(sit_out)] = True
         state = EnvState(
             step=0,
-            positions=tuple(spec.start for spec in self.specs),
-            done=tuple(False for _ in self.specs),
-            arrived=tuple(False for _ in self.specs),
+            positions=_read_only(np.array([spec.start for spec in self.specs], dtype=np.int64)),
+            done=_read_only(done),
+            arrived=_read_only(np.zeros(self.n_agents, dtype=bool)),
         )
         return state, [self.observe(state, i) for i in range(self.n_agents)]
 
@@ -149,26 +215,23 @@ class RouteEnv:
         """True when the agent must supply an action this step."""
         return self.spawned(state, agent_id) and not state.done[agent_id]
 
+    def acting(self, state: EnvState) -> np.ndarray:
+        """Ids of the agents that must supply an action this step, ascending."""
+        return np.flatnonzero((state.step >= self._depart) & ~state.done)
+
     def observe(self, state: EnvState, agent_id: int) -> Observation:
-        spec = self.specs[agent_id]
-        m = self.graph.max_out_degree
-        denom = max(self.graph.node_count - 1, 1)
-        vector = np.zeros(2 + 2 * m)
-        mask = np.zeros(m, dtype=bool)
+        """One agent's observation: read-only rows of the shared tables."""
+        vector, masks = self.agent_tables(agent_id)
         junction = state.positions[agent_id]
-        vector[0] = junction / denom
-        vector[1] = spec.dest / denom
-        out = self.graph.out_edges(junction)
-        for i in range(m):
-            if i < len(out):
-                vector[2 + 2 * i] = edge_score(self.graph, out[i], spec.dest)
-                vector[2 + 2 * i + 1] = out[i].dst / denom
-            else:
-                vector[2 + 2 * i] = 0.0
-                vector[2 + 2 * i + 1] = PAD_ID
-        if self.spawned(state, agent_id):
-            mask[: len(out)] = True
-        return Observation(vector=vector, mask=mask)
+        mask = masks[junction] if self.spawned(state, agent_id) else np.zeros_like(masks[junction])
+        return Observation(vector=vector[junction], mask=_read_only(mask))
+
+    def observations(self, state: EnvState) -> tuple[np.ndarray, np.ndarray]:
+        """Every agent's ``observe`` vector and mask as rows of two new arrays."""
+        tables = self._tables()
+        masks = tables.masks[state.positions]
+        masks[state.step < self._depart] = False
+        return tables.obs[tables.dest_row, state.positions], masks
 
     def step(self, state: EnvState, actions: Sequence[int | None]) -> tuple[EnvState, StepResult]:
         """Advance all agents one joint step.
@@ -182,58 +245,42 @@ class RouteEnv:
         if len(actions) != self.n_agents:
             raise EnvError(f"expected {self.n_agents} actions, got {len(actions)}")
 
-        moves: list[Edge | None] = [None] * self.n_agents
-        for i, spec in enumerate(self.specs):
-            if not self.active(state, i):
-                continue
-            out = self.graph.out_edges(state.positions[i])
-            action = actions[i]
-            if action is None or not (0 <= action < len(out)):
-                raise EnvError(f"agent {i}: action {action} is masked at junction {state.positions[i]}")
-            moves[i] = out[action]
+        tables = self._tables()
+        movers = self.acting(state)
+        src = state.positions[movers]
+        chosen = np.asarray(actions)[movers]
+        if chosen.dtype == object:
+            chosen = np.array([-1 if a is None else a for a in chosen], dtype=np.int64)
+        masked = (chosen < 0) | (chosen >= tables.degree[src])
+        if masked.any():
+            i = movers[masked.argmax()]
+            raise EnvError(f"agent {i}: action {actions[i]} is masked at junction {state.positions[i]}")
+        dst = tables.succ[src, chosen]
 
-        traffic: dict[tuple[int, int], int] = {}
         if self.congestion:
-            for mv in moves:
-                if mv is not None:
-                    key = (mv.src, mv.dst)
-                    traffic[key] = traffic.get(key, 0) + 1
+            edge = src * self.n_actions + chosen
+            reward = -self.time_penalty * np.bincount(edge)[edge]
+        else:
+            reward = np.full(len(movers), -self.time_penalty)
+        reward = reward + self.shaping_coef * tables.gain[tables.dest_row[movers], src, chosen]
+        arrive = dst == self._dests[movers]
+        reward = np.where(arrive, reward + self.arrival_bonus, reward)
 
-        positions = list(state.positions)
-        done = list(state.done)
-        arrived = list(state.arrived)
+        positions, done, arrived = state.positions.copy(), state.done.copy(), state.arrived.copy()
+        positions[movers] = dst
+        done[movers] = arrive | (tables.degree[dst] == 0)  # a dead end: nothing further can happen
+        arrived[movers] = arrive
         rewards = np.zeros(self.n_agents)
-        for i, spec in enumerate(self.specs):
-            mv = moves[i]
-            if mv is None:
-                continue
-            dist = self._dist[i]
-            reward = -self.time_penalty
-            if self.congestion:
-                reward = -self.time_penalty * traffic[(mv.src, mv.dst)]
-            reward += self.shaping_coef * (dist[mv.src] - dist[mv.dst])
-            positions[i] = mv.dst
-            if mv.dst == spec.dest:
-                reward += self.arrival_bonus
-                done[i] = True
-                arrived[i] = True
-            elif not self.graph.out_edges(mv.dst):
-                done[i] = True  # dead end: nothing further can happen
-            rewards[i] = reward
+        rewards[movers] = reward
 
         new_state = EnvState(
             step=state.step + 1,
-            positions=tuple(positions),
-            done=tuple(done),
-            arrived=tuple(arrived),
+            positions=_read_only(positions),
+            done=_read_only(done),
+            arrived=_read_only(arrived),
         )
-        result = StepResult(
-            observations=[self.observe(new_state, i) for i in range(self.n_agents)],
-            rewards=rewards,
-            done=np.array(done),
-            episode_done=self.episode_done(new_state),
-        )
-        return new_state, result
+        return new_state, StepResult(rewards=rewards, done=new_state.done,
+                                     episode_done=self.episode_done(new_state))
 
     def episode_done(self, state: EnvState) -> bool:
-        return all(state.done) or state.step >= self.step_limit
+        return bool(state.done.all()) or state.step >= self.step_limit

@@ -10,6 +10,8 @@ import json
 from heapq import heappop, heappush
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 INF = float("inf")
 
 
@@ -27,7 +29,8 @@ class RoadGraph:
     """Immutable directed graph; build once, then treat as read-only.
 
     ``max_out_degree`` is the ``m`` that sizes action and observation
-    vectors for environments running on this graph.
+    vectors for environments running on this graph.  Since nothing can
+    change, route answers are cached per query.
     """
 
     def __init__(self, nodes: dict[int, tuple[float, float]], edges: Iterable[Edge]):
@@ -54,7 +57,10 @@ class RoadGraph:
         for e in self.edges:
             self._predecessors[e.dst].append((e.src, e.length))
         self._dist_cache: dict[int, dict[int, float]] = {}
+        self._path_cache: dict[tuple[int, int], tuple[float, tuple[int, ...]] | None] = {}
+        self._k_paths_cache: dict[tuple[int, int, int], tuple[tuple[float, tuple[int, ...]], ...]] = {}
         self._diameter: float | None = None
+        self._out_arrays: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def node_count(self) -> int:
@@ -69,6 +75,23 @@ class RoadGraph:
                 return e
         return None
 
+    @property
+    def out_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(end junctions, lengths) of the outgoing edges, in slot order.
+
+        Both are read-only ``(node_count, max_out_degree)`` arrays; slots
+        beyond a junction's out-degree hold -1 and 0.0.  Built on first use.
+        """
+        if self._out_arrays is None:
+            shape = (self.node_count, self.max_out_degree)
+            dst, length = np.full(shape, -1, dtype=np.int64), np.zeros(shape)
+            for j, out in self._adjacency.items():
+                dst[j, :len(out)] = [e.dst for e in out]
+                length[j, :len(out)] = [e.length for e in out]
+            dst.flags.writeable = length.flags.writeable = False
+            self._out_arrays = dst, length
+        return self._out_arrays
+
     # -- shortest paths ----------------------------------------------------
 
     def shortest_path(self, a: int, b: int) -> tuple[float, list[int]] | None:
@@ -76,11 +99,15 @@ class RoadGraph:
 
         Ties in length are broken by lexicographic comparison of the
         junction-id sequence, making the result deterministic.  Returns
-        ``None`` when ``b`` is unreachable from ``a``.
+        ``None`` when ``b`` is unreachable from ``a``.  Each query is
+        searched once; the returned list is the caller's own.
         """
-        if a not in self.nodes or b not in self.nodes:
-            raise GraphError(f"unknown junction in shortest_path({a}, {b})")
-        return self._restricted_shortest(a, b, set(), set())
+        if (a, b) not in self._path_cache:
+            if a not in self.nodes or b not in self.nodes:
+                raise GraphError(f"unknown junction in shortest_path({a}, {b})")
+            self._path_cache[a, b] = self._restricted_shortest(a, b, set(), set())
+        found = self._path_cache[a, b]
+        return None if found is None else (found[0], list(found[1]))
 
     def distances_from(self, src: int) -> dict[int, float]:
         """Shortest-path distance from ``src`` to every junction (inf if unreachable)."""
@@ -132,13 +159,19 @@ class RoadGraph:
 
         Yen's algorithm on top of :meth:`shortest_path`; ordering of
         equal-cost paths is lexicographic, so the result is deterministic.
+        Each query is searched once; the returned lists are the caller's own.
         """
+        if (a, b, k) not in self._k_paths_cache:
+            self._k_paths_cache[a, b, k] = self._yen(a, b, k)
+        return [(cost, list(path)) for cost, path in self._k_paths_cache[a, b, k]]
+
+    def _yen(self, a: int, b: int, k: int) -> tuple[tuple[float, tuple[int, ...]], ...]:
         first = self.shortest_path(a, b)
         if first is None:
-            return []
-        paths: list[tuple[float, list[int]]] = [first]
+            return ()
+        paths: list[tuple[float, tuple[int, ...]]] = [(first[0], tuple(first[1]))]
         candidates: list[tuple[float, tuple[int, ...]]] = []
-        seen = {tuple(first[1])}
+        seen = {paths[0][1]}
         while len(paths) < k:
             _, prev_path = paths[-1]
             for i in range(len(prev_path) - 1):
@@ -151,22 +184,21 @@ class RoadGraph:
                     root_cost += edge.length
                 banned_edges = set()
                 for cost, path in paths:
-                    if list(path[: i + 1]) == list(root):
+                    if path[: i + 1] == root:
                         banned_edges.add((path[i], path[i + 1]))
                 banned_nodes = set(root[:-1])
                 spur = self._restricted_shortest(spur_node, b, banned_nodes, banned_edges)
                 if spur is None:
                     continue
                 spur_cost, spur_path = spur
-                total = tuple(root[:-1]) + tuple(spur_path)
+                total = root[:-1] + spur_path
                 if total not in seen:
                     seen.add(total)
                     heappush(candidates, (root_cost + spur_cost, total))
             if not candidates:
                 break
-            cost, path = heappop(candidates)
-            paths.append((cost, list(path)))
-        return paths
+            paths.append(heappop(candidates))
+        return tuple(paths)
 
     def _restricted_shortest(
         self,
@@ -174,7 +206,7 @@ class RoadGraph:
         b: int,
         banned_nodes: set[int],
         banned_edges: set[tuple[int, int]],
-    ) -> tuple[float, list[int]] | None:
+    ) -> tuple[float, tuple[int, ...]] | None:
         frontier: list[tuple[float, tuple[int, ...]]] = [(0.0, (a,))]
         settled: set[int] = set()
         while frontier:
@@ -184,7 +216,7 @@ class RoadGraph:
                 continue
             settled.add(node)
             if node == b:
-                return dist, list(path)
+                return dist, path
             for e in self._adjacency[node]:
                 if e.dst in settled or e.dst in banned_nodes or (e.src, e.dst) in banned_edges:
                     continue

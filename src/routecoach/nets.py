@@ -109,6 +109,13 @@ class MlpTape(NamedTuple):
     out: np.ndarray  # (N, out)
 
 
+class MlpStack(NamedTuple):
+    """Several networks' layers stacked along a new first axis."""
+
+    weights: tuple[np.ndarray, ...]  # (A, in, out) per layer
+    biases: tuple[np.ndarray, ...]   # (A, out) per layer
+
+
 class PolicyTape(NamedTuple):
     """A policy forward pass over a batch, kept for the backward."""
 
@@ -224,6 +231,38 @@ def policy_forward(params: MlpParams, obs: np.ndarray, mask: np.ndarray) -> Poli
     logits = mlp_forward(params, np.asarray(obs, dtype=float))
     log_probs, probs, entropy = masked_log_softmax(logits[None, :], np.asarray(mask)[None, :])
     return PolicyOutput(log_probs=log_probs[0], probs=probs[0], entropy=float(entropy[0]))
+
+
+def stack_params(params: Sequence[MlpParams]) -> MlpStack:
+    """The networks' layers stacked, network ``i`` at index ``i``: a copy, not views."""
+    data = np.stack([p.data for p in params])
+    layers, offset = [], 0
+    for a in params[0].weights + params[0].biases:
+        layers.append(data[:, offset:offset + a.size].reshape(len(params), *a.shape))
+        offset += a.size
+    half = len(layers) // 2
+    return MlpStack(tuple(layers[:half]), tuple(layers[half:]))
+
+
+def policy_forward_stacked(
+    stack: MlpStack, obs: np.ndarray, masks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(log_probs, probs), each (A, m): network ``i`` of the stack on row ``i``.
+
+    Each row is computed with the operations ``policy_forward`` applies to
+    that row alone (one matrix-vector product per layer and row), so the
+    values are bit for bit the same.  Rows whose mask is all false (agents
+    that may not act) get -inf and 0 instead of raising.
+    """
+    (w0, w1, w2), (b0, b1, b2) = stack
+    h1 = np.tanh(np.matmul(obs[:, None, :], w0) + b0[:, None, :])
+    h2 = np.tanh(np.matmul(h1, w1) + b1[:, None, :])
+    logits = (np.matmul(h2, w2) + b2[:, None, :])[:, 0, :]
+    live = masks.any(axis=1)
+    log_probs, probs = np.full(masks.shape, -np.inf), np.zeros(masks.shape)
+    if live.any():
+        log_probs[live], probs[live], _ = masked_log_softmax(logits[live], masks[live])
+    return log_probs, probs
 
 
 def policy_forward_batch(

@@ -32,7 +32,7 @@ import numpy as np
 from . import demos as dg
 from . import losses as L
 from . import nets
-from .env import AgentSpec, Observation, RouteEnv
+from .env import AgentSpec, RouteEnv
 from .graph import INF, RoadGraph
 from .llm import ChatCompleter, EndpointConfig, HttpChatCompleter, LlmError, MockChatCompleter
 from .prompts import PromptState, build_prompt, refine_prompt
@@ -276,19 +276,22 @@ def rollout(
 ) -> list[Trajectory]:
     """One episode of decentralized execution; one trajectory per agent.
 
-    Each agent samples from its own masked policy given only its own
-    observation.  ``greedy`` switches to argmax selection (evaluation).
+    Each agent samples from its own masked policy, with its own rng, given
+    only its own observation.  ``greedy`` switches to argmax selection
+    (evaluation).  The policies are stacked once per episode, so each
+    joint step runs every agent's network in one pass.
     """
     if not greedy and rngs is None:
         raise ValueError("sampling rollouts need per-agent rngs")
+    stack = nets.stack_params(policies)
 
-    def choose(i: int, obs: Observation) -> tuple[int, float]:
-        out = nets.policy_forward(policies[i], obs.vector, obs.mask)
+    def choose(agents: np.ndarray, obs: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        log_probs, probs = nets.policy_forward_stacked(stack, obs, masks)
         if greedy:
-            action = int(np.argmax(out.probs))
+            actions = probs[agents].argmax(axis=1)
         else:
-            action = int(rngs[i].choice(out.probs.size, p=out.probs))
-        return action, float(out.log_probs[action])
+            actions = np.array([rngs[i].choice(probs.shape[1], p=probs[i]) for i in agents])
+        return actions, log_probs[agents, actions]
 
     return run_episode(env, choose)
 
@@ -321,10 +324,10 @@ def update_agent(
     lr = config.learning_rate
 
     obs_a, masks_a = tau_a.obs_matrix(), tau_a.mask_matrix()
-    acts_a, logp_old_a = tau_a.actions(), tau_a.log_probs_behavior()
+    acts_a, logp_old_a = tau_a.actions, tau_a.logps
     rows_a = np.arange(len(tau_a))
-    tail_a = 0.0 if tau_a.terminated else float(nets.value_forward(learner.value_a, tau_a.terminal_obs.vector))
-    returns_a = L.bootstrapped_returns(tau_a.rewards(), config.gamma, tail_a)
+    tail_a = 0.0 if tau_a.terminated else float(nets.value_forward(learner.value_a, tau_a.terminal_obs()))
+    returns_a = L.bootstrapped_returns(tau_a.rewards, config.gamma, tail_a)
     value_tape_a = nets.mlp_forward_tape(learner.value_a, obs_a)
     adv_a_raw = L.advantages(returns_a, value_tape_a.out[:, 0])
 
@@ -335,10 +338,10 @@ def update_agent(
     adv_a = L.standardize(adv_a_raw)
     if use_expert:
         obs_e, masks_e = tau_e.obs_matrix(), tau_e.mask_matrix()
-        acts_e = tau_e.actions()
+        acts_e = tau_e.actions
         rows_e = np.arange(len(tau_e))
-        tail_e = 0.0 if tau_e.terminated else float(nets.value_forward(learner.value_e, tau_e.terminal_obs.vector))
-        returns_e = L.bootstrapped_returns(tau_e.rewards(), config.gamma, tail_e)
+        tail_e = 0.0 if tau_e.terminated else float(nets.value_forward(learner.value_e, tau_e.terminal_obs()))
+        returns_e = L.bootstrapped_returns(tau_e.rewards, config.gamma, tail_e)
         value_tape_e = nets.mlp_forward_tape(learner.value_e, obs_e)
         adv_e = L.advantages(returns_e, value_tape_e.out[:, 0])
         # the expert data was not produced by the current policy; the
@@ -443,10 +446,6 @@ class Trainer:
 
     # -- demo generation ---------------------------------------------------
 
-    def policy_logp(self, agent_id: int, obs_vec: np.ndarray, mask: np.ndarray, action: int) -> float:
-        out = nets.policy_forward(self.learners[agent_id].policy, obs_vec, mask)
-        return float(out.log_probs[action])
-
     def _propose_routes(self) -> tuple[dg.ExecutableSet, float, int]:
         """(executable set, validity rate, token count) from the provider."""
         provider = self.config.expert_provider
@@ -472,13 +471,12 @@ class Trainer:
     ) -> tuple[dg.ExecutableSet, int, dict[int, Trajectory], list[float]]:
         """One demonstration round against the agents' trajectories ``tau_a``.
 
-        Proposes routes, executes them under the current policies, and
-        measures each agent's DTW distance to its demonstration.  Returns
+        Proposes routes, executes them, and measures each agent's DTW
+        distance to its demonstration.  Returns
         (executable set, token count, expert trajectories, DTW per agent).
         """
         executable, _validity, tokens = self._propose_routes()
-        tau_e = dg.execute_demos(self.graph, self.specs, executable,
-                                 policy_logp=self.policy_logp, **self.config.env_settings)
+        tau_e = dg.execute_demos(self.graph, self.specs, executable, **self.config.env_settings)
         dtw = [dtw_distance(traj_to_feature_seq(tau_a[i], self.graph),
                             traj_to_feature_seq(tau_e[i], self.graph))
                for i in range(len(self.learners))]
@@ -491,8 +489,8 @@ class Trainer:
             return
         self.prompt_state = refine_prompt(
             self.prompt_state,
-            {i: (t.junction_path, t.episode_reward) for i, t in enumerate(tau_a)},
-            {i: (t.junction_path, t.episode_reward) for i, t in tau_e.items()},
+            {i: (t.junction_path.tolist(), t.episode_reward) for i, t in enumerate(tau_a)},
+            {i: (t.junction_path.tolist(), t.episode_reward) for i, t in tau_e.items()},
             dict(enumerate(dtw)),
         )
 

@@ -3,123 +3,132 @@
 A trajectory is tagged with its source: ``"a"`` for actions sampled from
 the agent's own policy, ``"e"`` for actions compiled from an expert
 route and replayed in the environment.  Both are recorded by
-the same loop, ``run_episode``; they differ only in where an agent's
-action comes from.
+the same loop, ``run_episode``; they differ only in where the agents'
+actions come from.  A trajectory is arrays, one entry per step the agent
+acted; its observations are rows of the environment's shared tables,
+gathered when an update asks for them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Collection
 
 import numpy as np
 
-from .env import Observation, RouteEnv
+from .env import RouteEnv
 from .graph import RoadGraph
 
 AGENT_SOURCE = "a"
 EXPERT_SOURCE = "e"
 
-
-@dataclass(frozen=True)
-class Transition:
-    obs: Observation
-    action: int
-    reward: float
-    log_prob_behavior: float
+# (agents, observations, masks) -> (actions, log-probabilities), see run_episode
+JointChooser = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
-    """Ordered transitions plus the observation after the last one.
+    """One agent's steps, as arrays, plus the tables its observations come from.
 
-    ``junction_path`` is the visited junction sequence, one longer than the
-    transition list.  ``terminated`` distinguishes a true terminal (arrival
-    or dead end, no future reward) from truncation at the step limit.
+    ``actions``, ``rewards`` and ``logps`` (the behaviour log-probability
+    of each action) have one entry per step; ``junction_path``, the
+    visited junctions, is one longer.  The observation at a junction is
+    that row of ``obs_table`` (and ``mask_table`` for the action mask), the
+    agent's destination's tables from the environment.  ``terminated``
+    distinguishes a true terminal (arrival or dead end, no future reward)
+    from truncation at the step limit.
     """
 
     source: str
     agent_id: int
-    transitions: list[Transition]
-    terminal_obs: Observation
-    junction_path: list[int]
+    junction_path: np.ndarray  # (L + 1,) int
+    actions: np.ndarray        # (L,) int
+    rewards: np.ndarray        # (L,)
+    logps: np.ndarray          # (L,)
+    obs_table: np.ndarray      # (n_nodes, 2 + 2m)
+    mask_table: np.ndarray     # (n_nodes, m) bool
     arrived: bool = False
     terminated: bool = False
 
     def __post_init__(self) -> None:
         if self.source not in (AGENT_SOURCE, EXPERT_SOURCE):
             raise ValueError(f"unknown trajectory source {self.source!r}")
-        if len(self.junction_path) != len(self.transitions) + 1:
-            raise ValueError(
-                f"junction_path has {len(self.junction_path)} entries for "
-                f"{len(self.transitions)} transitions"
-            )
+        steps = len(self.actions)
+        if len(self.junction_path) != steps + 1:
+            raise ValueError(f"junction_path has {len(self.junction_path)} entries for {steps} actions")
+        if len(self.rewards) != steps or len(self.logps) != steps:
+            raise ValueError(f"{len(self.rewards)} rewards and {len(self.logps)} log-probs for {steps} actions")
 
     def __len__(self) -> int:
-        return len(self.transitions)
+        return len(self.actions)
 
     @property
     def episode_reward(self) -> float:
-        return float(sum(t.reward for t in self.transitions))
-
-    def rewards(self) -> np.ndarray:
-        return np.array([t.reward for t in self.transitions])
-
-    def actions(self) -> np.ndarray:
-        return np.array([t.action for t in self.transitions], dtype=int)
-
-    def log_probs_behavior(self) -> np.ndarray:
-        return np.array([t.log_prob_behavior for t in self.transitions])
+        return float(sum(self.rewards.tolist()))
 
     def obs_matrix(self) -> np.ndarray:
-        return np.stack([t.obs.vector for t in self.transitions])
+        """The observation before each action, one row per step."""
+        return self.obs_table[self.junction_path[:-1]]
 
     def mask_matrix(self) -> np.ndarray:
-        return np.stack([t.obs.mask for t in self.transitions])
+        return self.mask_table[self.junction_path[:-1]]
+
+    def terminal_obs(self) -> np.ndarray:
+        """The observation vector after the last step (or at the start, if none)."""
+        return self.obs_table[self.junction_path[-1]]
 
 
 def run_episode(
     env: RouteEnv,
-    choose: Callable[[int, Observation], tuple[int, float]],
+    choose: JointChooser,
     *,
     source: str = AGENT_SOURCE,
     sit_out: Collection[int] = (),
 ) -> list[Trajectory]:
     """Drive one joint-step episode from the initial state; one trajectory per agent.
 
-    ``choose(i, obs)`` returns the action of agent ``i``, given only its
-    own observation, and the log-probability to record for it; it is asked
-    once per step for every agent that must act.  Agents in ``sit_out`` are
-    done from the start: they never act or count as traffic, and keep a
-    single-point trajectory.  The episode ends when every agent is done or
-    the step limit is reached; steps where nobody may act yet (agents
-    waiting on their depart times) still let time pass.
+    ``choose(agents, obs, masks)`` is asked once per step in which anyone
+    must act.  ``agents`` are the ids of those agents, ascending; ``obs``
+    and ``masks`` hold every agent's observation, one row per agent id, as
+    ``env.observe`` gives them (masks all-false before departure).  It
+    returns one action and one log-probability to record per entry of
+    ``agents``; each agent's action may depend only on its own row.  Agents
+    in ``sit_out`` are done from the start: they never act or count as
+    traffic, and keep a single-point trajectory.  The episode ends when
+    every agent is done or the step limit is reached; steps where nobody
+    may act yet (agents waiting on their depart times) still let time pass.
     """
-    state, observations = env.reset()
-    state = replace(state, done=tuple(d or i in sit_out for i, d in enumerate(state.done)))
-    trajectories = [Trajectory(source, spec.agent_id, [], observations[i], [spec.start])
-                    for i, spec in enumerate(env.specs)]
+    state, _ = env.reset(sit_out)
+    n, limit = env.n_agents, env.step_limit
+    path = np.empty((n, limit + 1), dtype=np.int64)
+    actions = np.zeros((n, limit), dtype=np.int64)
+    rewards = np.zeros((n, limit))
+    logps = np.zeros((n, limit))
+    acted = np.zeros((n, limit), dtype=bool)
+    path[:, 0] = state.positions
     while not env.episode_done(state):
-        actions: list[int | None] = [None] * env.n_agents
-        logps: dict[int, float] = {}
-        for i in range(env.n_agents):
-            if env.active(state, i):
-                actions[i], logps[i] = choose(i, observations[i])
-        state, result = env.step(state, actions)
-        for i, logp in logps.items():
-            traj = trajectories[i]
-            traj.transitions.append(Transition(observations[i], actions[i], float(result.rewards[i]), logp))
-            traj.junction_path.append(state.positions[i])
-            traj.terminal_obs = result.observations[i]
-            if state.done[i]:
-                traj.arrived, traj.terminated = state.arrived[i], True
-        observations = result.observations
+        t = state.step
+        agents = env.acting(state)
+        if agents.size:
+            actions[agents, t], logps[agents, t] = choose(agents, *env.observations(state))
+            acted[agents, t] = True
+        state, result = env.step(state, actions[:, t])
+        rewards[:, t] = result.rewards
+        path[:, t + 1] = state.positions
+    # an agent acts on consecutive steps, from its departure until it is done
+    first, steps = acted.argmax(axis=1), acted.sum(axis=1)
+    trajectories = []
+    for i in range(n):
+        lo, hi = first[i], first[i] + steps[i]
+        trajectories.append(Trajectory(
+            source, i, path[i, lo:hi + 1], actions[i, lo:hi], rewards[i, lo:hi], logps[i, lo:hi],
+            *env.agent_tables(i), arrived=bool(state.arrived[i]), terminated=bool(state.done[i] and hi > lo)))
     return trajectories
 
 
 def traj_to_feature_seq(traj: Trajectory, graph: RoadGraph) -> np.ndarray:
     """Map the visited junctions to their planar coordinates, shape (L, 2)."""
     coords = []
-    for j in traj.junction_path:
+    for j in traj.junction_path.tolist():
         if j not in graph.nodes:
             raise KeyError(f"junction {j} not in graph")
         coords.append(graph.nodes[j])

@@ -448,10 +448,10 @@ def _ippo_matches_expert_free_build() -> bool:
             if len(tau) == 0:
                 continue
             obs, masks = tau.obs_matrix(), tau.mask_matrix()
-            acts, logp_old = tau.actions(), tau.log_probs_behavior()
+            acts, logp_old = tau.actions, tau.logps
             tail = 0.0 if tau.terminated else float(
-                nets.value_forward(learner["value"], tau.terminal_obs.vector))
-            returns = L.bootstrapped_returns(tau.rewards(), cfg.gamma, tail)
+                nets.value_forward(learner["value"], tau.terminal_obs()))
+            returns = L.bootstrapped_returns(tau.rewards, cfg.gamma, tail)
             adv = L.standardize(L.advantages(returns, nets.value_forward(learner["value"], obs)))
             for _ in range(cfg.update_epochs):
                 logp_mat, _, _ = nets.policy_forward_batch(learner["policy"], obs, masks)

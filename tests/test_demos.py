@@ -186,17 +186,15 @@ class TestPrepareAndExecute:
         traj = trajs[0]
         assert traj.source == "e"
         assert traj.arrived and traj.terminated
-        assert traj.junction_path == [0, 1, 2]
-        assert traj.transitions[-1].reward == pytest.approx(10.9)
+        assert traj.junction_path.tolist() == [0, 1, 2]
+        assert traj.rewards[-1] == pytest.approx(10.9)
 
     def test_execute_records_policy_logp(self, line):
         specs = (AgentSpec(0, 0, 2),)
         routes = dg.oracle_expert(line, specs)
-        trajs = dg.execute_demos(line, specs, routes, policy_logp=lambda i, o, m, a: -1.5)
-        assert all(t.log_prob_behavior == -1.5 for t in trajs[0].transitions)
-        # default: uniform over valid actions
+        # uniform over valid actions
         trajs = dg.execute_demos(line, specs, routes)
-        assert trajs[0].transitions[0].log_prob_behavior == pytest.approx(np.log(1.0))
+        assert trajs[0].logps[0] == pytest.approx(np.log(1.0))
 
     def test_execute_deterministic(self, grid3):
         specs = (AgentSpec(0, 0, 8), AgentSpec(1, 2, 6))
@@ -204,8 +202,8 @@ class TestPrepareAndExecute:
         a = dg.execute_demos(grid3, specs, routes)
         b = dg.execute_demos(grid3, specs, routes)
         for i in a:
-            assert a[i].junction_path == b[i].junction_path
-            assert a[i].rewards().tolist() == b[i].rewards().tolist()
+            assert a[i].junction_path.tolist() == b[i].junction_path.tolist()
+            assert a[i].rewards.tolist() == b[i].rewards.tolist()
 
     def test_execute_flags_fallback_agents(self, grid3):
         specs = (AgentSpec(0, 0, 8),)
@@ -213,7 +211,7 @@ class TestPrepareAndExecute:
         executable = dg.prepare_executable(grid3, specs, parsed, fallback="oracle")
         assert executable.fallback_agents == {0}
         trajs = dg.execute_demos(grid3, specs, executable)
-        assert trajs[0].junction_path == grid3.shortest_path(0, 8)[1]
+        assert trajs[0].junction_path.tolist() == grid3.shortest_path(0, 8)[1]
         assert trajs[0].arrived
 
     def test_execute_skip_agent_single_point(self, grid3):
@@ -222,7 +220,7 @@ class TestPrepareAndExecute:
         executable = dg.prepare_executable(grid3, specs, parsed, fallback="skip")
         trajs = dg.execute_demos(grid3, specs, executable)
         assert len(trajs[0]) == 0
-        assert trajs[0].junction_path == [0]
+        assert trajs[0].junction_path.tolist() == [0]
 
     def test_execute_with_depart_time(self, grid3):
         specs = (AgentSpec(0, 0, 8, depart_time=0), AgentSpec(1, 2, 6, depart_time=3))

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routecoach import AgentSpec, grid_graph
-from routecoach.trajectory import Trajectory, Transition, dtw_distance, traj_to_feature_seq
-from routecoach.env import Observation
+from routecoach.trajectory import Trajectory, dtw_distance, traj_to_feature_seq
 
 
 def dtw_bruteforce(a, b):
@@ -35,14 +34,12 @@ def dtw_bruteforce(a, b):
     return rec(0, 0)
 
 
-def _obs():
-    return Observation(vector=np.zeros(4), mask=np.array([True]))
-
-
-def _traj(path):
-    transitions = [Transition(_obs(), 0, 0.0, 0.0) for _ in path[:-1]]
-    return Trajectory(source="a", agent_id=0, transitions=transitions,
-                      terminal_obs=_obs(), junction_path=list(path))
+def _traj(path, source="a", steps=None):
+    steps = len(path) - 1 if steps is None else steps
+    return Trajectory(source=source, agent_id=0, junction_path=np.array(path),
+                      actions=np.zeros(steps, dtype=int), rewards=np.zeros(steps),
+                      logps=np.zeros(steps), obs_table=np.zeros((100, 4)),
+                      mask_table=np.ones((100, 1), dtype=bool))
 
 
 def test_identical_sequences_zero():
@@ -114,8 +111,6 @@ def test_feature_seq_unknown_junction():
 
 def test_trajectory_invariants():
     with pytest.raises(ValueError, match="junction_path"):
-        Trajectory(source="a", agent_id=0, transitions=[],
-                   terminal_obs=_obs(), junction_path=[0, 1])
+        _traj([0, 1], steps=0)
     with pytest.raises(ValueError, match="source"):
-        Trajectory(source="x", agent_id=0, transitions=[],
-                   terminal_obs=_obs(), junction_path=[0])
+        _traj([0], source="x")

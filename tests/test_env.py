@@ -2,8 +2,28 @@ import numpy as np
 import pytest
 
 from routecoach import AgentSpec, grid_graph, line_graph
-from routecoach.env import EnvError, RouteEnv, edge_score
-from routecoach.graph import Edge, RoadGraph
+from routecoach.env import PAD_ID, EnvError, RouteEnv, edge_score
+from routecoach.graph import INF, Edge, RoadGraph
+
+
+def reference_observation(graph, junction, dest):
+    """A departed agent's observation built slot by slot with ``edge_score``."""
+    m = graph.max_out_degree
+    denom = max(graph.node_count - 1, 1)
+    vector = np.zeros(2 + 2 * m)
+    vector[0] = junction / denom
+    vector[1] = dest / denom
+    out = graph.out_edges(junction)
+    for i in range(m):
+        if i < len(out):
+            vector[2 + 2 * i] = edge_score(graph, out[i], dest)
+            vector[2 + 2 * i + 1] = out[i].dst / denom
+        else:
+            vector[2 + 2 * i] = 0.0
+            vector[2 + 2 * i + 1] = PAD_ID
+    mask = np.zeros(m, dtype=bool)
+    mask[: len(out)] = True
+    return vector, mask
 
 
 def test_edge_score_line(line):
@@ -48,6 +68,57 @@ def test_observation_padding():
     assert obs[0].vector.shape == (2 + 2 * 2,)
     assert obs[0].vector[4] == 0.0 and obs[0].vector[5] == -1.0
     assert obs[0].mask.tolist() == [True, False]
+
+
+@pytest.mark.parametrize("name", ["grid5", "hilly", "line"])
+def test_tables_match_edge_score_bit_for_bit(name, request):
+    graph = request.getfixturevalue(name)
+    # one agent per destination that some other junction reaches
+    specs = []
+    for dest in graph.nodes:
+        dist = graph.distances_to(dest)
+        starts = [j for j in graph.nodes if j != dest and dist[j] != INF]
+        if starts:
+            specs.append(AgentSpec(len(specs), starts[0], dest))
+    env = RouteEnv(graph, specs)
+    state, _ = env.reset()
+    unreachable_slots = 0
+    for spec in specs:
+        obs_table, mask_table = env.agent_tables(spec.agent_id)
+        for j in graph.nodes:
+            vector, mask = reference_observation(graph, j, spec.dest)
+            np.testing.assert_array_equal(obs_table[j].view(np.uint64), vector.view(np.uint64))
+            np.testing.assert_array_equal(mask_table[j], mask)
+            unreachable_slots += int((vector[2::2] == -10.0).sum())
+        assert env.observe(state, spec.agent_id).vector.view(np.uint64).tolist() == \
+            reference_observation(graph, spec.start, spec.dest)[0].view(np.uint64).tolist()
+    assert (unreachable_slots > 0) == (name == "line")
+
+
+def test_observations_are_read_only(grid5):
+    env = RouteEnv(grid5, (AgentSpec(0, 0, 24), AgentSpec(1, 24, 0, depart_time=2)))
+    state, obs = env.reset()
+    state, _ = env.step(state, [0, None])
+    for o in (*obs, env.observe(state, 0), env.observe(state, 1)):
+        with pytest.raises(ValueError, match="read-only"):
+            o.vector[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            o.mask[0] = True
+    obs_table, mask_table = env.agent_tables(0)
+    with pytest.raises(ValueError, match="read-only"):
+        obs_table[0, 2] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        mask_table[0, 0] = False
+    # every agent's row equals observe's, and is the caller's own copy
+    vectors, masks = env.observations(state)
+    for i in range(2):
+        np.testing.assert_array_equal(vectors[i], env.observe(state, i).vector)
+        np.testing.assert_array_equal(masks[i], env.observe(state, i).mask)
+    assert masks[0].any() and not masks[1].any()
+    vectors[:] = 0.0
+    masks[:] = False
+    np.testing.assert_array_equal(env.observe(state, 0).vector,
+                                  reference_observation(grid5, int(state.positions[0]), 24)[0])
 
 
 def test_observation_layout_all_states(grid5):
@@ -113,9 +184,9 @@ def test_done_agent_observation_frozen(line):
     state, _ = env.reset()
     state, res = env.step(state, [0, 0])
     assert state.done[0] and not state.done[1]
-    frozen = res.observations[0].vector.copy()
+    frozen = env.observe(state, 0).vector.copy()
     state, res = env.step(state, [None, 0])
-    np.testing.assert_array_equal(res.observations[0].vector, frozen)
+    np.testing.assert_array_equal(env.observe(state, 0).vector, frozen)
     assert res.rewards[0] == 0.0
 
 
@@ -125,9 +196,9 @@ def test_depart_time_masks_until_spawn(line):
     assert not obs[0].mask.any()
     state, res = env.step(state, [None])
     assert res.rewards[0] == 0.0
-    assert not res.observations[0].mask.any()
+    assert not env.observe(state, 0).mask.any()
     state, res = env.step(state, [None])
-    assert res.observations[0].mask.tolist() == [True]  # spawned at t=2
+    assert env.observe(state, 0).mask.tolist() == [True]  # spawned at t=2
 
 
 def test_bad_specs_rejected(line):
@@ -147,7 +218,7 @@ def test_construction_reads_reachability_without_path_search(grid5, line, monkey
 
     monkeypatch.setattr(RoadGraph, "shortest_path", no_search)
     env = RouteEnv(grid5, (AgentSpec(0, 0, 24), AgentSpec(1, 24, 0)))
-    assert env._dist[0] is grid5.distances_to(24)
+    env.reset()  # builds the observation tables from the cached distance maps
     with pytest.raises(EnvError, match="unreachable"):
         RouteEnv(line, (AgentSpec(0, 2, 0),))
 
@@ -163,13 +234,15 @@ def test_trajectory_determinism(grid5):
                  for i in range(2)]
         actions.append(joint)
         state, res = env.step(state, joint)
-        obs = res.observations
+        obs = [env.observe(state, i) for i in range(2)]
     final_a = state
 
     state, obs = env.reset()
     for joint in actions:
         state, res = env.step(state, joint)
-    assert state == final_a  # bit-exact replay
+    assert state.step == final_a.step  # bit-exact replay
+    for field in ("positions", "done", "arrived"):
+        np.testing.assert_array_equal(getattr(state, field), getattr(final_a, field))
 
 
 def test_shaping_telescopes(grid5):
@@ -186,7 +259,7 @@ def test_shaping_telescopes(grid5):
         state, res = env.step(state, [a])
         after = state.positions[0]
         total_shaping += dist[before] - dist[after]
-        obs = res.observations
+        obs = [env.observe(state, 0)]
     if state.arrived[0]:
         assert total_shaping == pytest.approx(dist[spec.start])
 

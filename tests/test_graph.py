@@ -175,3 +175,36 @@ def test_k_shortest_paths_exhaustive(hilly):
 def test_k_shortest_unreachable():
     g = RoadGraph({0: (0, 0), 1: (1, 0)}, [Edge(0, 1, 1.0)])
     assert g.k_shortest_paths(1, 0, 4) == []
+
+
+def test_route_queries_searched_once_and_not_shared(monkeypatch):
+    g = grid_graph(4)
+    searches = []
+    search = RoadGraph._restricted_shortest
+
+    def counting(self, a, b, banned_nodes, banned_edges):
+        searches.append((a, b))
+        return search(self, a, b, banned_nodes, banned_edges)
+
+    monkeypatch.setattr(RoadGraph, "_restricted_shortest", counting)
+    cost, path = g.shortest_path(0, 15)
+    expected = list(path)
+    path[0] = 99
+    path.append(15)
+    assert g.shortest_path(0, 15) == (cost, expected)
+    assert len(searches) == 1
+
+    paths = g.k_shortest_paths(0, 15, 4)
+    yen_searches = len(searches)
+    assert yen_searches > 1 and paths[0] == (cost, expected)
+    paths[1][1].clear()
+    paths.pop()
+    again = g.k_shortest_paths(0, 15, 4)
+    assert len(searches) == yen_searches
+    assert again == grid_graph(4).k_shortest_paths(0, 15, 4)
+    assert len(again) == 4 and all(p for _, p in again)
+
+    line = RoadGraph({0: (0, 0), 1: (1, 0)}, [Edge(0, 1, 1.0)])
+    before = len(searches)
+    assert line.shortest_path(1, 0) is None and line.shortest_path(1, 0) is None
+    assert len(searches) == before + 1

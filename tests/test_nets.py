@@ -249,3 +249,37 @@ def test_checkpoint_version_checked(tmp_path, rng):
     np.savez(tmp_path / "bad.npz", **data)
     with pytest.raises(nets.NetError, match="version"):
         nets.load_params(tmp_path / "bad.npz")
+
+
+def test_stacked_policy_forward_matches_per_agent_bit_for_bit():
+    rng = np.random.default_rng(21)
+    policies = [random_params(rng, in_dim=10, out_dim=4) for _ in range(6)]
+    obs = rng.normal(size=(6, 10))
+    masks = np.array([
+        [True, True, True, True],
+        [True, False, True, False],
+        [False, False, True, False],   # a single valid action
+        [False, False, False, False],  # not departed yet
+        [True, True, False, False],
+        [False, False, False, False],  # not departed yet
+    ])
+    log_probs, probs = nets.policy_forward_stacked(nets.stack_params(policies), obs, masks)
+    for i, policy in enumerate(policies):
+        if not masks[i].any():
+            assert np.all(log_probs[i] == -np.inf) and np.all(probs[i] == 0.0)
+            continue
+        out = nets.policy_forward(policy, obs[i], masks[i])
+        np.testing.assert_array_equal(log_probs[i].view(np.uint64), out.log_probs.view(np.uint64))
+        np.testing.assert_array_equal(probs[i].view(np.uint64), out.probs.view(np.uint64))
+    assert probs[2].tolist() == [0.0, 0.0, 1.0, 0.0]
+
+
+def test_stack_params_copies_each_network():
+    rng = np.random.default_rng(5)
+    policies = [random_params(rng) for _ in range(3)]
+    stack = nets.stack_params(policies)
+    for i, policy in enumerate(policies):
+        for stacked, own in zip(stack.weights + stack.biases, policy.weights + policy.biases):
+            np.testing.assert_array_equal(stacked[i], own)
+    policies[1].data[:] = 0.0
+    assert np.any(stack.weights[0][1] != 0.0)

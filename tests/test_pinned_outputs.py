@@ -17,8 +17,10 @@ from routecoach.cli import main
 from routecoach.training import TrainConfig, Trainer
 
 # sha256 of metrics.csv; the first three recorded before the fused per-agent
-# update, "mock-llm-skip-congestion" before the shared episode loop
+# update, "mock-llm-skip-congestion" before the shared episode loop, "crowd-congestion"
+# before the array-backed rollout
 PINNED = {
+    "crowd-congestion": "50342171a25ddb6e90137ff7d35888c71e604ac6a8b5fbc18769282f2954865a",
     "dynamic-oracle": "6155b46d9d02d8753e1ba6fbf53eca73acfd55f74bc7e4467bd53627ffc86b43",
     "logit-ppo": "dff8bff3f2bf2f2b963346dd35fce3358fd8a47efed751bb45fe7c65f04458f3",
     "mock-llm": "21217fee12d41fcc99034a5f764fdf91cb1fdff31130cae9c2574a634dec6d77",
@@ -42,6 +44,14 @@ MOCK_REPLIES = (
 
 # agent 1 waits three steps before it departs; agents 0 and 2 can meet on 7 -> 8
 WAITING_SPECS = (AgentSpec(0, 0, 8), AgentSpec(1, 2, 6, depart_time=3), AgentSpec(2, 6, 8))
+
+# twelve agents crossing a 4x4 grid in opposing pairs, two of them departing late
+CROWD_SPECS = (
+    AgentSpec(0, 0, 15), AgentSpec(1, 15, 0), AgentSpec(2, 3, 12), AgentSpec(3, 12, 3),
+    AgentSpec(4, 5, 10), AgentSpec(5, 10, 5, depart_time=2), AgentSpec(6, 1, 14),
+    AgentSpec(7, 14, 1), AgentSpec(8, 4, 7), AgentSpec(9, 7, 4, depart_time=5),
+    AgentSpec(10, 2, 13), AgentSpec(11, 8, 11),
+)
 
 
 def _digest(path) -> str:
@@ -71,6 +81,10 @@ def _run(name, tmp_path) -> str:
         config = TrainConfig(n_agents=4, epochs=8, steps_per_episode=40, demo_interval=2,
                              mode="logit-ppo", seed=5)
         return _train(tmp_path, config, grid_graph(4))
+    if name == "crowd-congestion":
+        config = TrainConfig(n_agents=12, epochs=4, steps_per_episode=40, demo_interval=2,
+                             expert_provider="oracle", mode="dynamic", seed=13, congestion=True)
+        return _train(tmp_path, config, grid_graph(4), CROWD_SPECS)
     mock_dir = _mock_dir(tmp_path)
     if name == "mock-llm":
         config = TrainConfig(n_agents=3, epochs=10, steps_per_episode=30, demo_interval=2,

@@ -7,6 +7,7 @@ from routecoach import losses as L
 from routecoach import nets
 from routecoach.env import RouteEnv
 from routecoach.llm import LlmError, MockChatCompleter
+from routecoach.prompts import build_prompt
 from routecoach.trajectory import dtw_distance, traj_to_feature_seq
 from routecoach.training import (
     ALPHA_FLOOR,
@@ -114,9 +115,50 @@ class TestRollout:
 
         a, b = run(), run()
         for ta, tb in zip(a, b):
-            assert ta.junction_path == tb.junction_path
-            np.testing.assert_array_equal(ta.rewards(), tb.rewards())
-            np.testing.assert_array_equal(ta.log_probs_behavior(), tb.log_probs_behavior())
+            np.testing.assert_array_equal(ta.junction_path, tb.junction_path)
+            np.testing.assert_array_equal(ta.rewards, tb.rewards)
+            np.testing.assert_array_equal(ta.logps, tb.logps)
+
+    @pytest.mark.parametrize("greedy", [False, True])
+    def test_matches_per_agent_reference_loop(self, grid5, greedy):
+        """The stacked rollout equals one policy forward and one draw per agent and step."""
+        specs = (AgentSpec(0, 0, 24), AgentSpec(1, 24, 0, depart_time=3), AgentSpec(2, 4, 20),
+                 AgentSpec(3, 12, 13, depart_time=1), AgentSpec(4, 20, 4))
+        env = RouteEnv(grid5, specs, step_limit=40, congestion=True)
+        rng = np.random.default_rng(8)
+        policies = [nets.init_mlp(agent_rng(1, 0, i), env.obs_dim, env.n_actions) for i in range(5)]
+        for p in policies:
+            p.weights[-1][...] = rng.normal(scale=2.0, size=p.weights[-1].shape)
+        trajs = rollout(env, policies, None if greedy else [agent_rng(1, 1, i) for i in range(5)],
+                        greedy=greedy)
+
+        rngs = [agent_rng(1, 1, i) for i in range(5)]
+        paths, actions, rewards, logps = ([[s.start] for s in specs], [[] for _ in specs],
+                                          [[] for _ in specs], [[] for _ in specs])
+        state, _ = env.reset()
+        while not env.episode_done(state):
+            joint = [None] * 5
+            for i in range(5):
+                if env.active(state, i):
+                    obs = env.observe(state, i)
+                    out = nets.policy_forward(policies[i], obs.vector, obs.mask)
+                    a = int(np.argmax(out.probs)) if greedy else int(rngs[i].choice(out.probs.size, p=out.probs))
+                    joint[i] = a
+                    actions[i].append(a)
+                    logps[i].append(float(out.log_probs[a]))
+            state, res = env.step(state, joint)
+            for i in range(5):
+                if joint[i] is not None:
+                    paths[i].append(int(state.positions[i]))
+                    rewards[i].append(float(res.rewards[i]))
+        for i, tau in enumerate(trajs):
+            assert tau.junction_path.tolist() == paths[i]
+            assert tau.actions.tolist() == actions[i]
+            assert tau.rewards.tolist() == rewards[i]
+            assert tau.logps.tolist() == logps[i]
+            assert (tau.arrived, tau.terminated) == (bool(state.arrived[i]), bool(state.done[i]))
+            np.testing.assert_array_equal(tau.obs_matrix(), [env.agent_tables(i)[0][j] for j in paths[i][:-1]])
+        assert sum(len(t) for t in trajs) > 20
 
     def test_uniform_policy_action_frequencies(self, line):
         # zero-init final layer => uniform over valid actions; junction 1 of a
@@ -130,7 +172,7 @@ class TestRollout:
         first_actions = []
         for _ in range(1000):
             traj = rollout(env, [policy], [rng])[0]
-            first_actions.append(traj.transitions[0].action)
+            first_actions.append(traj.actions[0])
         freq = np.bincount(first_actions, minlength=2) / 1000
         chi2 = ((freq - 0.5) ** 2 / 0.5).sum() * 1000
         assert chi2 < 10.83  # p > 0.001 for 1 dof
@@ -150,7 +192,7 @@ class TestRollout:
         policies = [nets.init_mlp(agent_rng(0, 0, i), env.obs_dim, env.n_actions) for i in range(2)]
         a = rollout(env, policies, None, greedy=True)
         b = rollout(env, policies, None, greedy=True)
-        assert [t.junction_path for t in a] == [t.junction_path for t in b]
+        assert [t.junction_path.tolist() for t in a] == [t.junction_path.tolist() for t in b]
 
 
 class TestUpdateAgent:
@@ -262,7 +304,7 @@ class TestTrainerLoop:
         trainer = Trainer(cfg, graph, specs, completer=MockChatCompleter(mock_dir))
         metrics = trainer.run_epoch()
         assert metrics.validity_rate == 50.0
-        assert trainer.learners[1].last_expert.junction_path == graph.shortest_path(2, 6)[1]
+        assert trainer.learners[1].last_expert.junction_path.tolist() == graph.shortest_path(2, 6)[1]
         assert trainer.learners[1].last_expert.arrived
 
     def test_llm_failure_falls_back_to_oracle(self, grid3_setup):
@@ -300,6 +342,10 @@ class TestTrainerLoop:
         trainer.run_epoch()
         trainer.run_epoch()
         assert len(trainer.prompt_state.records) == 2
+        # routes are recorded, and rendered, as plain junction ids
+        expert_route = trainer.prompt_state.records[-1].expert_routes[0][1]
+        assert expert_route == (0, 1, 2, 5, 8) and all(type(j) is int for j in expert_route)
+        assert "expert route [0, 1, 2, 5, 8]" in build_prompt(trainer.prompt_state)
 
     def test_checkpoints_written_and_loadable(self, tmp_path, grid3_setup):
         graph, specs = grid3_setup
@@ -319,14 +365,14 @@ def _primitive_update(l, tau_a, cfg):
     tau_e = l["expert"]
     use_expert = tau_e is not None and len(tau_e) > 0
     obs, masks = tau_a.obs_matrix(), tau_a.mask_matrix()
-    acts, logp_old = tau_a.actions(), tau_a.log_probs_behavior()
-    tail = 0.0 if tau_a.terminated else float(nets.value_forward(l["value_a"], tau_a.terminal_obs.vector))
-    returns = L.bootstrapped_returns(tau_a.rewards(), cfg.gamma, tail)
+    acts, logp_old = tau_a.actions, tau_a.logps
+    tail = 0.0 if tau_a.terminated else float(nets.value_forward(l["value_a"], tau_a.terminal_obs()))
+    returns = L.bootstrapped_returns(tau_a.rewards, cfg.gamma, tail)
     adv = L.standardize(L.advantages(returns, nets.value_forward(l["value_a"], obs)))
     if use_expert:
-        obs_e, masks_e, acts_e = tau_e.obs_matrix(), tau_e.mask_matrix(), tau_e.actions()
-        tail_e = 0.0 if tau_e.terminated else float(nets.value_forward(l["value_e"], tau_e.terminal_obs.vector))
-        returns_e = L.bootstrapped_returns(tau_e.rewards(), cfg.gamma, tail_e)
+        obs_e, masks_e, acts_e = tau_e.obs_matrix(), tau_e.mask_matrix(), tau_e.actions
+        tail_e = 0.0 if tau_e.terminated else float(nets.value_forward(l["value_e"], tau_e.terminal_obs()))
+        returns_e = L.bootstrapped_returns(tau_e.rewards, cfg.gamma, tail_e)
         adv_e = L.advantages(returns_e, nets.value_forward(l["value_e"], obs_e))
         logp_old_e = nets.policy_forward_batch(l["policy"], obs_e, masks_e)[0][np.arange(len(tau_e)), acts_e]
     for _ in range(cfg.update_epochs):
@@ -375,15 +421,11 @@ def _primitive_build(cfg, graph, specs):
             "rng": agent_rng(cfg.seed, 1, i), "alpha": 1.0, "expert": None,
         })
 
-    def policy_logp(i, obs, mask, action):
-        return float(nets.policy_forward(learners[i]["policy"], obs, mask).log_probs[action])
-
     for k in range(1, cfg.epochs + 1):
         trajs = rollout(env, [l["policy"] for l in learners],
                         [l["rng"] for l in learners])
         if cfg.mode != "ippo" and (k == 1 or k % cfg.demo_interval == 0):
             demos = dg.execute_demos(graph, specs, dg.oracle_expert(graph, specs),
-                                     policy_logp=policy_logp,
                                      step_limit=cfg.steps_per_episode, **env_kwargs)
             for i, l in enumerate(learners):
                 l["expert"] = demos[i]
