@@ -273,9 +273,9 @@ def execute_demos(
     plans = {spec.agent_id: iter(compile_to_actions(graph, spec, executable.routes[spec.agent_id]))
              for spec in specs if executable.routes[spec.agent_id]}
 
-    def choose(agents: np.ndarray, obs: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def choose(agents: np.ndarray, junctions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         actions = np.array([next(plans[i]) for i in agents])
-        return actions, np.log(1.0 / masks[agents].sum(axis=1))
+        return actions, np.log(1.0 / env.mask_table[junctions].sum(axis=1))
 
     trajectories = run_episode(env, choose, source=EXPERT_SOURCE,
                                sit_out={spec.agent_id for spec in specs} - plans.keys())

@@ -194,6 +194,11 @@ class RouteEnv:
         tables = self._tables()
         return tables.obs[tables.dest_row[agent_id]], tables.masks
 
+    @property
+    def mask_table(self) -> np.ndarray:
+        """(n_nodes, m), read-only: the valid slots at each junction, the same for every agent."""
+        return self._tables().masks
+
     # -- state machinery ---------------------------------------------------
 
     def reset(self, sit_out: Collection[int] = ()) -> tuple[EnvState, list[Observation]]:
@@ -225,13 +230,6 @@ class RouteEnv:
         junction = state.positions[agent_id]
         mask = masks[junction] if self.spawned(state, agent_id) else np.zeros_like(masks[junction])
         return Observation(vector=vector[junction], mask=_read_only(mask))
-
-    def observations(self, state: EnvState) -> tuple[np.ndarray, np.ndarray]:
-        """Every agent's ``observe`` vector and mask as rows of two new arrays."""
-        tables = self._tables()
-        masks = tables.masks[state.positions]
-        masks[state.step < self._depart] = False
-        return tables.obs[tables.dest_row, state.positions], masks
 
     def step(self, state: EnvState, actions: Sequence[int | None]) -> tuple[EnvState, StepResult]:
         """Advance all agents one joint step.

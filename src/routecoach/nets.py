@@ -244,25 +244,34 @@ def stack_params(params: Sequence[MlpParams]) -> MlpStack:
     return MlpStack(tuple(layers[:half]), tuple(layers[half:]))
 
 
-def policy_forward_stacked(
+def policy_table_forward(
     stack: MlpStack, obs: np.ndarray, masks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(log_probs, probs), each (A, m): network ``i`` of the stack on row ``i``.
+    """(log_probs, probs), each (A, n, m): network ``a`` of the stack on every row of ``obs[a]``.
 
+    ``obs`` is (A, n, in), a table of n observations per network, and
+    ``masks`` (n, m) the action mask of each row, shared by the networks.
     Each row is computed with the operations ``policy_forward`` applies to
     that row alone (one matrix-vector product per layer and row), so the
-    values are bit for bit the same.  Rows whose mask is all false (agents
-    that may not act) get -inf and 0 instead of raising.
+    values are bit for bit the same.  Rows whose mask is all false (dead
+    ends) get -inf and 0 instead of raising.
     """
     (w0, w1, w2), (b0, b1, b2) = stack
-    h1 = np.tanh(np.matmul(obs[:, None, :], w0) + b0[:, None, :])
-    h2 = np.tanh(np.matmul(h1, w1) + b1[:, None, :])
-    logits = (np.matmul(h2, w2) + b2[:, None, :])[:, 0, :]
+    h = np.matmul(obs[:, :, None, :], w0[:, None])
+    h += b0[:, None, None, :]
+    np.tanh(h, out=h)
+    h = np.matmul(h, w1[:, None])
+    h += b1[:, None, None, :]
+    np.tanh(h, out=h)
+    logits = np.matmul(h, w2[:, None])[:, :, 0, :]
+    logits += b2[:, None, :]
+    shape = logits.shape
+    logits, masks = logits.reshape(-1, shape[2]), np.tile(masks, (shape[0], 1))
     live = masks.any(axis=1)
-    log_probs, probs = np.full(masks.shape, -np.inf), np.zeros(masks.shape)
+    log_probs, probs = np.full(logits.shape, -np.inf), np.zeros(logits.shape)
     if live.any():
         log_probs[live], probs[live], _ = masked_log_softmax(logits[live], masks[live])
-    return log_probs, probs
+    return log_probs.reshape(shape), probs.reshape(shape)
 
 
 def policy_forward_batch(

@@ -8,6 +8,7 @@ earlier content, so successive prompts share a byte-identical prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .env import AgentSpec
@@ -33,6 +34,22 @@ class RefinementRecord:
     agent_routes: tuple[tuple[int, tuple[int, ...], float], ...]   # (agent, route, reward)
     expert_routes: tuple[tuple[int, tuple[int, ...], float], ...]
     dtw: tuple[tuple[int, float], ...]
+
+    @cached_property
+    def text(self) -> str:
+        """This record's section of the prompt, rendered once."""
+        lines = [f"--- Feedback round {self.phase} ---"]
+        for agent_id, route, reward in self.agent_routes:
+            lines.append(f"  agent {agent_id} policy route {list(route)} reward {reward:.3f}")
+        for agent_id, route, reward in self.expert_routes:
+            lines.append(f"  agent {agent_id} expert route {list(route)} reward {reward:.3f}")
+        for agent_id, d in self.dtw:
+            lines.append(f"  agent {agent_id} trajectory DTW distance {d:.3f}")
+        lines.append(
+            "  Improve any invalid or low-reward routes; keep routes that "
+            "already reach their destination cheaply."
+        )
+        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -65,20 +82,8 @@ def build_prompt(state: PromptState) -> str:
         lines.append(f"  {spec.agent_id}: {spec.start} -> {spec.dest}, departs at {spec.depart_time}")
     lines.append("")
     lines.append(OUTPUT_CONTRACT)
-    for record in state.records:
-        lines.append("")
-        lines.append(f"--- Feedback round {record.phase} ---")
-        for agent_id, route, reward in record.agent_routes:
-            lines.append(f"  agent {agent_id} policy route {list(route)} reward {reward:.3f}")
-        for agent_id, route, reward in record.expert_routes:
-            lines.append(f"  agent {agent_id} expert route {list(route)} reward {reward:.3f}")
-        for agent_id, d in record.dtw:
-            lines.append(f"  agent {agent_id} trajectory DTW distance {d:.3f}")
-        lines.append(
-            "  Improve any invalid or low-reward routes; keep routes that "
-            "already reach their destination cheaply."
-        )
-    return "\n".join(lines)
+    # each record follows a blank line
+    return "\n\n".join(["\n".join(lines), *(record.text for record in state.records)])
 
 
 def refine_prompt(

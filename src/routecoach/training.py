@@ -267,6 +267,38 @@ def generate_agent_specs(graph: RoadGraph, n_agents: int, seed: int) -> tuple[Ag
 
 # -- rollouts ------------------------------------------------------------------------
 
+CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))  # Generator.choice's tolerance on sum(p)
+
+
+def choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """The cdf ``Generator.choice(m, p=row)`` draws from, for each row of ``probs`` (..., m).
+
+    That is the row's ``cumsum`` divided by its last entry.  Rows ``choice``
+    rejects (not finite, negative, or not summing to 1 within its
+    tolerance) are NaN, so that drawing from them raises.
+    """
+    ok = (np.isfinite(probs).all(axis=-1) & (probs >= 0).all(axis=-1)
+          & (np.abs(probs.sum(axis=-1) - 1.0) <= CHOICE_ATOL))
+    cdf = np.full(probs.shape, np.nan)
+    rows = probs[ok].cumsum(axis=-1)
+    cdf[ok] = rows / rows[:, -1:]
+    return cdf
+
+
+def draw(cdf: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """One action per row of ``cdf`` (k, m), row ``r`` drawn with ``rngs[r]``.
+
+    The draw of ``rngs[r].choice(m, p=row)``: one ``random()`` from the
+    row's generator, and the action is the number of cdf entries at or
+    below it (``searchsorted`` right).  A NaN row (see ``choice_cdf``)
+    raises ``ValueError`` before anything is drawn.
+    """
+    if np.isnan(cdf[:, -1]).any():
+        raise ValueError("probabilities are not finite, non-negative and summing to 1")
+    u = np.array([rng.random() for rng in rngs])
+    return (cdf <= u[:, None]).sum(axis=1)
+
+
 def rollout(
     env: RouteEnv,
     policies: Sequence[nets.MlpParams],
@@ -278,20 +310,23 @@ def rollout(
 
     Each agent samples from its own masked policy, with its own rng, given
     only its own observation.  ``greedy`` switches to argmax selection
-    (evaluation).  The policies are stacked once per episode, so each
-    joint step runs every agent's network in one pass.
+    (evaluation).  An observation depends only on the junction, and the
+    policies do not change during the episode, so every agent's action
+    distribution is tabulated over the junctions once, in one stacked
+    forward, and each joint step looks up the rows of the agents that act.
     """
     if not greedy and rngs is None:
         raise ValueError("sampling rollouts need per-agent rngs")
-    stack = nets.stack_params(policies)
+    obs = np.stack([env.agent_tables(i)[0] for i in range(env.n_agents)])
+    log_probs, probs = nets.policy_table_forward(nets.stack_params(policies), obs, env.mask_table)
+    table = probs.argmax(axis=2) if greedy else choice_cdf(probs)
 
-    def choose(agents: np.ndarray, obs: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        log_probs, probs = nets.policy_forward_stacked(stack, obs, masks)
+    def choose(agents: np.ndarray, junctions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if greedy:
-            actions = probs[agents].argmax(axis=1)
+            actions = table[agents, junctions]
         else:
-            actions = np.array([rngs[i].choice(probs.shape[1], p=probs[i]) for i in agents])
-        return actions, log_probs[agents, actions]
+            actions = draw(table[agents, junctions], [rngs[i] for i in agents])
+        return actions, log_probs[agents, junctions, actions]
 
     return run_episode(env, choose)
 

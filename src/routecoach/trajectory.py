@@ -11,6 +11,7 @@ gathered when an update asks for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Collection
 
 import numpy as np
@@ -21,8 +22,8 @@ from .graph import RoadGraph
 AGENT_SOURCE = "a"
 EXPERT_SOURCE = "e"
 
-# (agents, observations, masks) -> (actions, log-probabilities), see run_episode
-JointChooser = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+# (acting agents, their junctions) -> (actions, log-probabilities), see run_episode
+JointChooser = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(eq=False)
@@ -86,12 +87,12 @@ def run_episode(
 ) -> list[Trajectory]:
     """Drive one joint-step episode from the initial state; one trajectory per agent.
 
-    ``choose(agents, obs, masks)`` is asked once per step in which anyone
-    must act.  ``agents`` are the ids of those agents, ascending; ``obs``
-    and ``masks`` hold every agent's observation, one row per agent id, as
-    ``env.observe`` gives them (masks all-false before departure).  It
-    returns one action and one log-probability to record per entry of
-    ``agents``; each agent's action may depend only on its own row.  Agents
+    ``choose(agents, junctions)`` is asked once per step in which anyone
+    must act.  ``agents`` are the ids of those agents, ascending, and
+    ``junctions`` the junction each one stands at; an agent's observation
+    and mask there are that row of its ``env.agent_tables``.  It returns
+    one action and one log-probability to record per entry of ``agents``;
+    each agent's action may depend only on its own observation.  Agents
     in ``sit_out`` are done from the start: they never act or count as
     traffic, and keep a single-point trajectory.  The episode ends when
     every agent is done or the step limit is reached; steps where nobody
@@ -109,7 +110,7 @@ def run_episode(
         t = state.step
         agents = env.acting(state)
         if agents.size:
-            actions[agents, t], logps[agents, t] = choose(agents, *env.observations(state))
+            actions[agents, t], logps[agents, t] = choose(agents, state.positions[agents])
             acted[agents, t] = True
         state, result = env.step(state, actions[:, t])
         rewards[:, t] = result.rewards
@@ -148,14 +149,14 @@ def dtw_distance(seq_a: np.ndarray, seq_b: np.ndarray) -> float:
         raise ValueError("dtw_distance requires non-empty sequences")
     # local cost matrix: cost[i, j] = ||a_i - b_j||
     diff = a[:, None, :] - b[None, :, :]
-    cost = np.sqrt((diff * diff).sum(axis=2))
-    n, m = cost.shape
-    acc = np.full((n, m), np.inf)
-    acc[0, 0] = cost[0, 0]
-    for j in range(1, m):
-        acc[0, j] = acc[0, j - 1] + cost[0, j]
-    for i in range(1, n):
-        acc[i, 0] = acc[i - 1, 0] + cost[i, 0]
-        for j in range(1, m):
-            acc[i, j] = cost[i, j] + min(acc[i - 1, j], acc[i, j - 1], acc[i - 1, j - 1])
-    return float(acc[n - 1, m - 1])
+    cost = np.sqrt((diff * diff).sum(axis=2)).tolist()
+    # the accumulated cost, one row at a time over Python floats
+    prev = list(accumulate(cost[0]))
+    for row in cost[1:]:
+        left = prev[0] + row[0]
+        acc = [left]
+        for c, up, diag in zip(row[1:], prev[1:], prev):
+            left = c + min(up, left, diag)
+            acc.append(left)
+        prev = acc
+    return prev[-1]

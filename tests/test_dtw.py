@@ -71,6 +71,35 @@ def test_matches_bruteforce_random(rng):
         assert dtw_distance(a, b) == pytest.approx(dtw_bruteforce(a, b), abs=1e-9)
 
 
+def dtw_numpy_scalars(a, b):
+    """The dynamic program over a numpy accumulated-cost matrix, cell by cell."""
+    diff = a[:, None, :] - b[None, :, :]
+    cost = np.sqrt((diff * diff).sum(axis=2))
+    n, m = cost.shape
+    acc = np.full((n, m), np.inf)
+    acc[0, 0] = cost[0, 0]
+    for j in range(1, m):
+        acc[0, j] = acc[0, j - 1] + cost[0, j]
+    for i in range(1, n):
+        acc[i, 0] = acc[i - 1, 0] + cost[i, 0]
+        for j in range(1, m):
+            acc[i, j] = cost[i, j] + min(acc[i - 1, j], acc[i, j - 1], acc[i - 1, j - 1])
+    return float(acc[n - 1, m - 1])
+
+
+def test_matches_numpy_scalar_dp_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for trial in range(500):
+        shape_a = (1, 2) if trial < 20 else (rng.integers(1, 30), 2)  # length-1 sequences first
+        a = rng.normal(scale=5.0, size=shape_a)
+        b = rng.normal(scale=5.0, size=(rng.integers(1, 30), 2))
+        if trial % 3 == 0:  # grid coordinates, where ties and zero costs are common
+            a, b = np.round(a), np.round(b)
+        for x, y in ((a, b), (b, a)):
+            got, want = np.float64(dtw_distance(x, y)), np.float64(dtw_numpy_scalars(x, y))
+            assert got.view(np.uint64) == want.view(np.uint64)
+
+
 coords = st.tuples(st.integers(0, 8), st.integers(0, 8))
 seqs = st.lists(coords, min_size=1, max_size=8).map(lambda s: np.array(s, dtype=float))
 

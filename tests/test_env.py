@@ -109,14 +109,14 @@ def test_observations_are_read_only(grid5):
         obs_table[0, 2] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         mask_table[0, 0] = False
-    # every agent's row equals observe's, and is the caller's own copy
-    vectors, masks = env.observations(state)
+    with pytest.raises(ValueError, match="read-only"):
+        env.mask_table[0, 0] = False
+    # observe reads the agent's row of the shared tables; the mask is all false before departure
     for i in range(2):
-        np.testing.assert_array_equal(vectors[i], env.observe(state, i).vector)
-        np.testing.assert_array_equal(masks[i], env.observe(state, i).mask)
-    assert masks[0].any() and not masks[1].any()
-    vectors[:] = 0.0
-    masks[:] = False
+        j = int(state.positions[i])
+        np.testing.assert_array_equal(env.observe(state, i).vector, env.agent_tables(i)[0][j])
+    np.testing.assert_array_equal(env.observe(state, 0).mask, env.mask_table[state.positions[0]])
+    assert env.observe(state, 0).mask.any() and not env.observe(state, 1).mask.any()
     np.testing.assert_array_equal(env.observe(state, 0).vector,
                                   reference_observation(grid5, int(state.positions[0]), 24)[0])
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from routecoach import nets
+from routecoach import AgentSpec, nets
+from routecoach.env import RouteEnv
 
 
 def random_params(rng, in_dim=6, out_dim=3):
@@ -251,27 +252,35 @@ def test_checkpoint_version_checked(tmp_path, rng):
         nets.load_params(tmp_path / "bad.npz")
 
 
-def test_stacked_policy_forward_matches_per_agent_bit_for_bit():
+def test_stacked_policy_forward_matches_per_agent_bit_for_bit(request):
+    """The table forward equals one ``policy_forward`` per (agent, junction) row."""
     rng = np.random.default_rng(21)
-    policies = [random_params(rng, in_dim=10, out_dim=4) for _ in range(6)]
-    obs = rng.normal(size=(6, 10))
-    masks = np.array([
-        [True, True, True, True],
-        [True, False, True, False],
-        [False, False, True, False],   # a single valid action
-        [False, False, False, False],  # not departed yet
-        [True, True, False, False],
-        [False, False, False, False],  # not departed yet
-    ])
-    log_probs, probs = nets.policy_forward_stacked(nets.stack_params(policies), obs, masks)
-    for i, policy in enumerate(policies):
-        if not masks[i].any():
-            assert np.all(log_probs[i] == -np.inf) and np.all(probs[i] == 0.0)
-            continue
-        out = nets.policy_forward(policy, obs[i], masks[i])
-        np.testing.assert_array_equal(log_probs[i].view(np.uint64), out.log_probs.view(np.uint64))
-        np.testing.assert_array_equal(probs[i].view(np.uint64), out.probs.view(np.uint64))
-    assert probs[2].tolist() == [0.0, 0.0, 1.0, 0.0]
+    for name in ("grid5", "line"):
+        graph = request.getfixturevalue(name)
+        # one agent per junction that some other junction reaches, as its destination
+        specs = []
+        for dest in graph.nodes:
+            dist = graph.distances_to(dest)
+            starts = [j for j in graph.nodes if j != dest and dist[j] != float("inf")]
+            if starts:
+                specs.append(AgentSpec(len(specs), starts[0], dest))
+        env = RouteEnv(graph, specs)
+        policies = [random_params(rng, env.obs_dim, env.n_actions) for _ in specs]
+        obs = np.stack([env.agent_tables(i)[0] for i in range(len(specs))])
+        masks = env.mask_table
+        log_probs, probs = nets.policy_table_forward(nets.stack_params(policies), obs, masks)
+        assert log_probs.shape == probs.shape == (len(specs), graph.node_count, env.n_actions)
+        for i, policy in enumerate(policies):
+            for j in graph.nodes:
+                if not masks[j].any():
+                    assert np.all(log_probs[i, j] == -np.inf) and np.all(probs[i, j] == 0.0)
+                    continue
+                out = nets.policy_forward(policy, obs[i, j], masks[j])
+                np.testing.assert_array_equal(log_probs[i, j].view(np.uint64), out.log_probs.view(np.uint64))
+                np.testing.assert_array_equal(probs[i, j].view(np.uint64), out.probs.view(np.uint64))
+        if name == "line":  # a dead end, a single-action row, and slots scored -10
+            assert not masks.any(axis=1).all() and (obs[:, :, 2::2] == -10.0).any()
+            assert probs[0, 0].tolist() == [1.0]
 
 
 def test_stack_params_copies_each_network():

@@ -1,6 +1,7 @@
 import json
 from unittest import mock
 
+import numpy as np
 import pytest
 import requests
 
@@ -12,7 +13,7 @@ from routecoach.llm import (
     LlmError,
     MockChatCompleter,
 )
-from routecoach.prompts import PromptState, build_prompt, count_tokens, refine_prompt
+from routecoach.prompts import OUTPUT_CONTRACT, PromptState, build_prompt, count_tokens, refine_prompt
 from routecoach.training import TrainConfig, completer_for
 
 
@@ -62,6 +63,59 @@ class TestPrompts:
             s = refine_prompt(s, {0: ([0, 1], 1.0)}, {0: ([0, 3], 2.0)}, {0: 2.0})
             tokens.append(count_tokens(build_prompt(s)))
         assert tokens == sorted(tokens) and tokens[-1] > tokens[0]
+
+
+def render_all_lines(state):
+    """The prompt rendered line by line, every record included, at every call."""
+    lines = [state.task, "", "Junctions (id: x, y):"]
+    for j, (x, y) in sorted(state.graph.nodes.items()):
+        lines.append(f"  {j}: ({x:g}, {y:g})")
+    lines.append("")
+    lines.append("Directed edges (from -> to, length):")
+    for j in sorted(state.graph.nodes):
+        out = state.graph.out_edges(j)
+        if out:
+            targets = ", ".join(f"{e.dst} ({e.length:g})" for e in out)
+            lines.append(f"  {j} -> {targets}")
+    lines.append("")
+    lines.append("Agents (id: start -> destination, departs at step):")
+    for spec in state.specs:
+        lines.append(f"  {spec.agent_id}: {spec.start} -> {spec.dest}, departs at {spec.depart_time}")
+    lines.append("")
+    lines.append(OUTPUT_CONTRACT)
+    for record in state.records:
+        lines.append("")
+        lines.append(f"--- Feedback round {record.phase} ---")
+        for agent_id, route, reward in record.agent_routes:
+            lines.append(f"  agent {agent_id} policy route {list(route)} reward {reward:.3f}")
+        for agent_id, route, reward in record.expert_routes:
+            lines.append(f"  agent {agent_id} expert route {list(route)} reward {reward:.3f}")
+        for agent_id, d in record.dtw:
+            lines.append(f"  agent {agent_id} trajectory DTW distance {d:.3f}")
+        lines.append(
+            "  Improve any invalid or low-reward routes; keep routes that "
+            "already reach their destination cheaply."
+        )
+    return "\n".join(lines)
+
+
+def test_prompt_bytes_match_line_by_line_renderer(state):
+    rng = np.random.default_rng(3)
+
+    def summary():
+        return {a: (rng.integers(0, 9, size=rng.integers(0, 6)).tolist(), rng.normal(scale=20.0))
+                for a in (0, 1) if rng.random() < 0.8}
+
+    s = state
+    assert build_prompt(s).encode() == render_all_lines(s).encode()
+    for _ in range(6):
+        s = refine_prompt(s, summary(), summary(), {a: rng.random() * 9 for a in (0, 1)})
+        assert build_prompt(s).encode() == render_all_lines(s).encode()
+    assert build_prompt(s) == build_prompt(s)  # the second call reads the rendered records
+    # a state built with records= renders them too
+    direct = PromptState(graph=s.graph, specs=s.specs, task="Route.", records=s.records[2:])
+    assert build_prompt(direct).encode() == render_all_lines(direct).encode()
+    assert len(s.records) >= 5
 
 
 def _response(payload, status=200):

@@ -15,7 +15,9 @@ from routecoach.training import (
     TrainConfig,
     Trainer,
     agent_rng,
+    choice_cdf,
     config_hash,
+    draw,
     evaluate,
     generate_agent_specs,
     load_checkpoint,
@@ -159,6 +161,56 @@ class TestRollout:
             assert (tau.arrived, tau.terminated) == (bool(state.arrived[i]), bool(state.done[i]))
             np.testing.assert_array_equal(tau.obs_matrix(), [env.agent_tables(i)[0][j] for j in paths[i][:-1]])
         assert sum(len(t) for t in trajs) > 20
+
+    def test_draw_matches_generator_choice(self):
+        """``draw`` picks what ``rng.choice(m, p=row)`` picks and leaves each generator in the same state."""
+        rng = np.random.default_rng(4)
+        masks = np.array([[True, False, True, True],     # a masked zero inside
+                          [False, False, True, False],   # a single valid action
+                          [False, True, True, False],    # masked zeros at both ends
+                          [True, True, True, True]])
+        for scale in (3.0, 1.0, 1e-9, 0.0):  # the last two: near-uniform and uniform rows
+            logits = rng.normal(scale=scale, size=(40, 4))
+            _, probs, _ = nets.masked_log_softmax(logits, masks[np.arange(40) % 4])
+            seeds = rng.integers(2**32, size=40)
+            ours, ref = ([np.random.default_rng(s) for s in seeds] for _ in range(2))
+            cdf = choice_cdf(probs)
+            for _ in range(25):
+                assert draw(cdf, ours).tolist() == [r.choice(4, p=p) for r, p in zip(ref, probs)]
+            assert [g.bit_generator.state for g in ours] == [g.bit_generator.state for g in ref]
+
+    def test_draw_on_a_cdf_entry_counts_it(self):
+        """A draw equal to a cdf entry counts that entry, as ``searchsorted(..., 'right')`` does."""
+        class Fixed:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self):
+                return self.u
+
+        row = np.array([0.0, 0.5, 0.5, 0.0])  # masked slots at both ends
+        cdf = choice_cdf(np.tile(row, (3, 1)))
+        draws = [0.0, 0.5, np.nextafter(1.0, 0.0)]
+        assert draw(cdf, [Fixed(u) for u in draws]).tolist() == \
+            [int(np.searchsorted(cdf[0], u, side="right")) for u in draws] == [1, 2, 2]
+
+    def test_draw_rejects_what_generator_choice_rejects(self):
+        rows = np.array([[0.5, 0.5], [np.nan, 1.0], [0.7, 0.4], [-0.1, 1.1], [np.inf, 0.0]])
+        cdf = choice_cdf(rows)
+        assert draw(cdf[:1], [np.random.default_rng(0)]).tolist() == [np.random.default_rng(0).choice(2, p=rows[0])]
+        for r in range(1, len(rows)):
+            with pytest.raises(ValueError):
+                np.random.default_rng(0).choice(2, p=rows[r])
+            with pytest.raises(ValueError, match="probabilities"):
+                draw(cdf[[0, r]], [np.random.default_rng(0), np.random.default_rng(1)])
+
+    def test_nan_policy_row_raises_when_sampled(self, grid3_setup):
+        graph, specs = grid3_setup
+        env = RouteEnv(graph, specs, step_limit=10)
+        policies = [nets.init_mlp(agent_rng(0, 0, i), env.obs_dim, env.n_actions) for i in range(2)]
+        policies[1].biases[-1][0] = np.nan  # every row where slot 0 is valid, the start included
+        with pytest.raises(ValueError, match="probabilities"):
+            rollout(env, policies, [agent_rng(0, 1, i) for i in range(2)])
 
     def test_uniform_policy_action_frequencies(self, line):
         # zero-init final layer => uniform over valid actions; junction 1 of a
