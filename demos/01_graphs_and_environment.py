@@ -37,8 +37,8 @@ print("  slot 2 is the first edge's score:",
 
 total = 0.0
 while not env.episode_done(state):
-    state, result = env.step(state, [0])
-    total += result.rewards[0]
+    state, rewards = env.step(state, [0])
+    total += rewards[0]
     print(f"  step {state.step}: at junction {state.positions[0]}, "
-          f"reward {result.rewards[0]:+.1f}")
+          f"reward {rewards[0]:+.1f}")
 print(f"episode reward {total:.1f} = -0.1*2 steps + 2.0 shaping + 10 arrival bonus")

@@ -25,6 +25,6 @@ for mode, provider in (("dynamic", "oracle"), ("ippo", "none")):
             print(f"  epoch {m.epoch:3d}: reward {m.mean_reward_a:7.3f}  "
                   f"alpha {alpha:6.3f}  dtw {dtw:7.2f}")
     result = trainer.evaluate(5)
-    print(f"  greedy evaluation: mean {result.mean:.2f}  sigma {result.std:.2f}")
+    print(f"  greedy evaluation: mean {result.mean:.2f}")
 
 print("\nThe optimal return here is 10.9 + 3 * 0.9 = 13.6 per agent.")

@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .env import AgentSpec, EnvState, Observation, RouteEnv, StepResult, edge_score
+from .env import AgentSpec, EnvState, Observation, RouteEnv, edge_score
 from .fixtures import grid_graph, hilly_graph, line_graph, write_graph
 from .graph import Edge, GraphError, RoadGraph, load_graph
 from .losses import (
@@ -19,7 +19,7 @@ from .trajectory import Trajectory, dtw_distance, traj_to_feature_seq
 from .training import TrainConfig, Trainer, evaluate, generate_agent_specs, rollout
 
 __all__ = [
-    "AgentSpec", "EnvState", "Observation", "RouteEnv", "StepResult", "edge_score",
+    "AgentSpec", "EnvState", "Observation", "RouteEnv", "edge_score",
     "grid_graph", "hilly_graph", "line_graph", "write_graph",
     "Edge", "GraphError", "RoadGraph", "load_graph",
     "alpha_weight", "advantages", "bootstrapped_returns", "clipped_surrogate",

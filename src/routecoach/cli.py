@@ -188,6 +188,8 @@ def cmd_evaluate(args) -> int:
     if hashlib.sha256(graph_text.encode()).hexdigest() != manifest["graph_sha256"]:
         raise ConfigError(f"graph file {graph_path} changed since training (sha256 differs from the manifest)")
     specs = _specs_from_doc(manifest, graph, config)
+    if not (run / "checkpoints" / "checkpoint_manifest.json").exists():
+        raise ConfigError(f"no checkpoint under {run / 'checkpoints'}")
     params, ck_manifest = load_checkpoint(run / "checkpoints")
     if ck_manifest["config_hash"] != manifest["config_hash"]:
         raise ConfigError("checkpoint was produced by a different configuration than the manifest")
@@ -199,7 +201,7 @@ def cmd_evaluate(args) -> int:
         writer.writerow(("episode", "mean_reward"))
         for ep, r in enumerate(result.episode_rewards):
             writer.writerow((ep, repr(float(r))))
-    print(f"evaluated {episodes} episodes: mean {result.mean:.3f} sigma {result.std:.3f}")
+    print(f"evaluated {episodes} episodes: mean {result.mean:.3f}")
     return 0
 
 
@@ -343,6 +345,8 @@ def moving_average(x: np.ndarray, window: int) -> np.ndarray:
 
 
 def cmd_plot_data(args) -> int:
+    if args.window < 1:
+        raise ConfigError(f"--window must be at least 1, got {args.window}")
     curves = []
     lengths = []
     for path in args.csvs:
@@ -373,10 +377,10 @@ def cmd_plot_data(args) -> int:
 
 
 def cmd_make_graph(args) -> int:
-    if args.kind == "grid":
-        graph = grid_graph(args.n, args.edge_length)
-    else:
-        graph = hilly_graph()
+    try:
+        graph = grid_graph(args.n, args.edge_length) if args.kind == "grid" else hilly_graph()
+    except ValueError as exc:
+        raise ConfigError(f"cannot build the {args.kind} map: {exc}") from exc
     write_graph(graph, args.out)
     print(f"wrote {args.out}: {graph.node_count} junctions, {len(graph.edges)} edges, "
           f"max out-degree {graph.max_out_degree}")

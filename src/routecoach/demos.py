@@ -3,7 +3,7 @@
 Route proposals arrive as per-agent waypoint lists (from a language-model
 endpoint, the shortest-path oracle, or the logit route sampler), are
 validated edge-by-edge, compiled to action indices, and replayed in the
-environment to produce expert-source trajectories.  Proposals that fail
+environment to produce expert trajectories.  Proposals that fail
 validation count against the validity rate and, by default, are replaced
 by the oracle route so every agent always has an expert trajectory.
 """
@@ -20,7 +20,7 @@ import numpy as np
 from .env import AgentSpec, RouteEnv
 from .graph import RoadGraph
 from .llm import ChatCompleter
-from .trajectory import EXPERT_SOURCE, Trajectory, run_episode
+from .trajectory import Trajectory, run_episode
 
 LOGIT_CANDIDATES = 8
 
@@ -82,7 +82,7 @@ def _extract_mapping(text: str) -> dict | None:
                 for parse in (json.loads, ast.literal_eval):
                     try:
                         value = parse(fragment)
-                    except (ValueError, SyntaxError):
+                    except (ValueError, SyntaxError, TypeError):  # TypeError: an unhashable key
                         continue
                     if isinstance(value, dict):
                         return value
@@ -94,21 +94,29 @@ def parse_instructions(text: str, n_agents: int, graph: RoadGraph) -> ParsedRout
     """Extract per-agent waypoint lists from raw model output.
 
     Accepts a strict JSON object or a Python-style single-quoted mapping.
-    Problems (no mapping, unknown agent, unknown junction, malformed list)
+    An agent id is an ``int`` or an integer string.  Problems (no mapping,
+    a bad, unknown or repeated agent id, unknown junction, malformed list)
     are recorded as error strings carrying the offending fragment; they
-    feed the validity-rate accounting instead of raising.
+    feed the validity-rate accounting instead of raising.  An agent named
+    twice (say ``1`` and ``"1"``) gets no waypoints.
     """
     result = ParsedRoutes(waypoints={})
     mapping = _extract_mapping(text)
     if mapping is None:
         result.errors.append(f"no parsable agent-route mapping in: {text[:120]!r}")
         return result
+    seen = set()
     for key, value in mapping.items():
-        try:
+        if type(key) is int or (isinstance(key, str) and key.strip().isdecimal()):  # no bools
             agent_id = int(key)
-        except (TypeError, ValueError):
+        else:
             result.errors.append(f"unparsable agent id {key!r}")
             continue
+        if agent_id in seen:
+            result.errors.append(f"agent {agent_id}: more than one route")
+            result.waypoints.pop(agent_id, None)
+            continue
+        seen.add(agent_id)
         if not 0 <= agent_id < n_agents:
             result.errors.append(f"unknown agent id {agent_id}")
             continue
@@ -255,28 +263,27 @@ def logit_expert(
 
 # -- execution ----------------------------------------------------------------------
 
+def replay(env: RouteEnv, executable: ExecutableSet) -> dict[int, Trajectory]:
+    """Replay compiled routes in ``env`` from its initial state; {agent id: trajectory}.
+
+    Agents whose route is empty sit the episode out and contribute a
+    single-point trajectory.  A replay records no log-probabilities: the
+    update takes the policy's own.
+    """
+    plans = {spec.agent_id: iter(compile_to_actions(env.graph, spec, executable.routes[spec.agent_id]))
+             for spec in env.specs if executable.routes[spec.agent_id]}
+
+    def choose(agents: np.ndarray, junctions: np.ndarray) -> np.ndarray:
+        return np.array([next(plans[i]) for i in agents])
+
+    return dict(enumerate(run_episode(env, choose, sit_out=set(range(env.n_agents)) - plans.keys())))
+
+
 def execute_demos(
     graph: RoadGraph,
     specs: Sequence[AgentSpec],
     executable: ExecutableSet,
     **env_kwargs,
 ) -> dict[int, Trajectory]:
-    """Replay compiled routes from the initial state.
-
-    ``env_kwargs`` are the ``RouteEnv`` settings (``step_limit``, reward
-    terms, ``congestion``).  Records, per executed action, the uniform
-    log-probability over the valid actions; the update computes the
-    policy's own.  Agents whose route is empty sit the episode out and
-    contribute a single-point trajectory.
-    """
-    env = RouteEnv(graph, specs, **env_kwargs)
-    plans = {spec.agent_id: iter(compile_to_actions(graph, spec, executable.routes[spec.agent_id]))
-             for spec in specs if executable.routes[spec.agent_id]}
-
-    def choose(agents: np.ndarray, junctions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        actions = np.array([next(plans[i]) for i in agents])
-        return actions, np.log(1.0 / env.mask_table[junctions].sum(axis=1))
-
-    trajectories = run_episode(env, choose, source=EXPERT_SOURCE,
-                               sit_out={spec.agent_id for spec in specs} - plans.keys())
-    return {traj.agent_id: traj for traj in trajectories}
+    """``replay`` in a new environment; ``env_kwargs`` are its ``RouteEnv`` settings."""
+    return replay(RouteEnv(graph, specs, **env_kwargs), executable)

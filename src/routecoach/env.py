@@ -60,13 +60,6 @@ class EnvState:
 
 
 @dataclass(frozen=True)
-class StepResult:
-    rewards: np.ndarray
-    done: np.ndarray
-    episode_done: bool
-
-
-@dataclass(frozen=True)
 class _Tables:
     """Lookup tables of one environment, built on first use; ``obs`` and ``masks`` are read-only."""
 
@@ -231,12 +224,12 @@ class RouteEnv:
         mask = masks[junction] if self.spawned(state, agent_id) else np.zeros_like(masks[junction])
         return Observation(vector=vector[junction], mask=_read_only(mask))
 
-    def step(self, state: EnvState, actions: Sequence[int | None]) -> tuple[EnvState, StepResult]:
-        """Advance all agents one joint step.
+    def step(self, state: EnvState, actions: Sequence[int | None]) -> tuple[EnvState, np.ndarray]:
+        """Advance all agents one joint step; the new state and each agent's reward.
 
         ``actions[i]`` is the outgoing-edge index for agent ``i``; entries
-        for done or not-yet-spawned agents are ignored.  Invalid (masked)
-        actions for active agents raise.
+        for done or not-yet-spawned agents are ignored, and their reward is
+        0.  Invalid (masked) actions for active agents raise.
         """
         if self.episode_done(state):
             raise EnvError("episode is over; reset before stepping again")
@@ -271,14 +264,12 @@ class RouteEnv:
         rewards = np.zeros(self.n_agents)
         rewards[movers] = reward
 
-        new_state = EnvState(
+        return EnvState(
             step=state.step + 1,
             positions=_read_only(positions),
             done=_read_only(done),
             arrived=_read_only(arrived),
-        )
-        return new_state, StepResult(rewards=rewards, done=new_state.done,
-                                     episode_done=self.episode_done(new_state))
+        ), rewards
 
     def episode_done(self, state: EnvState) -> bool:
         return bool(state.done.all()) or state.step >= self.step_limit

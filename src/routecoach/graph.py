@@ -35,6 +35,8 @@ class RoadGraph:
 
     def __init__(self, nodes: dict[int, tuple[float, float]], edges: Iterable[Edge]):
         self.nodes: dict[int, tuple[float, float]] = dict(nodes)
+        if sorted(self.nodes) != list(range(len(self.nodes))):
+            raise GraphError("junction ids must be dense integers starting at 0")
         self.edges: tuple[Edge, ...] = tuple(Edge(int(e[0]), int(e[1]), float(e[2])) for e in edges)
         seen: set[tuple[int, int]] = set()
         for e in self.edges:
@@ -251,8 +253,6 @@ def load_graph(text: str) -> RoadGraph:
             nodes[int(entry["id"])] = (float(entry["x"]), float(entry["y"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"bad node entry {entry!r}") from exc
-    if sorted(nodes) != list(range(len(nodes))):
-        raise GraphError("junction ids must be dense integers starting at 0")
     edges = []
     for entry in doc["edges"]:
         try:

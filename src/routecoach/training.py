@@ -45,7 +45,6 @@ METRICS_COLUMNS = (
     "validity_rate", "loss_policy", "loss_value_a", "loss_value_e",
 )
 
-MODES = ("dynamic", "ippo", "logit-ppo")  # plus "fixed-alpha:<value>"
 PROVIDERS = ("llm", "oracle", "logit", "none")
 
 
@@ -85,22 +84,33 @@ class TrainConfig:
     llm_temperature: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.demo_interval < 1:
-            raise ValueError("demo_interval must be >= 1")
+        for name in ("n_agents", "epochs", "steps_per_episode", "update_epochs", "demo_interval"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0")
+        for name in ("learning_rate", "logit_temperature"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
+        if not 0.0 < self.clip_epsilon < 1.0:
+            raise ValueError(f"clip_epsilon must be in (0, 1), got {self.clip_epsilon}")
+        if not 0.0 < self.entropy_beta <= 1.0:
+            raise ValueError(f"entropy_beta must be in (0, 1], got {self.entropy_beta}")
         if self.expert_provider not in PROVIDERS:
             raise ValueError(f"unknown expert provider {self.expert_provider!r}")
         if self.provider_fallback not in ("oracle", "logit", "none"):
             raise ValueError(f"unknown provider_fallback {self.provider_fallback!r}")
         if self.invalid_route_fallback not in ("oracle", "skip"):
             raise ValueError(f"unknown invalid_route_fallback {self.invalid_route_fallback!r}")
-        kind = self.mode_kind  # validates the mode string
+        self.mode_kind  # validates the mode string
         if self.mode == "ippo":
             self.expert_provider = "none"
         elif self.expert_provider == "none":
             raise ValueError("expert_provider 'none' requires mode 'ippo'")
         if self.mode == "logit-ppo":
             self.expert_provider = "logit"
-        del kind
 
     @property
     def mode_kind(self) -> str:
@@ -122,17 +132,6 @@ class TrainConfig:
                 return None
         return None
 
-    @property
-    def env_settings(self) -> dict:
-        """The ``RouteEnv`` keyword arguments this configuration sets."""
-        return {
-            "step_limit": self.steps_per_episode,
-            "time_penalty": self.time_penalty,
-            "shaping_coef": self.shaping_coef,
-            "arrival_bonus": self.arrival_bonus,
-            "congestion": self.congestion,
-        }
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -153,7 +152,9 @@ def config_hash(config: TrainConfig) -> str:
 # -- config to runtime ----------------------------------------------------------------
 
 def env_from_config(graph: RoadGraph, specs: Sequence[AgentSpec], config: TrainConfig) -> RouteEnv:
-    return RouteEnv(graph, specs, **config.env_settings)
+    return RouteEnv(graph, specs, step_limit=config.steps_per_episode, time_penalty=config.time_penalty,
+                    shaping_coef=config.shaping_coef, arrival_bonus=config.arrival_bonus,
+                    congestion=config.congestion)
 
 
 def completer_for(config: TrainConfig) -> ChatCompleter | None:
@@ -224,16 +225,11 @@ class EvalResult:
     def mean(self) -> float:
         return float(self.episode_rewards.mean())
 
-    @property
-    def std(self) -> float:
-        return float(self.episode_rewards.std())
-
 
 @dataclass
 class TrainResult:
     learners: list[AgentLearner]
     metrics: list[EpochMetrics]
-    specs: tuple[AgentSpec, ...]
 
 
 # -- seed plumbing ----------------------------------------------------------------
@@ -314,6 +310,7 @@ def rollout(
     policies do not change during the episode, so every agent's action
     distribution is tabulated over the junctions once, in one stacked
     forward, and each joint step looks up the rows of the agents that act.
+    Each trajectory's ``logps`` are its actions' entries of that table.
     """
     if not greedy and rngs is None:
         raise ValueError("sampling rollouts need per-agent rngs")
@@ -321,14 +318,15 @@ def rollout(
     log_probs, probs = nets.policy_table_forward(nets.stack_params(policies), obs, env.mask_table)
     table = probs.argmax(axis=2) if greedy else choice_cdf(probs)
 
-    def choose(agents: np.ndarray, junctions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def choose(agents: np.ndarray, junctions: np.ndarray) -> np.ndarray:
         if greedy:
-            actions = table[agents, junctions]
-        else:
-            actions = draw(table[agents, junctions], [rngs[i] for i in agents])
-        return actions, log_probs[agents, junctions, actions]
+            return table[agents, junctions]
+        return draw(table[agents, junctions], [rngs[i] for i in agents])
 
-    return run_episode(env, choose)
+    trajectories = run_episode(env, choose)
+    for i, traj in enumerate(trajectories):
+        traj.logps = log_probs[i, traj.junction_path[:-1], traj.actions]
+    return trajectories
 
 
 # -- the per-agent update --------------------------------------------------------------
@@ -506,12 +504,12 @@ class Trainer:
     ) -> tuple[dg.ExecutableSet, int, dict[int, Trajectory], list[float]]:
         """One demonstration round against the agents' trajectories ``tau_a``.
 
-        Proposes routes, executes them, and measures each agent's DTW
-        distance to its demonstration.  Returns
+        Proposes routes, replays them in ``self.env``, and measures each
+        agent's DTW distance to its demonstration.  Returns
         (executable set, token count, expert trajectories, DTW per agent).
         """
         executable, _validity, tokens = self._propose_routes()
-        tau_e = dg.execute_demos(self.graph, self.specs, executable, **self.config.env_settings)
+        tau_e = dg.replay(self.env, executable)
         dtw = [dtw_distance(traj_to_feature_seq(tau_a[i], self.graph),
                             traj_to_feature_seq(tau_e[i], self.graph))
                for i in range(len(self.learners))]
@@ -627,7 +625,7 @@ class Trainer:
             if metrics_file is not None:
                 metrics_file.close()
                 timing_file.close()
-        return TrainResult(learners=self.learners, metrics=self.metrics, specs=self.specs)
+        return TrainResult(learners=self.learners, metrics=self.metrics)
 
     def evaluate(self, episodes: int | None = None) -> EvalResult:
         return evaluate([ln.policy for ln in self.learners], self.env,

@@ -1,12 +1,11 @@
-"""Trajectory records for both data sources, the episode loop, and DTW.
+"""Trajectory records, the episode loop, and DTW.
 
-A trajectory is tagged with its source: ``"a"`` for actions sampled from
-the agent's own policy, ``"e"`` for actions compiled from an expert
-route and replayed in the environment.  Both are recorded by
-the same loop, ``run_episode``; they differ only in where the agents'
-actions come from.  A trajectory is arrays, one entry per step the agent
-acted; its observations are rows of the environment's shared tables,
-gathered when an update asks for them.
+Every trajectory is recorded by the same loop, ``run_episode``, whether
+its actions are sampled from the agent's own policy (``training.rollout``)
+or compiled from a demonstrated route and replayed (``demos``).  A
+trajectory is arrays, one entry per step the agent acted; its observations
+are rows of the environment's shared tables, gathered when an update asks
+for them.
 """
 from __future__ import annotations
 
@@ -19,45 +18,40 @@ import numpy as np
 from .env import RouteEnv
 from .graph import RoadGraph
 
-AGENT_SOURCE = "a"
-EXPERT_SOURCE = "e"
-
-# (acting agents, their junctions) -> (actions, log-probabilities), see run_episode
-JointChooser = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+# (acting agents, their junctions) -> their actions, see run_episode
+JointChooser = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(eq=False)
 class Trajectory:
     """One agent's steps, as arrays, plus the tables its observations come from.
 
-    ``actions``, ``rewards`` and ``logps`` (the behaviour log-probability
-    of each action) have one entry per step; ``junction_path``, the
-    visited junctions, is one longer.  The observation at a junction is
+    ``actions`` and ``rewards`` have one entry per step; ``junction_path``,
+    the visited junctions, is one longer.  The observation at a junction is
     that row of ``obs_table`` (and ``mask_table`` for the action mask), the
     agent's destination's tables from the environment.  ``terminated``
     distinguishes a true terminal (arrival or dead end, no future reward)
-    from truncation at the step limit.
+    from truncation at the step limit.  ``logps``, the behaviour
+    log-probability of each action, is set by ``training.rollout``; a
+    replayed route has none.
     """
 
-    source: str
     agent_id: int
     junction_path: np.ndarray  # (L + 1,) int
     actions: np.ndarray        # (L,) int
     rewards: np.ndarray        # (L,)
-    logps: np.ndarray          # (L,)
     obs_table: np.ndarray      # (n_nodes, 2 + 2m)
     mask_table: np.ndarray     # (n_nodes, m) bool
     arrived: bool = False
     terminated: bool = False
+    logps: np.ndarray | None = None  # (L,)
 
     def __post_init__(self) -> None:
-        if self.source not in (AGENT_SOURCE, EXPERT_SOURCE):
-            raise ValueError(f"unknown trajectory source {self.source!r}")
         steps = len(self.actions)
         if len(self.junction_path) != steps + 1:
             raise ValueError(f"junction_path has {len(self.junction_path)} entries for {steps} actions")
-        if len(self.rewards) != steps or len(self.logps) != steps:
-            raise ValueError(f"{len(self.rewards)} rewards and {len(self.logps)} log-probs for {steps} actions")
+        if len(self.rewards) != steps or (self.logps is not None and len(self.logps) != steps):
+            raise ValueError(f"rewards or log-probs do not match the {steps} actions")
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -82,7 +76,6 @@ def run_episode(
     env: RouteEnv,
     choose: JointChooser,
     *,
-    source: str = AGENT_SOURCE,
     sit_out: Collection[int] = (),
 ) -> list[Trajectory]:
     """Drive one joint-step episode from the initial state; one trajectory per agent.
@@ -91,29 +84,27 @@ def run_episode(
     must act.  ``agents`` are the ids of those agents, ascending, and
     ``junctions`` the junction each one stands at; an agent's observation
     and mask there are that row of its ``env.agent_tables``.  It returns
-    one action and one log-probability to record per entry of ``agents``;
-    each agent's action may depend only on its own observation.  Agents
-    in ``sit_out`` are done from the start: they never act or count as
-    traffic, and keep a single-point trajectory.  The episode ends when
-    every agent is done or the step limit is reached; steps where nobody
-    may act yet (agents waiting on their depart times) still let time pass.
+    one action per entry of ``agents``; each agent's action may depend only
+    on its own observation.  Agents in ``sit_out`` are done from the start:
+    they never act or count as traffic, and keep a single-point trajectory.
+    The episode ends when every agent is done or the step limit is reached;
+    steps where nobody may act yet (agents waiting on their depart times)
+    still let time pass.  The trajectories carry no log-probabilities.
     """
     state, _ = env.reset(sit_out)
     n, limit = env.n_agents, env.step_limit
     path = np.empty((n, limit + 1), dtype=np.int64)
     actions = np.zeros((n, limit), dtype=np.int64)
     rewards = np.zeros((n, limit))
-    logps = np.zeros((n, limit))
     acted = np.zeros((n, limit), dtype=bool)
     path[:, 0] = state.positions
     while not env.episode_done(state):
         t = state.step
         agents = env.acting(state)
         if agents.size:
-            actions[agents, t], logps[agents, t] = choose(agents, state.positions[agents])
+            actions[agents, t] = choose(agents, state.positions[agents])
             acted[agents, t] = True
-        state, result = env.step(state, actions[:, t])
-        rewards[:, t] = result.rewards
+        state, rewards[:, t] = env.step(state, actions[:, t])
         path[:, t + 1] = state.positions
     # an agent acts on consecutive steps, from its departure until it is done
     first, steps = acted.argmax(axis=1), acted.sum(axis=1)
@@ -121,7 +112,7 @@ def run_episode(
     for i in range(n):
         lo, hi = first[i], first[i] + steps[i]
         trajectories.append(Trajectory(
-            source, i, path[i, lo:hi + 1], actions[i, lo:hi], rewards[i, lo:hi], logps[i, lo:hi],
+            i, path[i, lo:hi + 1], actions[i, lo:hi], rewards[i, lo:hi],
             *env.agent_tables(i), arrived=bool(state.arrived[i]), terminated=bool(state.done[i] and hi > lo)))
     return trajectories
 

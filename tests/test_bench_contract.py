@@ -1,0 +1,45 @@
+"""The library names the benchmark under ``bench/`` calls and traces still exist."""
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+
+def _bindings() -> dict:
+    """Every attribute of the package's modules and of the traced classes, by (owner, name)."""
+    owners = [m for n, m in sys.modules.items() if n == "routecoach" or n.startswith("routecoach.")]
+    owners += [owner for _, owner, _, _ in tracing.FUNCTIONS if isinstance(owner, type)]
+    return {(id(owner), key): value for owner in owners for key, value in vars(owner).items()}
+
+
+def test_tracer_patches_every_traced_name_and_restores_it():
+    before = _bindings()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for name, owner, attr, _ in tracing.FUNCTIONS:
+            assert vars(owner)[attr] is not before[(id(owner), attr)], f"{name} was not wrapped"
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [key for key, value in after.items() if value is not before[key]] == []
+
+
+@pytest.mark.parametrize("name", ["a6-grid5", "refine-mockllm-grid10"])
+def test_make_inputs(tmp_path, name):
+    workload = workloads.WORKLOADS[name]
+    inputs = workloads.make_inputs(workload, 0, tmp_path)
+    assert len(inputs.specs) == len(inputs.seeds) == workload.task_sets
+    if workload.evaluate_each_epoch:
+        # the oracle demonstrations' mean return, from execute_demos(...).values()
+        assert np.isfinite(inputs.oracle_return) and inputs.oracle_return > 0
+    if workload.mock_llm:
+        assert len(inputs.mock_dirs) == workload.task_sets
+        assert all(len(list(d.iterdir())) == workload.config["epochs"] for d in inputs.mock_dirs)

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -92,6 +93,19 @@ class TestTrain:
         assert "error: bad configuration" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--set", "entropy_beta=0"], ["--set", "gamma=1.5"], ["--set", "clip_epsilon=1.0"],
+        ["--set", "n_agents=0"], ["--set", "epochs=0"], ["--set", "steps_per_episode=0"],
+        ["--set", "update_epochs=0"], ["--set", "learning_rate=-1"], ["--set", "checkpoint_every=-1"],
+        ["--mode", "logit-ppo", "--set", "logit_temperature=0"],
+    ])
+    def test_out_of_range_value_exits_2_without_run_dir(self, tmp_path, base_config, capsys, flags):
+        out = tmp_path / "run"
+        assert main(["train", "--config", base_config, "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "error: bad configuration" in err and flags[-1].split("=")[0] in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("setting", ["learning_rat=0.5", "foo.bar=1"])
     def test_unknown_set_key_exits_2_without_run_dir(self, tmp_path, base_config, capsys, setting):
         out = tmp_path / "run"
@@ -161,6 +175,14 @@ class TestEvaluate:
             json.dump(doc, fh)
         assert main(["evaluate", "--run", str(out)]) == 2
         assert "sha256" in capsys.readouterr().err
+        assert not (out / "eval.csv").exists()
+
+    def test_run_without_checkpoints_exits_2(self, tmp_path, base_config, capsys):
+        out = tmp_path / "run"
+        main(["train", "--config", base_config, "--out", str(out)])
+        shutil.rmtree(out / "checkpoints")
+        assert main(["evaluate", "--run", str(out)]) == 2
+        assert "no checkpoint" in capsys.readouterr().err
         assert not (out / "eval.csv").exists()
 
 
@@ -327,6 +349,14 @@ class TestPlotData:
         bad.write_text("a,b\n1,2\n")
         assert main(["plot-data", str(bad), "--out", str(tmp_path / "p")]) == 2
 
+    def test_window_below_one_exits_2(self, tmp_path, base_config, capsys):
+        out = tmp_path / "run"
+        main(["train", "--config", base_config, "--out", str(out)])
+        plot = tmp_path / "plot"
+        assert main(["plot-data", str(out / "metrics.csv"), "--window", "0", "--out", str(plot)]) == 2
+        assert "--window must be at least 1" in capsys.readouterr().err
+        assert not plot.exists()
+
 
 class TestMakeGraph:
     def test_grid_and_hilly(self, tmp_path):
@@ -338,6 +368,12 @@ class TestMakeGraph:
         hilly_path = tmp_path / "h.json"
         assert main(["make-graph", "--kind", "hilly", "--out", str(hilly_path)]) == 0
         assert load_graph(hilly_path.read_text()).node_count == 9
+
+    def test_grid_too_small_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        assert main(["make-graph", "--kind", "grid", "--n", "1", "--out", str(path)]) == 2
+        assert "n >= 2" in capsys.readouterr().err
+        assert not path.exists()
 
 
 def test_moving_average_edges():

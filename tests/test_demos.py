@@ -46,6 +46,23 @@ class TestParse:
         assert parsed.waypoints == {0: [0, 1]}
         assert len(parsed.errors) == 1
 
+    def test_agent_ids_are_ints_or_integer_strings(self, grid3):
+        parsed = dg.parse_instructions("{1.7: [0, 1, 2], True: [0, 3], ' 2 ': [0, 1], '0x1': [0, 1]}", 3, grid3)
+        assert parsed.waypoints == {2: [0, 1]}
+        assert [e.split(" ", 3)[-1] for e in parsed.errors] == ["1.7", "True", "'0x1'"]
+
+    def test_unhashable_key_is_unparsable(self, grid3):
+        parsed = dg.parse_instructions("{[1]: [0, 1]}", 2, grid3)
+        assert parsed.waypoints == {} and "no parsable" in parsed.errors[0]
+
+    @pytest.mark.parametrize("text", ["{1: [0, 1], '1': [0, 3]}", "{'1': [0, 1], ' 1': [0, 3], 1: [0, 1]}"])
+    def test_repeated_agent_gets_no_waypoints(self, grid3, text):
+        parsed = dg.parse_instructions(text, 2, grid3)
+        assert parsed.waypoints == {}
+        assert "agent 1: more than one route" in parsed.errors
+        executable = dg.prepare_executable(grid3, (AgentSpec(0, 0, 8), AgentSpec(1, 0, 1)), parsed)
+        assert executable.fallback_agents == {0, 1}
+
 
 class TestValidateCompile:
     def test_valid_route(self, line):
@@ -184,17 +201,25 @@ class TestPrepareAndExecute:
         routes = dg.oracle_expert(line, specs)
         trajs = dg.execute_demos(line, specs, routes)
         traj = trajs[0]
-        assert traj.source == "e"
         assert traj.arrived and traj.terminated
         assert traj.junction_path.tolist() == [0, 1, 2]
         assert traj.rewards[-1] == pytest.approx(10.9)
 
-    def test_execute_records_policy_logp(self, line):
+    def test_replay_records_no_logp(self, line):
         specs = (AgentSpec(0, 0, 2),)
-        routes = dg.oracle_expert(line, specs)
-        # uniform over valid actions
-        trajs = dg.execute_demos(line, specs, routes)
-        assert trajs[0].logps[0] == pytest.approx(np.log(1.0))
+        trajs = dg.execute_demos(line, specs, dg.oracle_expert(line, specs))
+        assert len(trajs[0]) == 2 and trajs[0].logps is None
+
+    def test_replay_in_given_env_matches_execute(self, grid3):
+        specs = (AgentSpec(0, 0, 8), AgentSpec(1, 2, 6, depart_time=2))
+        routes = dg.oracle_expert(grid3, specs)
+        env = RouteEnv(grid3, specs, step_limit=7, congestion=True)
+        replayed = dg.replay(env, routes)
+        executed = dg.execute_demos(grid3, specs, routes, step_limit=7, congestion=True)
+        for i in executed:
+            assert replayed[i].junction_path.tolist() == executed[i].junction_path.tolist()
+            assert replayed[i].rewards.tolist() == executed[i].rewards.tolist()
+            assert np.shares_memory(replayed[i].obs_table, env.agent_tables(i)[0])
 
     def test_execute_deterministic(self, grid3):
         specs = (AgentSpec(0, 0, 8), AgentSpec(1, 2, 6))

@@ -34,12 +34,12 @@ def dtw_bruteforce(a, b):
     return rec(0, 0)
 
 
-def _traj(path, source="a", steps=None):
+def _traj(path, steps=None, logps=None):
     steps = len(path) - 1 if steps is None else steps
-    return Trajectory(source=source, agent_id=0, junction_path=np.array(path),
+    return Trajectory(agent_id=0, junction_path=np.array(path),
                       actions=np.zeros(steps, dtype=int), rewards=np.zeros(steps),
-                      logps=np.zeros(steps), obs_table=np.zeros((100, 4)),
-                      mask_table=np.ones((100, 1), dtype=bool))
+                      obs_table=np.zeros((100, 4)), mask_table=np.ones((100, 1), dtype=bool),
+                      logps=logps)
 
 
 def test_identical_sequences_zero():
@@ -141,5 +141,6 @@ def test_feature_seq_unknown_junction():
 def test_trajectory_invariants():
     with pytest.raises(ValueError, match="junction_path"):
         _traj([0, 1], steps=0)
-    with pytest.raises(ValueError, match="source"):
-        _traj([0], source="x")
+    with pytest.raises(ValueError, match="log-probs"):
+        _traj([0, 1], logps=np.zeros(2))
+    assert _traj([0, 1]).logps is None

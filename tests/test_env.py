@@ -133,12 +133,12 @@ def test_observation_layout_all_states(grid5):
 def test_step_rewards_line(line, line_specs):
     env = RouteEnv(line, line_specs)
     state, _ = env.reset()
-    state, res = env.step(state, [0])
-    assert res.rewards[0] == pytest.approx(0.9)  # -0.1 + (2 - 1)
-    assert not res.done[0]
-    state, res = env.step(state, [0])
-    assert res.rewards[0] == pytest.approx(10.9)  # -0.1 + 1 + 10
-    assert res.done[0] and res.episode_done
+    state, rewards = env.step(state, [0])
+    assert rewards[0] == pytest.approx(0.9)  # -0.1 + (2 - 1)
+    assert not state.done[0]
+    state, rewards = env.step(state, [0])
+    assert rewards[0] == pytest.approx(10.9)  # -0.1 + 1 + 10
+    assert state.done[0] and env.episode_done(state)
 
 
 def test_step_after_done_rejected(line, line_specs):
@@ -182,22 +182,22 @@ def test_done_agent_observation_frozen(line):
     specs = (AgentSpec(0, 1, 2), AgentSpec(1, 0, 2))
     env = RouteEnv(line, specs)
     state, _ = env.reset()
-    state, res = env.step(state, [0, 0])
+    state, rewards = env.step(state, [0, 0])
     assert state.done[0] and not state.done[1]
     frozen = env.observe(state, 0).vector.copy()
-    state, res = env.step(state, [None, 0])
+    state, rewards = env.step(state, [None, 0])
     np.testing.assert_array_equal(env.observe(state, 0).vector, frozen)
-    assert res.rewards[0] == 0.0
+    assert rewards[0] == 0.0
 
 
 def test_depart_time_masks_until_spawn(line):
     env = RouteEnv(line, (AgentSpec(0, 0, 2, depart_time=2),))
     state, obs = env.reset()
     assert not obs[0].mask.any()
-    state, res = env.step(state, [None])
-    assert res.rewards[0] == 0.0
+    state, rewards = env.step(state, [None])
+    assert rewards[0] == 0.0
     assert not env.observe(state, 0).mask.any()
-    state, res = env.step(state, [None])
+    state, rewards = env.step(state, [None])
     assert env.observe(state, 0).mask.tolist() == [True]  # spawned at t=2
 
 
@@ -233,13 +233,13 @@ def test_trajectory_determinism(grid5):
         joint = [int(rng.integers(obs[i].mask.sum())) if env.active(state, i) else None
                  for i in range(2)]
         actions.append(joint)
-        state, res = env.step(state, joint)
+        state, rewards = env.step(state, joint)
         obs = [env.observe(state, i) for i in range(2)]
     final_a = state
 
     state, obs = env.reset()
     for joint in actions:
-        state, res = env.step(state, joint)
+        state, rewards = env.step(state, joint)
     assert state.step == final_a.step  # bit-exact replay
     for field in ("positions", "done", "arrived"):
         np.testing.assert_array_equal(getattr(state, field), getattr(final_a, field))
@@ -256,7 +256,7 @@ def test_shaping_telescopes(grid5):
     while not env.episode_done(state):
         a = int(rng.integers(obs[0].mask.sum()))
         before = state.positions[0]
-        state, res = env.step(state, [a])
+        state, rewards = env.step(state, [a])
         after = state.positions[0]
         total_shaping += dist[before] - dist[after]
         obs = [env.observe(state, 0)]
@@ -269,15 +269,15 @@ def test_congestion_multiplier():
     specs = (AgentSpec(0, 0, 2), AgentSpec(1, 0, 2))
     plain = RouteEnv(g, specs)
     state, _ = plain.reset()
-    _, res = plain.step(state, [0, 0])
-    assert res.rewards[0] == pytest.approx(0.9)
+    _, rewards = plain.step(state, [0, 0])
+    assert rewards[0] == pytest.approx(0.9)
 
     jam = RouteEnv(g, specs, congestion=True)
     state, _ = jam.reset()
-    _, res = jam.step(state, [0, 0])
+    _, rewards = jam.step(state, [0, 0])
     # two agents on the same edge double the time penalty
-    assert res.rewards[0] == pytest.approx(1.0 - 0.2)
-    assert res.rewards[1] == pytest.approx(1.0 - 0.2)
+    assert rewards[0] == pytest.approx(1.0 - 0.2)
+    assert rewards[1] == pytest.approx(1.0 - 0.2)
 
 
 def test_dead_end_terminates_without_arrival():
@@ -286,6 +286,6 @@ def test_dead_end_terminates_without_arrival():
                   [Edge(0, 1, 1.0), Edge(0, 2, 5.0)])
     env = RouteEnv(g, (AgentSpec(0, 0, 2),))
     state, _ = env.reset()
-    state, res = env.step(state, [0])  # ordered adjacency: index 0 is the edge into 1
+    state, _ = env.step(state, [0])  # ordered adjacency: index 0 is the edge into 1
     assert state.done[0] and not state.arrived[0]
-    assert res.episode_done
+    assert env.episode_done(state)

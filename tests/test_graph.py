@@ -59,6 +59,13 @@ def test_bad_json_and_sparse_ids():
         load_graph(json.dumps(doc))
 
 
+def test_sparse_junction_ids_rejected_at_construction():
+    with pytest.raises(GraphError, match="dense"):
+        RoadGraph({0: (0, 0), 5: (1, 0)}, [Edge(0, 5, 1.0)])
+    with pytest.raises(GraphError, match="dense"):
+        RoadGraph({1: (0, 0), 2: (1, 0)}, [])
+
+
 def test_duplicate_edge_rejected():
     with pytest.raises(GraphError, match="duplicate"):
         RoadGraph({0: (0, 0), 1: (1, 0)}, [Edge(0, 1, 1.0), Edge(0, 1, 2.0)])

@@ -148,11 +148,11 @@ class TestRollout:
                     joint[i] = a
                     actions[i].append(a)
                     logps[i].append(float(out.log_probs[a]))
-            state, res = env.step(state, joint)
+            state, step_rewards = env.step(state, joint)
             for i in range(5):
                 if joint[i] is not None:
                     paths[i].append(int(state.positions[i]))
-                    rewards[i].append(float(res.rewards[i]))
+                    rewards[i].append(float(step_rewards[i]))
         for i, tau in enumerate(trajs):
             assert tau.junction_path.tolist() == paths[i]
             assert tau.actions.tolist() == actions[i]
@@ -286,6 +286,21 @@ class TestUpdateAgent:
 
 
 class TestTrainerLoop:
+    def test_one_environment_per_training_run(self, grid3_setup, monkeypatch):
+        graph, specs = grid3_setup
+        built = []
+        original = RouteEnv.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RouteEnv, "__init__", counting)
+        trainer = Trainer(small_config(epochs=4, demo_interval=1), graph, specs)
+        trainer.train()
+        assert built == [trainer.env]
+        assert trainer.learners[0].last_expert.logps is None
+
     def test_demo_regeneration_schedule(self, grid3_setup):
         graph, specs = grid3_setup
         calls = []
@@ -529,7 +544,7 @@ class TestEvaluate:
         result = trainer.evaluate(20)
         assert result.episode_rewards.shape == (20,)
         assert result.per_agent.shape == (2,)
-        assert np.isfinite(result.mean) and np.isfinite(result.std)
+        assert np.isfinite(result.mean)
 
 
 class TestTrendSanity:
