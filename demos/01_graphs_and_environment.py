@@ -28,10 +28,11 @@ for c, p in hilly.k_shortest_paths(0, 8, 3):
 line = line_graph((1.0, 1.0))
 spec = AgentSpec(agent_id=0, start=0, dest=2)
 env = RouteEnv(line, (spec,))
-state, obs = env.reset()
+state = env.reset()
+obs = env.observe(state, 0)
 
 print("\nobservation layout (2 + 2m slots + action mask):")
-print("  vector:", obs[0].vector, " mask:", obs[0].mask)
+print("  vector:", obs.vector, " mask:", obs.mask)
 print("  slot 2 is the first edge's score:",
       edge_score(line, line.out_edges(0)[0], 2))
 

@@ -66,7 +66,29 @@ class DemoQualityRecord:
 _FENCE_RE = re.compile(r"```[a-zA-Z]*\n?|```")
 
 
-def _extract_mapping(text: str) -> dict | None:
+def _json_pairs(fragment: str) -> list[tuple]:
+    """The (key, value) pairs of a JSON object, a repeated key included."""
+    objects = []
+
+    def keep(pairs: list[tuple]) -> dict:
+        objects.append(pairs)
+        return dict(pairs)
+
+    json.loads(fragment, object_pairs_hook=keep)
+    return objects[-1]  # the outermost object closes last
+
+
+def _literal_pairs(fragment: str) -> list[tuple]:
+    """The (key, value) pairs of a Python dict literal, a repeated key included."""
+    ast.literal_eval(fragment)  # rejects anything but a literal, and an unhashable key
+    node = ast.parse(fragment, mode="eval").body
+    if not isinstance(node, ast.Dict):
+        raise ValueError("not a mapping")
+    return [(ast.literal_eval(k), ast.literal_eval(v)) for k, v in zip(node.keys, node.values)]
+
+
+def _extract_mapping(text: str) -> list[tuple] | None:
+    """The (key, value) pairs of the first balanced ``{...}`` in ``text``, in order."""
     cleaned = _FENCE_RE.sub("", text)
     start = cleaned.find("{")
     if start < 0:
@@ -79,13 +101,11 @@ def _extract_mapping(text: str) -> dict | None:
             depth -= 1
             if depth == 0:
                 fragment = cleaned[start : i + 1]
-                for parse in (json.loads, ast.literal_eval):
+                for parse in (_json_pairs, _literal_pairs):
                     try:
-                        value = parse(fragment)
+                        return parse(fragment)
                     except (ValueError, SyntaxError, TypeError):  # TypeError: an unhashable key
                         continue
-                    if isinstance(value, dict):
-                        return value
                 return None
     return None
 
@@ -106,7 +126,7 @@ def parse_instructions(text: str, n_agents: int, graph: RoadGraph) -> ParsedRout
         result.errors.append(f"no parsable agent-route mapping in: {text[:120]!r}")
         return result
     seen = set()
-    for key, value in mapping.items():
+    for key, value in mapping:
         if type(key) is int or (isinstance(key, str) and key.strip().isdecimal()):  # no bools
             agent_id = int(key)
         else:

@@ -194,17 +194,16 @@ class RouteEnv:
 
     # -- state machinery ---------------------------------------------------
 
-    def reset(self, sit_out: Collection[int] = ()) -> tuple[EnvState, list[Observation]]:
-        """The initial state and observations; agents in ``sit_out`` start done."""
+    def reset(self, sit_out: Collection[int] = ()) -> EnvState:
+        """The initial state; agents in ``sit_out`` start done."""
         done = np.zeros(self.n_agents, dtype=bool)
         done[list(sit_out)] = True
-        state = EnvState(
+        return EnvState(
             step=0,
             positions=_read_only(np.array([spec.start for spec in self.specs], dtype=np.int64)),
             done=_read_only(done),
             arrived=_read_only(np.zeros(self.n_agents, dtype=bool)),
         )
-        return state, [self.observe(state, i) for i in range(self.n_agents)]
 
     def spawned(self, state: EnvState, agent_id: int) -> bool:
         return state.step >= self.specs[agent_id].depart_time

@@ -250,9 +250,12 @@ def load_graph(text: str) -> RoadGraph:
     nodes: dict[int, tuple[float, float]] = {}
     for entry in doc["nodes"]:
         try:
-            nodes[int(entry["id"])] = (float(entry["x"]), float(entry["y"]))
+            node_id, xy = int(entry["id"]), (float(entry["x"]), float(entry["y"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"bad node entry {entry!r}") from exc
+        if node_id in nodes:
+            raise GraphError(f"junction {node_id} listed more than once")
+        nodes[node_id] = xy
     edges = []
     for entry in doc["edges"]:
         try:

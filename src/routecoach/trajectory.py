@@ -91,7 +91,7 @@ def run_episode(
     steps where nobody may act yet (agents waiting on their depart times)
     still let time pass.  The trajectories carry no log-probabilities.
     """
-    state, _ = env.reset(sit_out)
+    state = env.reset(sit_out)
     n, limit = env.n_agents, env.step_limit
     path = np.empty((n, limit + 1), dtype=np.int64)
     actions = np.zeros((n, limit), dtype=np.int64)

@@ -124,6 +124,19 @@ class TestTrain:
         assert "learning_rat" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "demo-report"])
+    @pytest.mark.parametrize("entry", [[0], {"start": 0}, ["a", 8], [0, 99], [0, 8, -1]])
+    def test_malformed_agent_entry_exits_2_without_run_dir(self, tmp_path, base_config, capsys,
+                                                            command, entry):
+        doc = json.loads(open(base_config).read())
+        doc.update(n_agents=1, agents=[entry])
+        cfg = tmp_path / "agents.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_set_overrides_dotted(self, tmp_path, base_config):
         out = tmp_path / "run"
         assert main(["train", "--config", base_config, "--out", str(out),

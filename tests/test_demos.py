@@ -55,7 +55,8 @@ class TestParse:
         parsed = dg.parse_instructions("{[1]: [0, 1]}", 2, grid3)
         assert parsed.waypoints == {} and "no parsable" in parsed.errors[0]
 
-    @pytest.mark.parametrize("text", ["{1: [0, 1], '1': [0, 3]}", "{'1': [0, 1], ' 1': [0, 3], 1: [0, 1]}"])
+    @pytest.mark.parametrize("text", ["{1: [0, 1], '1': [0, 3]}", "{'1': [0, 1], ' 1': [0, 3], 1: [0, 1]}",
+                                      '{"1": [0, 1], "1": [0, 3]}', "{1: [0, 1], 1: [0, 3]}"])
     def test_repeated_agent_gets_no_waypoints(self, grid3, text):
         parsed = dg.parse_instructions(text, 2, grid3)
         assert parsed.waypoints == {}
@@ -98,7 +99,7 @@ class TestValidateCompile:
         waypoints = [0, 1, 4, 5, 8]
         actions = dg.compile_to_actions(grid3, spec, waypoints)
         env = RouteEnv(grid3, (spec,))
-        state, _ = env.reset()
+        state = env.reset()
         visited = [0]
         for a in actions:
             state, _ = env.step(state, [a])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from routecoach import AgentSpec, grid_graph, line_graph
-from routecoach.env import PAD_ID, EnvError, RouteEnv, edge_score
+from routecoach.env import PAD_ID, EnvError, EnvState, RouteEnv, edge_score
 from routecoach.graph import INF, Edge, RoadGraph
 
 
@@ -52,9 +52,9 @@ def test_edge_score_monotone_on_grid(grid5):
 
 def test_observation_layout_line(line, line_specs):
     env = RouteEnv(line, line_specs)
-    _, obs = env.reset()
-    np.testing.assert_allclose(obs[0].vector, [0.0, 1.0, -1.0, 0.5])
-    assert obs[0].mask.tolist() == [True]
+    obs = env.observe(env.reset(), 0)
+    np.testing.assert_allclose(obs.vector, [0.0, 1.0, -1.0, 0.5])
+    assert obs.mask.tolist() == [True]
 
 
 def test_observation_padding():
@@ -64,10 +64,10 @@ def test_observation_padding():
         [Edge(0, 1, 1.0), Edge(1, 0, 1.0), Edge(1, 2, 1.0)],
     )
     env = RouteEnv(g, (AgentSpec(0, 0, 2),))
-    _, obs = env.reset()
-    assert obs[0].vector.shape == (2 + 2 * 2,)
-    assert obs[0].vector[4] == 0.0 and obs[0].vector[5] == -1.0
-    assert obs[0].mask.tolist() == [True, False]
+    obs = env.observe(env.reset(), 0)
+    assert obs.vector.shape == (2 + 2 * 2,)
+    assert obs.vector[4] == 0.0 and obs.vector[5] == -1.0
+    assert obs.mask.tolist() == [True, False]
 
 
 @pytest.mark.parametrize("name", ["grid5", "hilly", "line"])
@@ -81,7 +81,7 @@ def test_tables_match_edge_score_bit_for_bit(name, request):
         if starts:
             specs.append(AgentSpec(len(specs), starts[0], dest))
     env = RouteEnv(graph, specs)
-    state, _ = env.reset()
+    state = env.reset()
     unreachable_slots = 0
     for spec in specs:
         obs_table, mask_table = env.agent_tables(spec.agent_id)
@@ -97,7 +97,8 @@ def test_tables_match_edge_score_bit_for_bit(name, request):
 
 def test_observations_are_read_only(grid5):
     env = RouteEnv(grid5, (AgentSpec(0, 0, 24), AgentSpec(1, 24, 0, depart_time=2)))
-    state, obs = env.reset()
+    state = env.reset()
+    obs = [env.observe(state, i) for i in range(2)]
     state, _ = env.step(state, [0, None])
     for o in (*obs, env.observe(state, 0), env.observe(state, 1)):
         with pytest.raises(ValueError, match="read-only"):
@@ -124,7 +125,8 @@ def test_observations_are_read_only(grid5):
 def test_observation_layout_all_states(grid5):
     specs = (AgentSpec(0, 0, 24), AgentSpec(1, 7, 3))
     env = RouteEnv(grid5, specs)
-    state, obs = env.reset()
+    state = env.reset()
+    obs = [env.observe(state, i) for i in range(2)]
     for i, spec in enumerate(specs):
         assert obs[i].vector.shape == (2 + 2 * grid5.max_out_degree,)
         assert obs[i].mask.sum() == len(grid5.out_edges(state.positions[i]))
@@ -132,7 +134,7 @@ def test_observation_layout_all_states(grid5):
 
 def test_step_rewards_line(line, line_specs):
     env = RouteEnv(line, line_specs)
-    state, _ = env.reset()
+    state = env.reset()
     state, rewards = env.step(state, [0])
     assert rewards[0] == pytest.approx(0.9)  # -0.1 + (2 - 1)
     assert not state.done[0]
@@ -143,7 +145,7 @@ def test_step_rewards_line(line, line_specs):
 
 def test_step_after_done_rejected(line, line_specs):
     env = RouteEnv(line, line_specs)
-    state, _ = env.reset()
+    state = env.reset()
     state, _ = env.step(state, [0])
     state, _ = env.step(state, [0])
     with pytest.raises(EnvError, match="reset"):
@@ -152,7 +154,7 @@ def test_step_after_done_rejected(line, line_specs):
 
 def test_masked_action_rejected(line, line_specs):
     env = RouteEnv(line, line_specs)
-    state, _ = env.reset()
+    state = env.reset()
     with pytest.raises(EnvError, match="agent 0"):
         env.step(state, [3])
     with pytest.raises(EnvError, match="agent 0"):
@@ -162,17 +164,29 @@ def test_masked_action_rejected(line, line_specs):
 def test_reset_deterministic(grid5):
     specs = tuple(AgentSpec(i, i, 24 - i) for i in range(3))
     env = RouteEnv(grid5, specs)
-    _, obs1 = env.reset()
-    _, obs2 = env.reset()
-    for a, b in zip(obs1, obs2):
+    state1, state2 = env.reset(), env.reset()
+    for field in ("positions", "done", "arrived"):
+        np.testing.assert_array_equal(getattr(state1, field), getattr(state2, field))
+    for i in range(3):
+        a, b = env.observe(state1, i), env.observe(state2, i)
         np.testing.assert_array_equal(a.vector, b.vector)
         np.testing.assert_array_equal(a.mask, b.mask)
+
+
+def test_reset_returns_only_the_state(grid5, monkeypatch):
+    env = RouteEnv(grid5, (AgentSpec(0, 0, 24), AgentSpec(1, 24, 0, depart_time=2)))
+    monkeypatch.setattr(RouteEnv, "observe", lambda *args: pytest.fail("reset observed an agent"))
+    state = env.reset(sit_out=[1])
+    assert isinstance(state, EnvState)
+    assert (state.step, state.positions.tolist(), state.done.tolist(), state.arrived.tolist()) == \
+        (0, [0, 24], [False, True], [False, False])
 
 
 def test_reset_observation_count_grid(grid5):
     specs = tuple(AgentSpec(i, i, 24 - i) for i in range(10))
     env = RouteEnv(grid5, specs)
-    _, obs = env.reset()
+    state = env.reset()
+    obs = [env.observe(state, i) for i in range(env.n_agents)]
     assert len(obs) == 10
     assert all(o.vector.shape == (10,) for o in obs)
 
@@ -181,7 +195,7 @@ def test_done_agent_observation_frozen(line):
     # two agents; agent 0 arrives first, after which its observation repeats
     specs = (AgentSpec(0, 1, 2), AgentSpec(1, 0, 2))
     env = RouteEnv(line, specs)
-    state, _ = env.reset()
+    state = env.reset()
     state, rewards = env.step(state, [0, 0])
     assert state.done[0] and not state.done[1]
     frozen = env.observe(state, 0).vector.copy()
@@ -192,8 +206,8 @@ def test_done_agent_observation_frozen(line):
 
 def test_depart_time_masks_until_spawn(line):
     env = RouteEnv(line, (AgentSpec(0, 0, 2, depart_time=2),))
-    state, obs = env.reset()
-    assert not obs[0].mask.any()
+    state = env.reset()
+    assert not env.observe(state, 0).mask.any()
     state, rewards = env.step(state, [None])
     assert rewards[0] == 0.0
     assert not env.observe(state, 0).mask.any()
@@ -218,7 +232,7 @@ def test_construction_reads_reachability_without_path_search(grid5, line, monkey
 
     monkeypatch.setattr(RoadGraph, "shortest_path", no_search)
     env = RouteEnv(grid5, (AgentSpec(0, 0, 24), AgentSpec(1, 24, 0)))
-    env.reset()  # builds the observation tables from the cached distance maps
+    env.agent_tables(0)  # builds the lookup tables from the cached distance maps
     with pytest.raises(EnvError, match="unreachable"):
         RouteEnv(line, (AgentSpec(0, 2, 0),))
 
@@ -228,7 +242,8 @@ def test_trajectory_determinism(grid5):
     env = RouteEnv(grid5, specs)
     rng = np.random.default_rng(3)
     actions = []
-    state, obs = env.reset()
+    state = env.reset()
+    obs = [env.observe(state, i) for i in range(2)]
     while not env.episode_done(state):
         joint = [int(rng.integers(obs[i].mask.sum())) if env.active(state, i) else None
                  for i in range(2)]
@@ -237,7 +252,7 @@ def test_trajectory_determinism(grid5):
         obs = [env.observe(state, i) for i in range(2)]
     final_a = state
 
-    state, obs = env.reset()
+    state = env.reset()
     for joint in actions:
         state, rewards = env.step(state, joint)
     assert state.step == final_a.step  # bit-exact replay
@@ -251,7 +266,8 @@ def test_shaping_telescopes(grid5):
     env = RouteEnv(grid5, (spec,))
     dist = grid5.distances_to(24)
     rng = np.random.default_rng(11)
-    state, obs = env.reset()
+    state = env.reset()
+    obs = [env.observe(state, 0)]
     total_shaping = 0.0
     while not env.episode_done(state):
         a = int(rng.integers(obs[0].mask.sum()))
@@ -268,12 +284,12 @@ def test_congestion_multiplier():
     g = line_graph((1.0, 1.0))
     specs = (AgentSpec(0, 0, 2), AgentSpec(1, 0, 2))
     plain = RouteEnv(g, specs)
-    state, _ = plain.reset()
+    state = plain.reset()
     _, rewards = plain.step(state, [0, 0])
     assert rewards[0] == pytest.approx(0.9)
 
     jam = RouteEnv(g, specs, congestion=True)
-    state, _ = jam.reset()
+    state = jam.reset()
     _, rewards = jam.step(state, [0, 0])
     # two agents on the same edge double the time penalty
     assert rewards[0] == pytest.approx(1.0 - 0.2)
@@ -285,7 +301,7 @@ def test_dead_end_terminates_without_arrival():
     g = RoadGraph({0: (0, 0), 1: (1, 0), 2: (2, 0)},
                   [Edge(0, 1, 1.0), Edge(0, 2, 5.0)])
     env = RouteEnv(g, (AgentSpec(0, 0, 2),))
-    state, _ = env.reset()
+    state = env.reset()
     state, _ = env.step(state, [0])  # ordered adjacency: index 0 is the edge into 1
     assert state.done[0] and not state.arrived[0]
     assert env.episode_done(state)

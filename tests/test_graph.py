@@ -59,6 +59,13 @@ def test_bad_json_and_sparse_ids():
         load_graph(json.dumps(doc))
 
 
+def test_repeated_junction_id_rejected():
+    doc = {"nodes": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}, {"id": 1, "x": 5, "y": 5}],
+           "edges": [{"from": 0, "to": 1, "length": 1.0}]}
+    with pytest.raises(GraphError, match="junction 1 listed more than once"):
+        load_graph(json.dumps(doc))
+
+
 def test_sparse_junction_ids_rejected_at_construction():
     with pytest.raises(GraphError, match="dense"):
         RoadGraph({0: (0, 0), 5: (1, 0)}, [Edge(0, 5, 1.0)])

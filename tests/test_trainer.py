@@ -137,7 +137,7 @@ class TestRollout:
         rngs = [agent_rng(1, 1, i) for i in range(5)]
         paths, actions, rewards, logps = ([[s.start] for s in specs], [[] for _ in specs],
                                           [[] for _ in specs], [[] for _ in specs])
-        state, _ = env.reset()
+        state = env.reset()
         while not env.episode_done(state):
             joint = [None] * 5
             for i in range(5):
@@ -522,6 +522,14 @@ class TestIppoGoldenEquivalence:
         """Dynamic/oracle, demos reused between regenerations, equals the primitive loop."""
         graph, specs = grid3_setup
         cfg = small_config(mode="dynamic", epochs=6, demo_interval=2)
+        self._assert_trainer_matches_primitives(cfg, graph, specs)
+
+    @pytest.mark.parametrize("mode", ["dynamic", "ippo"])
+    def test_truncated_episodes_match_primitive_build(self, grid3_setup, mode):
+        """Both routes need 4 steps, so a 3-step limit cuts every agent and expert
+        episode short and both value heads bootstrap the tail."""
+        graph, specs = grid3_setup
+        cfg = small_config(mode=mode, epochs=6, demo_interval=2, steps_per_episode=3)
         self._assert_trainer_matches_primitives(cfg, graph, specs)
 
 
