@@ -10,11 +10,13 @@ sums differently they must be recorded again, from an unchanged tree.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from routecoach import AgentSpec, grid_graph, write_graph
 from routecoach.cli import main
-from routecoach.training import TrainConfig, Trainer
+from routecoach.training import TrainConfig, Trainer, update_agent
+from routecoach.trajectory import Trajectory
 
 # sha256 of metrics.csv; the first three recorded before the fused per-agent
 # update, "mock-llm-skip-congestion" before the shared episode loop, "crowd-congestion"
@@ -134,3 +136,77 @@ def test_metrics_csv_matches_pin(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(PINNED_CLI))
 def test_cli_output_matches_pin(name, tmp_path):
     assert _cli_run(name, tmp_path) == PINNED_CLI[name]
+
+
+# -- one update round on hand-built trajectories ---------------------------------------------
+#
+# The metrics pins above see the update only through training runs, whose batch
+# lengths they do not choose.  These cases feed the update batches of 1, 2, 9, 10
+# and 50 steps, the row counts around BLAS's matrix-vector and small-matrix
+# kernels, and pin the bytes of every network and the reported losses.
+
+UPDATE_LENGTHS = (1, 2, 9, 10, 50)
+
+# sha256 over every agent's policy, value_a and value_e bytes and its stats
+PINNED_UPDATE = {
+    "expert": "13314c3d9d52d2c8789404ad441e851de69e553019ddf7bf08c8c7a8f2b8b3dc",
+    "mixed-expert": "d9b11d0f21593677733737207b8c4414e3fe33ecb7173c6daa88cd48b5b11556",
+    "ippo": "cb4a0d702dea35d7c0ebb812e2c61141f28e13c5c6df347349b74d3acd40ae15",
+}
+
+
+def _hand_trajectory(env, agent_id, length, rng, terminated, behaviour=True):
+    """``length`` steps between random live junctions, valid random actions, random rewards.
+
+    With ``behaviour``, random behaviour log-probabilities as a rollout has; without, none,
+    as a replayed demonstration has.
+    """
+    obs_table, mask_table = env.agent_tables(agent_id)
+    path = rng.choice(np.flatnonzero(mask_table.any(axis=1)), size=length + 1)
+    actions = np.array([rng.choice(np.flatnonzero(mask_table[j])) for j in path[:-1]], dtype=np.int64)
+    return Trajectory(agent_id, path, actions, rng.normal(size=length), obs_table, mask_table,
+                      terminated=terminated,
+                      logps=np.log(rng.uniform(0.2, 0.6, size=length)) if behaviour else None)
+
+
+def update_case(name):
+    """(learners, agent trajectories, expert trajectories, config) of one pinned update case.
+
+    "mixed-expert" gives agents 0 and 2 no demonstration and agent 4 an empty one.
+    """
+    rng = np.random.default_rng(2024)
+    n = len(UPDATE_LENGTHS)
+    specs = tuple(AgentSpec(i, i, 15 - i) for i in range(n))
+    config = TrainConfig(n_agents=n, epochs=4, steps_per_episode=60, update_epochs=2, seed=7,
+                         mode="ippo" if name == "ippo" else "dynamic")
+    trainer = Trainer(config, grid_graph(4), specs)
+    for learner, alpha in zip(trainer.learners, (0.25, 1.0, 0.5, 0.9, 0.01)):
+        learner.alpha = alpha
+        # non-zero final layers, so that every layer's gradient is non-zero from the first pass
+        for net in (learner.policy, learner.value_a, learner.value_e):
+            net.weights[-1][...] = rng.normal(scale=0.3, size=net.weights[-1].shape)
+    env = trainer.env
+    tau_a = [_hand_trajectory(env, i, length, rng, terminated=i % 2 == 0)
+             for i, length in enumerate(UPDATE_LENGTHS)]
+    tau_e = [_hand_trajectory(env, i, length, rng, terminated=i % 2 == 1, behaviour=False)
+             for i, length in enumerate(reversed(UPDATE_LENGTHS))]
+    if name == "mixed-expert":
+        tau_e[0] = tau_e[2] = None
+        tau_e[4] = _hand_trajectory(env, 4, 0, rng, terminated=False, behaviour=False)
+    return trainer.learners, tau_a, tau_e, config
+
+
+def update_digest(learners, stats) -> str:
+    digest = hashlib.sha256()
+    for learner, agent_stats in zip(learners, stats):
+        for net in (learner.policy, learner.value_a, learner.value_e):
+            digest.update(net.data.tobytes())
+        digest.update(repr(sorted(agent_stats.items())).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_UPDATE))
+def test_update_matches_pin(name):
+    learners, tau_a, tau_e, config = update_case(name)
+    stats = [update_agent(ln, a, e, 1, config) for ln, a, e in zip(learners, tau_a, tau_e)]
+    assert update_digest(learners, stats) == PINNED_UPDATE[name]
