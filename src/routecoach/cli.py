@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import demos as dg
-from .env import AgentSpec, EnvError
+from .env import AgentSpec, EnvError, RouteEnv
 from .fixtures import grid_graph, hilly_graph, write_graph
 from .graph import GraphError, RoadGraph, load_graph
 from .llm import ChatCompleter, LlmError
@@ -85,11 +85,15 @@ def _specs_from_doc(doc: dict, graph: RoadGraph, config: TrainConfig) -> tuple[A
     agents = doc.get("agents")
     if agents is None:
         return generate_agent_specs(graph, config.n_agents, config.seed)
+    if not isinstance(agents, list):
+        raise ConfigError(f"'agents' must be a list of agent entries, got {agents!r}")
     specs = []
     for i, entry in enumerate(agents):
         try:
             if isinstance(entry, dict):
                 entry = (entry["start"], entry["dest"], entry.get("depart_time", 0))
+            if not isinstance(entry, (list, tuple)) or not 2 <= len(entry) <= 3:
+                raise ValueError("an entry has 2 or 3 items")
             start, dest, *rest = entry
             specs.append(AgentSpec(agent_id=i, start=int(start), dest=int(dest),
                                    depart_time=int(rest[0]) if rest else 0))
@@ -98,6 +102,10 @@ def _specs_from_doc(doc: dict, graph: RoadGraph, config: TrainConfig) -> tuple[A
                               f"or [start, dest, depart_time] with integer entries") from exc
     if len(specs) != config.n_agents:
         raise ConfigError(f"config lists {len(specs)} agents but n_agents={config.n_agents}")
+    try:
+        RouteEnv(graph, specs)  # a task the graph cannot hold is a configuration error
+    except EnvError as exc:
+        raise ConfigError(f"bad agents: {exc}") from exc
     return tuple(specs)
 
 
@@ -130,15 +138,6 @@ def _load_graph_file(path: str | None) -> tuple[RoadGraph, Path, str]:
         return load_graph(text), p, text
     except GraphError as exc:
         raise ConfigError(f"graph file {p}: {exc}") from exc
-
-
-def _build_trainer(config: TrainConfig, graph: RoadGraph, specs: Sequence[AgentSpec],
-             completer: ChatCompleter | None = None) -> Trainer:
-    """A trainer for configured tasks; a task the graph cannot hold is a configuration error."""
-    try:
-        return Trainer(config, graph, specs, completer)
-    except EnvError as exc:
-        raise ConfigError(f"bad agents: {exc}") from exc
 
 
 def _trained(doc: dict, graph: RoadGraph, **overrides) -> Trainer:
@@ -177,7 +176,7 @@ def cmd_train(args) -> int:
     config = _config_from_doc(doc)
     graph, graph_path, graph_text = _load_graph_file(doc.get("graph"))
     specs = _specs_from_doc(doc, graph, config)
-    trainer = _build_trainer(config, graph, specs)
+    trainer = Trainer(config, graph, specs)
     out = Path(args.out)
     write_manifest(out, config, graph_path, graph_text, specs, [config.seed], "train")
     result = trainer.train(out_dir=out)
@@ -300,7 +299,7 @@ def demo_quality_report(
     if phases < 1 or prompts_per_phase < 1:
         raise ConfigError(f"need at least one phase and one prompt per phase, "
                           f"got {phases} and {prompts_per_phase}")
-    trainer = _build_trainer(replace(config, provider_fallback="none"), graph, specs, completer)
+    trainer = Trainer(replace(config, provider_fallback="none"), graph, specs, completer)
     policies = [ln.policy for ln in trainer.learners]
     rngs = [ln.rng for ln in trainer.learners]
     records: list[dg.DemoQualityRecord] = []

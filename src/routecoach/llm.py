@@ -101,6 +101,7 @@ class MockChatCompleter:
 
     Once the scripts run out the last one repeats, so long runs stay
     deterministic without having to count regeneration events up front.
+    A refined prompt extends the last one, so only its new text is counted.
     """
 
     def __init__(self, directory: str | Path):
@@ -109,9 +110,17 @@ class MockChatCompleter:
         if not self._files:
             raise LlmError(f"mock directory {self.directory} has no .txt scripts")
         self._cursor = 0
+        self._last = "", 0  # the last prompt and its token count
 
     def complete(self, prompt: str) -> CompletionResult:
         path = self._files[min(self._cursor, len(self._files) - 1)]
         self._cursor += 1
         text = path.read_text()
-        return CompletionResult(text=text, token_count=count_tokens(prompt) + count_tokens(text))
+        last, tokens = self._last
+        if last and prompt.startswith(last):
+            # count on from the last prompt's final character, whose chunk is counted unless it is whitespace
+            tokens += count_tokens(prompt[len(last) - 1:]) - (not last[-1].isspace())
+        else:
+            tokens = count_tokens(prompt)
+        self._last = prompt, tokens
+        return CompletionResult(text=text, token_count=tokens + count_tokens(text))

@@ -46,7 +46,8 @@ def standardize(x: np.ndarray, eps: float = STD_EPS) -> np.ndarray:
     return (x - x.mean()) / (x.std() + eps)
 
 
-def value_loss(values: np.ndarray, returns: np.ndarray) -> float:
+def squared_errors(values: np.ndarray, returns: np.ndarray) -> np.ndarray:
+    """Per-step ``(value - return)^2``; the value loss is their mean over a batch."""
     values = np.asarray(values, dtype=float)
     returns = np.asarray(returns, dtype=float)
     if values.size == 0:
@@ -54,39 +55,40 @@ def value_loss(values: np.ndarray, returns: np.ndarray) -> float:
     if values.shape != returns.shape:
         raise ValueError("length mismatch")
     diff = values - returns
-    return float(np.mean(diff * diff))
+    return diff * diff
 
 
-def clipped_surrogate(
-    logp_new: np.ndarray,
-    logp_old: np.ndarray,
-    adv: np.ndarray,
-    epsilon: float,
-) -> float:
-    """Mean clipped importance-weighted advantage (an objective to maximize)."""
-    ratio = _ratio(logp_new, logp_old, adv, epsilon)
-    clipped = np.clip(ratio, 1.0 - epsilon, 1.0 + epsilon)
-    return float(np.mean(np.minimum(ratio * adv, clipped * adv)))
+def value_loss(values: np.ndarray, returns: np.ndarray) -> float:
+    return float(np.mean(squared_errors(values, returns)))
 
 
-def clipped_surrogate_grad(
-    logp_new: np.ndarray,
-    logp_old: np.ndarray,
-    adv: np.ndarray,
-    epsilon: float,
-) -> np.ndarray:
-    """d(surrogate)/d(logp_new) per step, mean folded in.
+def surrogate_terms(logp_new, logp_old, adv, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step clipped surrogate ``min(r * A, clip(r) * A)`` and its derivative in ``logp_new``.
 
-    Zero where the clip is active on the selected branch, i.e. where
-    pushing the ratio further cannot improve the objective.
+    A batch's objective is the mean of the first, its gradient the second over the batch
+    length.  The derivative is zero where the clip is active on the selected branch, i.e.
+    where pushing the ratio further cannot improve the objective.
     """
-    ratio = _ratio(logp_new, logp_old, adv, epsilon)
+    ratio, adv = _ratio(logp_new, logp_old, adv, epsilon)
+    gain = ratio * adv
+    clipped = np.clip(ratio, 1.0 - epsilon, 1.0 + epsilon)
     clipped_out = ((adv >= 0) & (ratio > 1.0 + epsilon)) | ((adv < 0) & (ratio < 1.0 - epsilon))
-    grad = np.where(clipped_out, 0.0, ratio * adv)
-    return grad / adv.size
+    return np.minimum(gain, clipped * adv), np.where(clipped_out, 0.0, gain)
 
 
-def _ratio(logp_new, logp_old, adv, epsilon) -> np.ndarray:
+def clipped_surrogate(logp_new: np.ndarray, logp_old: np.ndarray, adv: np.ndarray, epsilon: float) -> float:
+    """Mean clipped importance-weighted advantage (an objective to maximize)."""
+    return float(np.mean(surrogate_terms(logp_new, logp_old, adv, epsilon)[0]))
+
+
+def clipped_surrogate_grad(logp_new: np.ndarray, logp_old: np.ndarray, adv: np.ndarray,
+                           epsilon: float) -> np.ndarray:
+    """d(surrogate)/d(logp_new) per step, mean folded in."""
+    grad = surrogate_terms(logp_new, logp_old, adv, epsilon)[1]
+    return grad / grad.size
+
+
+def _ratio(logp_new, logp_old, adv, epsilon) -> tuple[np.ndarray, np.ndarray]:
     logp_new = np.asarray(logp_new, dtype=float)
     logp_old = np.asarray(logp_old, dtype=float)
     adv = np.asarray(adv, dtype=float)
@@ -97,7 +99,7 @@ def _ratio(logp_new, logp_old, adv, epsilon) -> np.ndarray:
     ratio = np.exp(logp_new - logp_old)
     if not np.isfinite(ratio).all():
         raise FloatingPointError("non-finite importance ratio")
-    return ratio
+    return ratio, adv
 
 
 def alpha_weight(k: int, total_epochs: int, dtw: float) -> float:

@@ -149,16 +149,29 @@ def init_adam(params: MlpParams) -> AdamState:
 # -- forward / backward ----------------------------------------------------
 #
 # Each backward is a forward that keeps its activations (``*_forward_tape``)
-# followed by a backward that takes them (``mlp_backward_tape``, with
-# ``policy_upstream`` in front for the policy), so a caller that already
+# followed by a backward that takes them (``mlp_deltas`` then ``mlp_grads``,
+# with ``policy_upstream`` in front for the policy), so a caller that already
 # ran the forward on the current parameters can skip running it again.
+#
+# A tape can hold segments, network ``layers[s]`` on rows ``rows[s]``.  Elementwise work
+# runs once over all rows and each matrix product per segment, as a pass over the segment
+# alone runs it, so each segment gets that pass's bits (BLAS picks kernels by row count).
 
-def mlp_forward_tape(params: MlpParams, x: np.ndarray) -> MlpTape:
-    """Forward pass over a batch (N, dim), keeping the activations."""
+def mlp_forward_tape(params: MlpParams | Sequence[MlpParams], x: np.ndarray,
+                     rows: Sequence[slice] | None = None) -> MlpTape:
+    """Forward pass over a batch (N, dim), keeping the activations; with ``rows``, one network per segment."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    h1 = np.tanh(x @ params.weights[0] + params.biases[0])
-    h2 = np.tanh(h1 @ params.weights[1] + params.biases[1])
-    return MlpTape(x, h1, h2, h2 @ params.weights[2] + params.biases[2])
+    layers, rows = ([params], [slice(None)]) if rows is None else (params, rows)
+    acts = [x]
+    for layer in range(len(HIDDEN) + 1):
+        z = np.empty((len(x), layers[0].weights[layer].shape[1]))
+        for net, r in zip(layers, rows):
+            np.matmul(acts[-1][r], net.weights[layer], out=z[r])
+            z[r] += net.biases[layer]
+        if layer < len(HIDDEN):
+            np.tanh(z, out=z)
+        acts.append(z)
+    return MlpTape(*acts)
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -168,38 +181,38 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return out[0] if x.ndim == 1 else out
 
 
-def mlp_backward_tape(params: MlpParams, tape: MlpTape, upstream: np.ndarray) -> MlpParams:
-    """Gradients of ``sum(upstream * tape.out)`` w.r.t. every parameter.
+def mlp_deltas(layers: Sequence[MlpParams], rows: Sequence[slice], tape: MlpTape,
+               upstream: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Upstream on each layer's pre-activation, output layer first, over every segment."""
+    deltas, dtanh = [upstream], np.empty_like(tape.h1)
+    for layer, h in ((2, tape.h2), (1, tape.h1)):
+        dz = np.empty_like(h)
+        for net, r in zip(layers, rows):
+            np.matmul(deltas[-1][r], net.weights[layer].T, out=dz[r])
+        dz *= np.subtract(1.0, np.multiply(h, h, out=dtanh), out=dtanh)
+        deltas.append(dz)
+    return tuple(deltas)
 
-    ``tape`` must come from ``mlp_forward_tape`` on these same parameters.
-    The gradients are written straight into one new flat vector.
-    """
-    x, h1, h2, _ = tape
-    if x.shape[0] == 0:
-        raise NetError("empty batch")
-    if upstream.shape != (x.shape[0], params.out_dim):
-        raise NetError(f"upstream shape {upstream.shape} does not match batch/out dims")
-    grads = params.like(np.empty_like(params.data))
-    (dW0, dW1, dW2), (db0, db1, db2) = grads.weights, grads.biases
-    np.matmul(h2.T, upstream, out=dW2)
-    np.sum(upstream, axis=0, out=db2)
-    dz2 = (upstream @ params.weights[2].T) * (1.0 - h2 * h2)
-    np.matmul(h1.T, dz2, out=dW1)
-    np.sum(dz2, axis=0, out=db1)
-    dz1 = (dz2 @ params.weights[1].T) * (1.0 - h1 * h1)
-    np.matmul(x.T, dz1, out=dW0)
-    np.sum(dz1, axis=0, out=db0)
+
+def mlp_grads(tape: MlpTape, deltas: Sequence[np.ndarray], rows: slice, grads: MlpParams) -> MlpParams:
+    """Writes the parameter gradients of the segment ``rows`` into ``grads`` and returns it."""
+    for inputs, delta, dw, db in zip((tape.h2, tape.h1, tape.x), deltas,
+                                     reversed(grads.weights), reversed(grads.biases)):
+        np.matmul(inputs[rows].T, delta[rows], out=dw)
+        np.sum(delta[rows], axis=0, out=db)
     return grads
 
 
 def mlp_backward(params: MlpParams, x: np.ndarray, upstream: np.ndarray) -> MlpParams:
-    """Gradients of ``sum(upstream * outputs)`` w.r.t. every parameter.
-
-    ``upstream`` has one row per batch element; gradients sum over the
-    batch.
-    """
+    """Gradients of ``sum(upstream * outputs)``, one ``upstream`` row per batch row, summed over the batch."""
     upstream = np.atleast_2d(np.asarray(upstream, dtype=float))
-    return mlp_backward_tape(params, mlp_forward_tape(params, x), upstream)
+    tape = mlp_forward_tape(params, x)
+    if len(tape.x) == 0:
+        raise NetError("empty batch")
+    if upstream.shape != (len(tape.x), params.out_dim):
+        raise NetError(f"upstream shape {upstream.shape} does not match batch/out dims")
+    deltas = mlp_deltas([params], [slice(None)], tape, upstream)
+    return mlp_grads(tape, deltas, slice(None), params.like(np.empty_like(params.data)))
 
 
 # -- masked categorical policy ----------------------------------------------
@@ -281,10 +294,11 @@ def policy_forward_batch(
     return masked_log_softmax(logits, masks)
 
 
-def policy_forward_tape(params: MlpParams, obs: np.ndarray, masks: np.ndarray) -> PolicyTape:
-    """``policy_forward_batch`` that also keeps what the backward needs."""
+def policy_forward_tape(params: MlpParams | Sequence[MlpParams], obs: np.ndarray, masks: np.ndarray,
+                        rows: Sequence[slice] | None = None) -> PolicyTape:
+    """``policy_forward_batch`` that also keeps what the backward needs; segments as ``mlp_forward_tape``."""
     masks = np.atleast_2d(np.asarray(masks, dtype=bool))
-    tape = mlp_forward_tape(params, obs)
+    tape = mlp_forward_tape(params, obs, rows)
     return PolicyTape(tape, masks, *masked_log_softmax(tape.out, masks))
 
 
@@ -319,7 +333,7 @@ def policy_backward(
 ) -> MlpParams:
     """Gradients of ``sum(dlogp * log_probs) + sum(dentropy * entropy)``."""
     tape = policy_forward_tape(params, obs, masks)
-    return mlp_backward_tape(params, tape.mlp, policy_upstream(tape, dlogp, dentropy))
+    return mlp_backward(params, obs, policy_upstream(tape, dlogp, dentropy))
 
 
 # -- scalar value head -------------------------------------------------------

@@ -46,6 +46,7 @@ METRICS_COLUMNS = (
 )
 
 PROVIDERS = ("llm", "oracle", "logit", "none")
+LOSSES = ("loss_policy", "loss_value_a", "loss_value_e")  # per-agent stats of an update
 
 
 class TrainingError(RuntimeError):
@@ -329,81 +330,102 @@ def rollout(
     return trajectories
 
 
-# -- the per-agent update --------------------------------------------------------------
+# -- the update ------------------------------------------------------------------------
 
 def update_agent(
-    learner: AgentLearner,
-    tau_a: Trajectory,
-    tau_e: Trajectory | None,
+    learners: Sequence[AgentLearner],
+    tau_a: Sequence[Trajectory],
+    tau_e: Sequence[Trajectory | None],
     k: int,
     config: TrainConfig,
-) -> dict[str, float]:
-    """One full update round for a single agent, from its own data only.
+) -> list[dict[str, float]]:
+    """One full update round for every agent, each from its own data only.
 
-    The agent's trajectory and, unless the mode is IPPO or there is no
-    demonstration, the expert's are batches through the same steps: each
-    has bootstrapped returns and advantages, steps its own value head on
-    its squared error, and adds its clipped surrogate, weighted ``alpha``
-    or ``1 - alpha``, to the policy gradient.  The policy steps on the
-    negated mixed objective plus the agent's entropy bonus.  There are
-    ``update_epochs`` passes over the full batches; each takes every
-    forward at its top and backpropagates from those activations, and the
-    networks and their Adam moments are updated in place.
+    Agent ``i`` learns from ``tau_a[i]`` and, unless the mode is IPPO or there is no
+    demonstration, the expert's ``tau_e[i]``; an empty ``tau_a[i]`` is skipped (NaN
+    losses).  Each batch bootstraps returns and advantages, steps its own value head
+    on its squared error, and adds its clipped surrogate, weighted ``alpha`` or
+    ``1 - alpha``, to the agent's policy gradient; the policy steps on the negated
+    mixed objective plus the entropy bonus.  Each of ``update_epochs`` passes steps
+    the value heads, then the policies, in place.  The batches are segments of one
+    set of rows (see ``nets``), so each agent gets the bytes of an update of it alone.
     """
-    if len(tau_a) == 0:
-        return {"loss_policy": float("nan"), "loss_value_a": float("nan"),
-                "loss_value_e": float("nan")}
-    alpha, eps, beta, lr = learner.alpha, config.clip_epsilon, config.entropy_beta, config.learning_rate
-    # per batch: trajectory, value head and its Adam state, policy-loss weight, entropy upstream
-    batches = [(tau_a, learner.value_a, learner.adam_value_a, alpha, beta / len(tau_a))]
-    if config.mode_kind != "ippo" and tau_e is not None and len(tau_e) > 0:
-        batches.append((tau_e, learner.value_e, learner.adam_value_e, 1.0 - alpha, 0.0))
-    inputs = [(tau.obs_matrix(), tau.mask_matrix()) for tau, *_ in batches]
-    taken = [(np.arange(len(tau)), tau.actions) for tau, *_ in batches]
-    returns = [L.bootstrapped_returns(tau.rewards, config.gamma, 0.0 if tau.terminated else
-                                      float(nets.value_forward(value, tau.terminal_obs())))
-               for tau, value, *_ in batches]
+    eps, beta, lr = config.clip_epsilon, config.entropy_beta, config.learning_rate
+    stats = [dict.fromkeys(LOSSES, float("nan")) for _ in learners]
+    # per segment: agent, batch (0 own, 1 expert), trajectory, policy, value head and its
+    # Adam state, policy-loss weight, entropy upstream; ``agents`` maps an agent to its segments
+    segs, agents = [], {}
+    for i, (ln, own, expert) in enumerate(zip(learners, tau_a, tau_e)):
+        if len(own) == 0:
+            continue
+        agents[i] = [len(segs)]
+        segs.append((i, 0, own, ln.policy, ln.value_a, ln.adam_value_a, ln.alpha, beta / len(own)))
+        if config.mode_kind != "ippo" and expert is not None and len(expert) > 0:
+            agents[i].append(len(segs))
+            segs.append((i, 1, expert, ln.policy, ln.value_e, ln.adam_value_e, 1.0 - ln.alpha, 0.0))
+    if not segs:
+        return stats
+    owners, batches, taus, policies, values, adams, weights, dents = zip(*segs)
+    lengths = [len(tau) for tau in taus]
+    rows = [slice(end - m, end) for end, m in zip(np.cumsum(lengths).tolist(), lengths)]
+    x = np.concatenate([tau.obs_matrix() for tau in taus])
+    masks = np.concatenate([tau.mask_matrix() for tau in taus])
+    taken = (np.arange(len(x)), np.concatenate([tau.actions for tau in taus]))
+    returns = np.concatenate([L.bootstrapped_returns(tau.rewards, config.gamma, 0.0 if tau.terminated else
+                                                     float(nets.value_forward(value, tau.terminal_obs())))
+                              for tau, value in zip(taus, values)])
+    # per row: its batch's length, policy-loss weight and entropy upstream
+    n, weight, dentropy = (np.repeat(np.array(c, dtype=float), lengths) for c in (lengths, weights, dents))
+    policy_grads = [policies[0].like(np.empty_like(policies[0].data)) for _ in range(2)]
+    value_grads = values[0].like(np.empty_like(values[0].data))
 
-    stats = {"loss_value_e": float("nan")}
     for update in range(config.update_epochs):
-        value_tapes = [nets.mlp_forward_tape(value, x) for (_, value, *_), (x, _) in zip(batches, inputs)]
-        policy_tapes = [nets.policy_forward_tape(learner.policy, x, m) for x, m in inputs]
-        logp_new = [tape.log_probs[t] for tape, t in zip(policy_tapes, taken)]
+        value_tape = nets.mlp_forward_tape(values, x, rows)
+        v = value_tape.out[:, 0]
         if update == 0:
-            # forwards on the parameters entering the round; the expert data was not
-            # produced by the current policy, so the "old" policy for its ratio is this one
-            logp_old = [tau_a.logps, *logp_new[1:]]
-            adv = [L.advantages(R, tape.out[:, 0]) for R, tape in zip(returns, value_tapes)]
-            # standardizing keeps the agent's own PPO step well-scaled; the expert batch keeps
-            # its raw advantages, since zero-centering a uniformly good batch would force half
-            # of a demonstrated route to look disadvantageous
-            adv[0] = L.standardize(adv[0])
-        objs, grads = [], None
-        for b, (_, _, _, weight, dentropy) in enumerate(batches):
-            tape = policy_tapes[b]
-            objs.append(L.clipped_surrogate(logp_new[b], logp_old[b], adv[b], eps))
-            dlogp = np.zeros_like(tape.log_probs)
-            dlogp[taken[b]] = weight * L.clipped_surrogate_grad(logp_new[b], logp_old[b], adv[b], eps)
-            g = nets.mlp_backward_tape(learner.policy, tape.mlp, nets.policy_upstream(tape, dlogp, dentropy))
-            grads = g if grads is None else nets.add(grads, g)
-        # freed before the Adam steps: held through them, it cost a6 runs ~30% more minor
-        # page faults and ~7% more time on a 2-vCPU host
-        del g
+            adv = L.advantages(returns, v)
+            for own, *_ in agents.values():
+                # standardizing keeps the agent's own PPO step well-scaled; the expert batch keeps
+                # its raw advantages, since zero-centering a uniformly good batch would force half
+                # of a demonstrated route to look disadvantageous
+                adv[rows[own]] = L.standardize(adv[rows[own]])
+        errors = L.squared_errors(v, returns)
+        deltas = nets.mlp_deltas(values, rows, value_tape, (2.0 * (v - returns) / n).reshape(-1, 1))
+        for s, (i, batch, value, adam) in enumerate(zip(owners, batches, values, adams)):
+            stats[i][("loss_value_a", "loss_value_e")[batch]] = float(np.mean(errors[rows[s]]))
+            nets.adam_step(value, nets.mlp_grads(value_tape, deltas, rows[s], value_grads), adam, lr)
+            if not np.isfinite(stats[i]["loss_value_a"]):
+                raise TrainingError(f"agent {tau_a[i].agent_id}: non-finite value loss at epoch {k}")
+        # each network's steps leave the pass's other arrays untouched, so the value heads go
+        # first and their rows-by-128 arrays are freed before the policies' are made
+        del value_tape, deltas
 
-        mixed = L.mixed_policy_objective(objs[0], objs[1] if len(objs) > 1 else 0.0, alpha)
-        total = L.total_policy_objective(mixed, float(policy_tapes[0].entropy.mean()), beta)
-        if not np.isfinite(total):
-            raise TrainingError(f"agent {tau_a.agent_id}: non-finite policy objective at epoch {k}")
-        nets.adam_step(learner.policy, nets.neg(grads), learner.adam_policy, lr)
-
-        for b, (tau, value, adam, _, _) in enumerate(batches):
-            values = value_tapes[b].out[:, 0]
-            stats[("loss_value_a", "loss_value_e")[b]] = L.value_loss(values, returns[b])
-            dv = 2.0 * (values - returns[b]) / len(tau)
-            nets.adam_step(value, nets.mlp_backward_tape(value, value_tapes[b], dv.reshape(-1, 1)), adam, lr)
-        stats["loss_policy"] = -total
-        if not np.isfinite(stats["loss_value_a"]):
-            raise TrainingError(f"agent {tau_a.agent_id}: non-finite value loss at epoch {k}")
+        policy_tape = nets.policy_forward_tape(policies, x, masks, rows)
+        logp_new = policy_tape.log_probs[taken]
+        if update == 0:
+            # the expert data was not produced by the current policy, so the "old" policy
+            # for its ratio is this one, on the parameters entering the round
+            logp_old = logp_new.copy()
+            for own, *_ in agents.values():
+                logp_old[rows[own]] = taus[own].logps
+        terms, dterms = L.surrogate_terms(logp_new, logp_old, adv, eps)
+        dlogp = np.zeros_like(policy_tape.log_probs)
+        dlogp[taken] = weight * (dterms / n)
+        upstream = nets.policy_upstream(policy_tape, dlogp, dentropy)
+        deltas = nets.mlp_deltas(policies, rows, policy_tape.mlp, upstream)
+        for i, own in agents.items():
+            objs = [float(np.mean(terms[rows[s]])) for s in own]
+            mixed = L.mixed_policy_objective(objs[0], objs[1] if len(objs) > 1 else 0.0, learners[i].alpha)
+            total = L.total_policy_objective(mixed, float(policy_tape.entropy[rows[own[0]]].mean()), beta)
+            if not np.isfinite(total):
+                raise TrainingError(f"agent {tau_a[i].agent_id}: non-finite policy objective at epoch {k}")
+            g = [nets.mlp_grads(policy_tape.mlp, deltas, rows[s], b).data for s, b in zip(own, policy_grads)]
+            if len(g) > 1:
+                np.add(g[0], g[1], out=g[0])
+            np.negative(g[0], out=g[0])
+            nets.adam_step(learners[i].policy, policy_grads[0], learners[i].adam_policy, lr)
+            stats[i]["loss_policy"] = -total
+        del policy_tape, upstream, deltas
     return stats
 
 
@@ -524,13 +546,9 @@ class Trainer:
         )
         if cfg.expert_provider != "none" and (k == 1 or k % cfg.demo_interval == 0):
             self._regenerate_demos(k, tau_a)
-        loss_policy, loss_va, loss_ve = [], [], []
-        for i, learner in enumerate(self.learners):
-            learner.last_agent = tau_a[i]
-            stats = update_agent(learner, tau_a[i], learner.last_expert, k, cfg)
-            loss_policy.append(stats["loss_policy"])
-            loss_va.append(stats["loss_value_a"])
-            loss_ve.append(stats["loss_value_e"])
+        for learner, traj in zip(self.learners, tau_a):
+            learner.last_agent = traj
+        stats = update_agent(self.learners, tau_a, [ln.last_expert for ln in self.learners], k, cfg)
         metrics = EpochMetrics(
             epoch=k,
             reward_a=tuple(t.episode_reward for t in tau_a),
@@ -541,9 +559,7 @@ class Trainer:
             alpha=tuple(ln.alpha for ln in self.learners),
             dtw=tuple(ln.last_dtw for ln in self.learners),
             validity_rate=self._validity,
-            loss_policy=_nanmean(loss_policy),
-            loss_value_a=_nanmean(loss_va),
-            loss_value_e=_nanmean(loss_ve),
+            **{key: _nanmean(st[key] for st in stats) for key in LOSSES},
             seconds=0.0,
         )
         metrics.seconds = time.perf_counter() - start

@@ -10,6 +10,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
+from routecoach import AgentSpec, TrainConfig, Trainer, grid_graph  # noqa: E402
+
 
 def _bindings() -> dict:
     """Every attribute of the package's modules and of the traced classes, by (owner, name)."""
@@ -43,3 +45,21 @@ def test_make_inputs(tmp_path, name):
     if workload.mock_llm:
         assert len(inputs.mock_dirs) == workload.task_sets
         assert all(len(list(d.iterdir())) == workload.config["epochs"] for d in inputs.mock_dirs)
+
+
+def test_traced_epoch_records_the_a6_target_spans():
+    """A rename that hides the update from the tracer would make a traced a6 run fail."""
+    config = TrainConfig(n_agents=2, epochs=2, steps_per_episode=20, seed=1)
+    trainer = Trainer(config, grid_graph(3), (AgentSpec(0, 0, 8), AgentSpec(1, 2, 6)))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        trainer.run_epoch()
+        trainer.evaluate(1)
+    finally:
+        tracer.uninstall()
+    calls = tracer.table().calls
+    assert [name for name in workloads.WORKLOADS["a6-grid5"].target_spans if calls[name] == 0] == []
+    # one update call per epoch; per pass, one Adam step per policy and per batch's value head
+    assert calls["training.update_agent"] == 1
+    assert calls["nets.adam_step"] == config.update_epochs * 2 * 3

@@ -125,7 +125,7 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "demo-report"])
-    @pytest.mark.parametrize("entry", [[0], {"start": 0}, ["a", 8], [0, 99], [0, 8, -1]])
+    @pytest.mark.parametrize("entry", [[0], {"start": 0}, ["a", 8], [0, 99], [0, 8, -1], [0, 8, 0, 7], "08"])
     def test_malformed_agent_entry_exits_2_without_run_dir(self, tmp_path, base_config, capsys,
                                                             command, entry):
         doc = json.loads(open(base_config).read())
@@ -135,6 +135,19 @@ class TestTrain:
         out = tmp_path / "run"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "demo-report"])
+    @pytest.mark.parametrize("agents", [5, "0 8", {"0": [0, 8]}])
+    def test_agents_not_a_list_exits_2_without_run_dir(self, tmp_path, base_config, capsys,
+                                                        command, agents):
+        doc = json.loads(open(base_config).read())
+        doc.update(n_agents=1, agents=agents)
+        cfg = tmp_path / "agents.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error: 'agents' must be a list" in capsys.readouterr().err
         assert not out.exists()
 
     def test_set_overrides_dotted(self, tmp_path, base_config):
@@ -188,6 +201,16 @@ class TestEvaluate:
             json.dump(doc, fh)
         assert main(["evaluate", "--run", str(out)]) == 2
         assert "sha256" in capsys.readouterr().err
+        assert not (out / "eval.csv").exists()
+
+    def test_manifest_agent_the_graph_cannot_hold_exits_2(self, tmp_path, base_config, capsys):
+        out = tmp_path / "run"
+        main(["train", "--config", base_config, "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["agents"][0] = [0, 99, 0]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["evaluate", "--run", str(out)]) == 2
+        assert "unknown junction 99" in capsys.readouterr().err
         assert not (out / "eval.csv").exists()
 
     def test_run_without_checkpoints_exits_2(self, tmp_path, base_config, capsys):

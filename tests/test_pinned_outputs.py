@@ -147,7 +147,8 @@ def test_cli_output_matches_pin(name, tmp_path):
 
 UPDATE_LENGTHS = (1, 2, 9, 10, 50)
 
-# sha256 over every agent's policy, value_a and value_e bytes and its stats
+# sha256 over every agent's policy, value_a and value_e bytes and its stats, recorded
+# when the update ran one agent per call
 PINNED_UPDATE = {
     "expert": "13314c3d9d52d2c8789404ad441e851de69e553019ddf7bf08c8c7a8f2b8b3dc",
     "mixed-expert": "d9b11d0f21593677733737207b8c4414e3fe33ecb7173c6daa88cd48b5b11556",
@@ -208,5 +209,5 @@ def update_digest(learners, stats) -> str:
 @pytest.mark.parametrize("name", sorted(PINNED_UPDATE))
 def test_update_matches_pin(name):
     learners, tau_a, tau_e, config = update_case(name)
-    stats = [update_agent(ln, a, e, 1, config) for ln, a, e in zip(learners, tau_a, tau_e)]
+    stats = update_agent(learners, tau_a, tau_e, 1, config)
     assert update_digest(learners, stats) == PINNED_UPDATE[name]

@@ -211,6 +211,20 @@ class TestMockCompleter:
         completer = MockChatCompleter(tmp_path)
         assert completer.complete("one two three").token_count == 5
 
+    def test_incremental_prompt_count_equals_full_count(self, tmp_path, state):
+        (tmp_path / "000.txt").write_text("{'0': [0, 1]}")
+        completer = MockChatCompleter(tmp_path)
+        refined = state
+        prompts = ["", "a b", "a bc", "a bcd e", "a bcd e\n\n f", "a bcd e\n\n f\u2003g", "a bcd e\n\n f\u2003g",
+                   "x y", "x y ", "x y z", "  x y z", "  x", "  x\ty", "a"]
+        for _ in range(3):
+            refined = refine_prompt(refined, {0: ([0, 1], 1.0)}, {0: ([0, 3], 2.0)}, {0: 2.0})
+            prompts.append(build_prompt(refined))
+        prompts.append(build_prompt(state))
+        for prompt in prompts:
+            expected = count_tokens(prompt) + count_tokens("{'0': [0, 1]}")
+            assert completer.complete(prompt).token_count == expected, repr(prompt)
+
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(LlmError, match="no .txt"):
             MockChatCompleter(tmp_path)

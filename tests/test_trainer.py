@@ -8,7 +8,7 @@ from routecoach import nets
 from routecoach.env import RouteEnv
 from routecoach.llm import LlmError, MockChatCompleter
 from routecoach.prompts import build_prompt
-from routecoach.trajectory import dtw_distance, traj_to_feature_seq
+from routecoach.trajectory import Trajectory, dtw_distance, traj_to_feature_seq
 from routecoach.training import (
     ALPHA_FLOOR,
     METRICS_COLUMNS,
@@ -263,7 +263,7 @@ class TestUpdateAgent:
         trainer, cfg, tau_a, tau_e = self._learner_and_trajs(mode="ippo")
         learner = trainer.learners[0]
         before = learner.value_e.copy()
-        stats = update_agent(learner, tau_a, tau_e, 1, cfg)
+        stats, = update_agent([learner], [tau_a], [tau_e], 1, cfg)
         # expert value net untouched, expert loss not reported
         for w0, w1 in zip(before.weights, learner.value_e.weights):
             np.testing.assert_array_equal(w0, w1)
@@ -278,11 +278,66 @@ class TestUpdateAgent:
         learner = trainer.learners[0]
         learner.alpha = 0.5
         before = learner.policy.flat()
-        stats = update_agent(learner, tau_a, tau_e, 1, cfg)
+        stats, = update_agent([learner], [tau_a], [tau_e], 1, cfg)
         assert np.isfinite(stats["loss_policy"])
         assert np.isfinite(stats["loss_value_a"])
         assert np.isfinite(stats["loss_value_e"])
         assert not np.array_equal(before, learner.policy.flat())
+
+
+class TestUpdateTogether:
+    """One update call over every agent gives each agent the bytes of updating it alone."""
+
+    SPECS = (AgentSpec(0, 0, 15), AgentSpec(1, 3, 12), AgentSpec(2, 5, 10), AgentSpec(3, 12, 3),
+             AgentSpec(4, 15, 0))
+    ALPHAS = (0.3, 1.0, 0.6, 0.05, 0.8)
+
+    def _batches(self, cfg):
+        """Rollouts and oracle demos; agent 2's own trajectory is empty, agent 3 has no demo."""
+        trainer = Trainer(cfg, grid_graph(4), self.SPECS)
+        tau_a = rollout(trainer.env, [ln.policy for ln in trainer.learners],
+                        [ln.rng for ln in trainer.learners])
+        t = tau_a[2]
+        tau_a[2] = Trajectory(2, t.junction_path[:1], t.actions[:0], t.rewards[:0], t.obs_table,
+                              t.mask_table, logps=t.logps[:0])
+        tau_e = dg.replay(trainer.env, dg.oracle_expert(trainer.graph, self.SPECS))
+        return tau_a, [tau_e[0], tau_e[1], tau_e[2], None, tau_e[4]]
+
+    def _update(self, cfg, agents, tau_a, tau_e):
+        """Fresh learners, ``agents`` of them updated in one call: (every agent's bytes, stats by agent)."""
+        learners = Trainer(cfg, grid_graph(4), self.SPECS).learners
+        for learner, alpha in zip(learners, self.ALPHAS):
+            learner.alpha = alpha
+        stats = update_agent([learners[i] for i in agents], [tau_a[i] for i in agents],
+                             [tau_e[i] for i in agents], 1, cfg)
+        state = [b"".join(a.data.tobytes() for a in (
+                     ln.policy, ln.value_a, ln.value_e, ln.adam_policy.m, ln.adam_policy.v,
+                     ln.adam_value_a.m, ln.adam_value_a.v, ln.adam_value_e.m, ln.adam_value_e.v))
+                 for ln in learners]
+        return state, dict(zip(agents, map(repr, stats)))
+
+    @pytest.mark.parametrize("mode", ["dynamic", "ippo"])
+    def test_together_equals_alone(self, mode):
+        cfg = small_config(n_agents=5, mode=mode, update_epochs=2, steps_per_episode=30)
+        tau_a, tau_e = self._batches(cfg)
+        state, stats = self._update(cfg, range(5), tau_a, tau_e)
+        for i in range(5):
+            alone_state, alone_stats = self._update(cfg, [i], tau_a, tau_e)
+            assert (alone_state[i], alone_stats[i]) == (state[i], stats[i]), f"agent {i}"
+        # the agent with the empty trajectory keeps its initial networks and reports no losses
+        initial, _ = self._update(cfg, [], tau_a, tau_e)
+        assert [state[i] == initial[i] for i in range(5)] == [False, False, True, False, False]
+        assert stats[2] == repr(dict.fromkeys(("loss_policy", "loss_value_a", "loss_value_e"), float("nan")))
+
+    def test_no_sharing_other_agents_bytes_do_not_move(self):
+        cfg = small_config(n_agents=5, update_epochs=2, steps_per_episode=30)
+        tau_a, tau_e = self._batches(cfg)
+        before = self._update(cfg, range(5), tau_a, tau_e)[0]
+        t = tau_a[0]
+        tau_a[0] = Trajectory(0, t.junction_path, t.actions, t.rewards + 1.0, t.obs_table, t.mask_table,
+                              arrived=t.arrived, terminated=t.terminated, logps=t.logps)
+        after = self._update(cfg, range(5), tau_a, tau_e)[0]
+        assert [after[i] == before[i] for i in range(5)] == [False, True, True, True, True]
 
 
 class TestTrainerLoop:
