@@ -2,6 +2,15 @@
 
 __version__ = "0.1.0"
 
+import os
+
+# One BLAS thread unless the caller set one: the networks are small, and a
+# second thread only spins against other work on the host.  This applies only
+# if numpy is not loaded yet, so a caller who imports numpy first keeps the
+# thread count numpy started with.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .env import AgentSpec, EnvState, Observation, RouteEnv, edge_score
 from .fixtures import grid_graph, hilly_graph, line_graph, write_graph
 from .graph import Edge, GraphError, RoadGraph, load_graph

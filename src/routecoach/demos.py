@@ -293,8 +293,8 @@ def replay(env: RouteEnv, executable: ExecutableSet) -> dict[int, Trajectory]:
     plans = {spec.agent_id: iter(compile_to_actions(env.graph, spec, executable.routes[spec.agent_id]))
              for spec in env.specs if executable.routes[spec.agent_id]}
 
-    def choose(agents: np.ndarray, junctions: np.ndarray) -> np.ndarray:
-        return np.array([next(plans[i]) for i in agents])
+    def choose(i: int, junction: int) -> int:
+        return next(plans[i])
 
     return dict(enumerate(run_episode(env, choose, sit_out=set(range(env.n_agents)) - plans.keys())))
 

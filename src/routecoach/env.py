@@ -9,9 +9,11 @@ and masked out via the boolean action mask.
 
 An observation depends only on the junction and the destination (the mask
 also on whether the agent has departed), so on first use the environment
-tabulates, for each distinct destination of its agents, the observation at
-every junction; observing is then a row lookup, and the tables, shared by
-every episode, are read-only.
+tabulates, for each agent, the observation at every junction; observing is
+then a row lookup, and the tables, shared by every episode, are read-only.
+Agents interact only through the congestion term of the reward, so an
+episode can also be walked one agent at a time and scored afterwards
+(``move_rewards``, see ``trajectory.run_episode``).
 
 Per-step reward is ``-time_penalty + shaping_coef * (dist(prev, dest) -
 dist(curr, dest)) + arrival_bonus * [arrived]``.  The shaping term is
@@ -63,12 +65,13 @@ class EnvState:
 class _Tables:
     """Lookup tables of one environment, built on first use; ``obs`` and ``masks`` are read-only."""
 
-    obs: np.ndarray       # (n_dests, n_nodes, 2 + 2m): the observation at each junction, per destination
+    obs: np.ndarray       # (n_agents, n_nodes, 2 + 2m): the observation at each junction, per agent
     masks: np.ndarray     # (n_nodes, m): the valid slots of each junction
     succ: np.ndarray      # (n_nodes, m): each slot's end junction, 0 on padded slots
+    successors: list      # [junction][slot] -> end junction, without padded slots, as Python ints
     degree: np.ndarray    # (n_nodes,) out-degree
     gain: np.ndarray      # (n_dests, n_nodes, m): dist(junction, dest) - dist(slot's end, dest)
-    dest_row: np.ndarray  # (n_agents,) each agent's destination's index in ``obs`` and ``gain``
+    dest_row: np.ndarray  # (n_agents,) each agent's destination's index in ``gain``
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -174,9 +177,11 @@ class RouteEnv:
             obs[:, :, 3::2] = np.where(valid, dst / denom, PAD_ID)
             with np.errstate(invalid="ignore"):  # inf - inf: both ends cut off from the destination
                 gain = dist[:, :, None] - remaining
+            degree = valid.sum(axis=1)
             self._table_cache = _Tables(
-                obs=_read_only(obs), masks=_read_only(valid), succ=succ,
-                degree=valid.sum(axis=1), gain=gain, dest_row=dest_row)
+                obs=_read_only(obs[dest_row]), masks=_read_only(valid), succ=succ,
+                successors=[row[:d] for row, d in zip(dst.tolist(), degree.tolist())],
+                degree=degree, gain=gain, dest_row=dest_row)
         return self._table_cache
 
     def agent_tables(self, agent_id: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,19 +190,39 @@ class RouteEnv:
         Read-only, and shared with every episode of this environment.
         """
         tables = self._tables()
-        return tables.obs[tables.dest_row[agent_id]], tables.masks
+        return tables.obs[agent_id], tables.masks
+
+    @property
+    def obs_tables(self) -> np.ndarray:
+        """(n_agents, n_nodes, 2 + 2m), read-only: every agent's observation table, stacked."""
+        return self._tables().obs
 
     @property
     def mask_table(self) -> np.ndarray:
         """(n_nodes, m), read-only: the valid slots at each junction, the same for every agent."""
         return self._tables().masks
 
+    @property
+    def successors(self) -> list[list[int]]:
+        """``successors[j][a]``: the junction that slot ``a`` at junction ``j`` leads to; no padded slots.
+
+        Python lists, for walks that step one agent at a time; do not modify.
+        """
+        return self._tables().successors
+
     # -- state machinery ---------------------------------------------------
 
     def reset(self, sit_out: Collection[int] = ()) -> EnvState:
-        """The initial state; agents in ``sit_out`` start done."""
+        """The initial state; agents in ``sit_out`` start done.
+
+        An id in ``sit_out`` outside ``[0, n_agents)`` raises ``EnvError``.
+        """
+        sit_out = list(sit_out)
+        for i in sit_out:
+            if not 0 <= i < self.n_agents:
+                raise EnvError(f"cannot sit out agent {i}: ids run from 0 to {self.n_agents - 1}")
         done = np.zeros(self.n_agents, dtype=bool)
-        done[list(sit_out)] = True
+        done[sit_out] = True
         return EnvState(
             step=0,
             positions=_read_only(np.array([spec.start for spec in self.specs], dtype=np.int64)),
@@ -246,15 +271,8 @@ class RouteEnv:
             i = movers[masked.argmax()]
             raise EnvError(f"agent {i}: action {actions[i]} is masked at junction {state.positions[i]}")
         dst = tables.succ[src, chosen]
-
-        if self.congestion:
-            edge = src * self.n_actions + chosen
-            reward = -self.time_penalty * np.bincount(edge)[edge]
-        else:
-            reward = np.full(len(movers), -self.time_penalty)
-        reward = reward + self.shaping_coef * tables.gain[tables.dest_row[movers], src, chosen]
+        reward = self.move_rewards(np.full(len(movers), state.step), movers, src, chosen)
         arrive = dst == self._dests[movers]
-        reward = np.where(arrive, reward + self.arrival_bonus, reward)
 
         positions, done, arrived = state.positions.copy(), state.done.copy(), state.arrived.copy()
         positions[movers] = dst
@@ -269,6 +287,25 @@ class RouteEnv:
             done=_read_only(done),
             arrived=_read_only(arrived),
         ), rewards
+
+    def move_rewards(self, steps: np.ndarray, agents: np.ndarray, src: np.ndarray,
+                     chosen: np.ndarray) -> np.ndarray:
+        """The reward of each move: on step ``steps[r]``, agent ``agents[r]`` takes slot ``chosen[r]`` at ``src[r]``.
+
+        Every move must be valid (not masked).  With congestion on, a move's
+        time penalty is scaled by the number of moves over the same edge on
+        the same step, so the moves given must be all the moves of their steps.
+        """
+        tables = self._tables()
+        if self.congestion:
+            edge = (steps * len(tables.succ) + src) * self.n_actions + chosen
+            _, inverse, counts = np.unique(edge, return_inverse=True, return_counts=True)
+            reward = -self.time_penalty * counts[inverse]
+        else:
+            reward = np.full(len(agents), -self.time_penalty)
+        reward = reward + self.shaping_coef * tables.gain[tables.dest_row[agents], src, chosen]
+        arrive = tables.succ[src, chosen] == self._dests[agents]
+        return np.where(arrive, reward + self.arrival_bonus, reward)
 
     def episode_done(self, state: EnvState) -> bool:
         return bool(state.done.all()) or state.step >= self.step_limit

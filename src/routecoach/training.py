@@ -23,7 +23,9 @@ import csv
 import hashlib
 import json
 import time
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
+from math import isnan
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -282,18 +284,16 @@ def choice_cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def draw(cdf: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """One action per row of ``cdf`` (k, m), row ``r`` drawn with ``rngs[r]``.
+def draw(cdf_row: Sequence[float], rng: np.random.Generator) -> int:
+    """The action ``rng.choice(m, p=row)`` picks, given the row's cdf (see ``choice_cdf``).
 
-    The draw of ``rngs[r].choice(m, p=row)``: one ``random()`` from the
-    row's generator, and the action is the number of cdf entries at or
-    below it (``searchsorted`` right).  A NaN row (see ``choice_cdf``)
-    raises ``ValueError`` before anything is drawn.
+    One ``random()`` from ``rng``, and the action is the number of cdf
+    entries at or below it (``bisect_right``, as ``searchsorted`` right).  A
+    NaN row raises ``ValueError`` before anything is drawn.
     """
-    if np.isnan(cdf[:, -1]).any():
+    if isnan(cdf_row[-1]):
         raise ValueError("probabilities are not finite, non-negative and summing to 1")
-    u = np.array([rng.random() for rng in rngs])
-    return (cdf <= u[:, None]).sum(axis=1)
+    return bisect_right(cdf_row, rng.random())
 
 
 def rollout(
@@ -310,19 +310,23 @@ def rollout(
     (evaluation).  An observation depends only on the junction, and the
     policies do not change during the episode, so every agent's action
     distribution is tabulated over the junctions once, in one stacked
-    forward, and each joint step looks up the rows of the agents that act.
-    Each trajectory's ``logps`` are its actions' entries of that table.
+    forward, and turned into Python lists (cdf rows to sample from, or
+    argmax actions) that each step of the agent's walk looks up.  Each
+    trajectory's ``logps`` are its actions' entries of that table.
     """
     if not greedy and rngs is None:
         raise ValueError("sampling rollouts need per-agent rngs")
-    obs = np.stack([env.agent_tables(i)[0] for i in range(env.n_agents)])
-    log_probs, probs = nets.policy_table_forward(nets.stack_params(policies), obs, env.mask_table)
-    table = probs.argmax(axis=2) if greedy else choice_cdf(probs)
+    log_probs, probs = nets.policy_table_forward(nets.stack_params(policies), env.obs_tables, env.mask_table)
+    if greedy:
+        best = probs.argmax(axis=2).tolist()
 
-    def choose(agents: np.ndarray, junctions: np.ndarray) -> np.ndarray:
-        if greedy:
-            return table[agents, junctions]
-        return draw(table[agents, junctions], [rngs[i] for i in agents])
+        def choose(i: int, j: int) -> int:
+            return best[i][j]
+    else:
+        cdf = choice_cdf(probs).tolist()
+
+        def choose(i: int, j: int) -> int:
+            return draw(cdf[i][j], rngs[i])
 
     trajectories = run_episode(env, choose)
     for i, traj in enumerate(trajectories):

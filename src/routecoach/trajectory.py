@@ -1,11 +1,15 @@
-"""Trajectory records, the episode loop, and DTW.
+"""Trajectory records, the episode driver, and DTW.
 
-Every trajectory is recorded by the same loop, ``run_episode``, whether
+Every trajectory is recorded by the same driver, ``run_episode``, whether
 its actions are sampled from the agent's own policy (``training.rollout``)
-or compiled from a demonstrated route and replayed (``demos``).  A
-trajectory is arrays, one entry per step the agent acted; its observations
-are rows of the environment's shared tables, gathered when an update asks
-for them.
+or compiled from a demonstrated route and replayed (``demos``).  An
+agent's action depends only on its own observation, which depends only on
+its junction and destination, so no agent's path depends on another's:
+the driver walks each agent's episode on its own, then scores every move
+of every agent in one call, where the congestion term couples them.  A
+trajectory is arrays, one entry per step the agent acted; its
+observations are rows of the environment's shared tables, gathered when
+an update asks for them.
 """
 from __future__ import annotations
 
@@ -15,11 +19,11 @@ from typing import Callable, Collection
 
 import numpy as np
 
-from .env import RouteEnv
+from .env import EnvError, RouteEnv
 from .graph import RoadGraph
 
-# (acting agents, their junctions) -> their actions, see run_episode
-JointChooser = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# (agent id, its junction) -> its action there, see run_episode
+Chooser = Callable[[int, int], int]
 
 
 @dataclass(eq=False)
@@ -74,46 +78,54 @@ class Trajectory:
 
 def run_episode(
     env: RouteEnv,
-    choose: JointChooser,
+    choose: Chooser,
     *,
     sit_out: Collection[int] = (),
 ) -> list[Trajectory]:
-    """Drive one joint-step episode from the initial state; one trajectory per agent.
+    """Play one episode from the initial state; one trajectory per agent.
 
-    ``choose(agents, junctions)`` is asked once per step in which anyone
-    must act.  ``agents`` are the ids of those agents, ascending, and
-    ``junctions`` the junction each one stands at; an agent's observation
-    and mask there are that row of its ``env.agent_tables``.  It returns
-    one action per entry of ``agents``; each agent's action may depend only
-    on its own observation.  Agents in ``sit_out`` are done from the start:
-    they never act or count as traffic, and keep a single-point trajectory.
-    The episode ends when every agent is done or the step limit is reached;
-    steps where nobody may act yet (agents waiting on their depart times)
-    still let time pass.  The trajectories carry no log-probabilities.
+    Each agent is walked on its own, from its depart time until it arrives,
+    reaches a dead end, or the step limit is reached.  ``choose(agent,
+    junction)`` is asked once per step of the walk for that agent's action;
+    its observation and mask there are that row of its ``env.agent_tables``,
+    and the action may depend on nothing else.  A masked action raises
+    ``EnvError``, as ``env.step`` does.  Agents in ``sit_out`` (ids in
+    ``[0, n_agents)``) never act or count as traffic, and keep a
+    single-point trajectory.  After the walks, every move is scored by one
+    ``env.move_rewards`` call, so the trajectories are those of stepping
+    all agents together with ``env.step``.  They carry no log-probabilities.
     """
-    state = env.reset(sit_out)
-    n, limit = env.n_agents, env.step_limit
-    path = np.empty((n, limit + 1), dtype=np.int64)
-    actions = np.zeros((n, limit), dtype=np.int64)
-    rewards = np.zeros((n, limit))
-    acted = np.zeros((n, limit), dtype=bool)
-    path[:, 0] = state.positions
-    while not env.episode_done(state):
-        t = state.step
-        agents = env.acting(state)
-        if agents.size:
-            actions[agents, t] = choose(agents, state.positions[agents])
-            acted[agents, t] = True
-        state, rewards[:, t] = env.step(state, actions[:, t])
-        path[:, t + 1] = state.positions
-    # an agent acts on consecutive steps, from its departure until it is done
-    first, steps = acted.argmax(axis=1), acted.sum(axis=1)
-    trajectories = []
-    for i in range(n):
-        lo, hi = first[i], first[i] + steps[i]
-        trajectories.append(Trajectory(
-            i, path[i, lo:hi + 1], actions[i, lo:hi], rewards[i, lo:hi],
-            *env.agent_tables(i), arrived=bool(state.arrived[i]), terminated=bool(state.done[i] and hi > lo)))
+    sitting_out = env.reset(sit_out).done
+    successors, limit = env.successors, env.step_limit
+    paths, ends = [], []
+    steps, movers, src, chosen = [], [], [], []
+    for i, spec in enumerate(env.specs):
+        j = spec.start
+        path, terminated = [j], False
+        for t in range(limit if sitting_out[i] else spec.depart_time, limit):
+            a = choose(i, j)
+            out = successors[j]
+            if not 0 <= a < len(out):
+                raise EnvError(f"agent {i}: action {a} is masked at junction {j}")
+            steps.append(t)
+            src.append(j)
+            chosen.append(a)
+            j = out[a]
+            path.append(j)
+            if j == spec.dest or not successors[j]:  # arrived, or a dead end
+                terminated = True
+                break
+        movers += [i] * (len(path) - 1)
+        paths.append(path)
+        ends.append((j == spec.dest, terminated))
+    steps, movers, src, actions = (np.array(v, dtype=np.int64) for v in (steps, movers, src, chosen))
+    rewards = env.move_rewards(steps, movers, src, actions)
+    trajectories, lo = [], 0
+    for i, (path, (arrived, terminated)) in enumerate(zip(paths, ends)):
+        hi = lo + len(path) - 1
+        trajectories.append(Trajectory(i, np.array(path, dtype=np.int64), actions[lo:hi], rewards[lo:hi],
+                                       *env.agent_tables(i), arrived=arrived, terminated=terminated))
+        lo = hi
     return trajectories
 
 

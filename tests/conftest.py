@@ -1,3 +1,10 @@
+import os
+
+# one BLAS thread for the suite, as for the library (see routecoach/__init__.py),
+# set before numpy is first imported
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

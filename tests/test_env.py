@@ -4,6 +4,7 @@ import pytest
 from routecoach import AgentSpec, grid_graph, line_graph
 from routecoach.env import PAD_ID, EnvError, EnvState, RouteEnv, edge_score
 from routecoach.graph import INF, Edge, RoadGraph
+from routecoach.trajectory import run_episode
 
 
 def reference_observation(graph, junction, dest):
@@ -180,6 +181,16 @@ def test_reset_returns_only_the_state(grid5, monkeypatch):
     assert isinstance(state, EnvState)
     assert (state.step, state.positions.tolist(), state.done.tolist(), state.arrived.tolist()) == \
         (0, [0, 24], [False, True], [False, False])
+
+
+@pytest.mark.parametrize("agent", [-1, 2])
+def test_sit_out_outside_the_agent_ids_raises(grid5, agent):
+    """-1 would sit out the last agent by numpy indexing, and 2 is past the end."""
+    env = RouteEnv(grid5, (AgentSpec(0, 0, 24), AgentSpec(1, 24, 0)))
+    with pytest.raises(EnvError, match=f"cannot sit out agent {agent}"):
+        env.reset(sit_out=[agent])
+    with pytest.raises(EnvError, match=f"cannot sit out agent {agent}"):
+        run_episode(env, lambda i, junction: 0, sit_out=[0, agent])
 
 
 def test_reset_observation_count_grid(grid5):

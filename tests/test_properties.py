@@ -1,0 +1,145 @@
+"""Property tests: the per-agent episode walks equal the joint ``env.step`` loop.
+
+``trajectory.run_episode`` walks each agent's episode on its own and scores
+every move afterwards.  These tests draw tasks, depart times, congestion on
+or off, sit-outs and step limits (short enough to cut episodes and long
+enough to let them finish), and check what ``rollout`` and ``replay`` record
+against stepping all agents together with ``env.step``.
+"""
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from routecoach import AgentSpec, RouteEnv, grid_graph, hilly_graph, nets
+from routecoach import demos as dg
+from routecoach.env import EnvError
+from routecoach.graph import INF, Edge, RoadGraph
+from routecoach.training import agent_rng, rollout
+from routecoach.trajectory import run_episode
+
+PROPERTY = settings(derandomize=True, max_examples=30, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _with_dead_end(graph: RoadGraph) -> RoadGraph:
+    """``graph`` plus a one-way spur from junction 4 into a new dead-end junction."""
+    dead_end = graph.node_count
+    edges = [e for j in graph.nodes for e in graph.out_edges(j)]
+    return RoadGraph({**graph.nodes, dead_end: (3.0, 3.0)}, edges + [Edge(4, dead_end, 1.0)])
+
+
+GRAPHS = (grid_graph(3), _with_dead_end(hilly_graph()))
+TASKS = [[(a, b) for a in g.nodes for b in g.nodes if a != b and g.distances_to(b)[a] < INF] for g in GRAPHS]
+
+
+@st.composite
+def envs(draw) -> RouteEnv:
+    g = draw(st.integers(0, len(GRAPHS) - 1))
+    specs = tuple(AgentSpec(i, *draw(st.sampled_from(TASKS[g])), depart_time=draw(st.integers(0, 4)))
+                  for i in range(draw(st.integers(1, 5))))
+    return RouteEnv(GRAPHS[g], specs, step_limit=draw(st.integers(1, 20)), congestion=draw(st.booleans()))
+
+
+def joint_episode(env: RouteEnv, pick, sit_out=()):
+    """Every acting agent picks its action, then one ``env.step``: (paths, actions, rewards, final state)."""
+    paths = [[spec.start] for spec in env.specs]
+    actions, rewards = [[] for _ in env.specs], [[] for _ in env.specs]
+    state = env.reset(sit_out)
+    while not env.episode_done(state):
+        joint = [None] * env.n_agents
+        for i in env.acting(state).tolist():
+            joint[i] = pick(i, int(state.positions[i]))
+            actions[i].append(joint[i])
+        state, step_rewards = env.step(state, joint)
+        for i, a in enumerate(joint):
+            if a is not None:
+                paths[i].append(int(state.positions[i]))
+                rewards[i].append(float(step_rewards[i]))
+    return paths, actions, rewards, state
+
+
+def assert_same_episode(trajectories, reference) -> None:
+    paths, actions, rewards, state = reference
+    assert [t.agent_id for t in trajectories] == list(range(len(paths)))
+    for i, tau in enumerate(trajectories):
+        assert tau.junction_path.tolist() == paths[i]
+        assert tau.actions.tolist() == actions[i]
+        assert tau.rewards.tolist() == rewards[i]
+        assert (tau.arrived, tau.terminated) == (bool(state.arrived[i]), bool(state.done[i]) and bool(actions[i]))
+
+
+def _policies(env: RouteEnv, seed: int) -> list[nets.MlpParams]:
+    """Random networks with sharpened outputs, so that some agents wander and some head home."""
+    rng = np.random.default_rng(seed)
+    policies = [nets.init_mlp(agent_rng(seed, 0, i), env.obs_dim, env.n_actions) for i in range(env.n_agents)]
+    for p in policies:
+        p.weights[-1][...] = rng.normal(scale=3.0, size=p.weights[-1].shape)
+    return policies
+
+
+@PROPERTY
+@given(env=envs(), seed=st.integers(0, 2**16), greedy=st.booleans())
+def test_rollout_matches_joint_steps(env, seed, greedy):
+    policies = _policies(env, seed)
+    ours = None if greedy else [agent_rng(seed, 1, i) for i in range(env.n_agents)]
+    trajectories = rollout(env, policies, ours, greedy=greedy)
+
+    rngs = [agent_rng(seed, 1, i) for i in range(env.n_agents)]
+    logps = [[] for _ in env.specs]
+
+    def pick(i, junction):
+        obs_table, masks = env.agent_tables(i)
+        out = nets.policy_forward(policies[i], obs_table[junction], masks[junction])
+        a = int(np.argmax(out.probs)) if greedy else int(rngs[i].choice(out.probs.size, p=out.probs))
+        logps[i].append(float(out.log_probs[a]))
+        return a
+
+    assert_same_episode(trajectories, joint_episode(env, pick))
+    assert [t.logps.tolist() for t in trajectories] == logps
+    if not greedy:
+        assert [g.bit_generator.state for g in ours] == [g.bit_generator.state for g in rngs]
+
+
+@PROPERTY
+@given(env=envs(), data=st.data())
+def test_replay_matches_joint_steps(env, data):
+    """Each agent replays one of its three shortest routes, or sits out with an empty route."""
+    graph = env.graph
+    routes = {}
+    for spec in env.specs:
+        candidates = [()] + [tuple(p) for _, p in graph.k_shortest_paths(spec.start, spec.dest, 3)]
+        routes[spec.agent_id] = data.draw(st.sampled_from(candidates))
+    trajectories = dg.replay(env, dg.ExecutableSet(routes))
+
+    plans = {i: iter(dg.compile_to_actions(graph, env.specs[i], r)) for i, r in routes.items() if r}
+    reference = joint_episode(env, lambda i, junction: next(plans[i]),
+                              sit_out=[i for i, r in routes.items() if not r])
+    assert_same_episode([trajectories[i] for i in range(env.n_agents)], reference)
+    assert all(t.logps is None for t in trajectories.values())
+
+
+@PROPERTY
+@given(env=envs(), data=st.data())
+def test_masked_action_raises_naming_agent_and_junction(env, data):
+    """Agents take slot 0 until one returns a masked action; the walk raises what ``env.step`` raises."""
+    agent = data.draw(st.integers(0, env.n_agents - 1))
+    paths, actions, _, _ = joint_episode(env, lambda i, junction: 0)
+    assume(actions[agent])
+    step = data.draw(st.integers(0, len(actions[agent]) - 1))
+    junction = paths[agent][step]
+    bad = data.draw(st.sampled_from([-1, len(env.successors[junction])]))
+
+    def choose(i, j):
+        if i != agent:
+            return 0
+        calls.append(j)
+        return bad if len(calls) == step + 1 else 0
+
+    messages = []
+    for play in (run_episode, joint_episode):
+        calls = []
+        with pytest.raises(EnvError) as info:
+            play(env, choose)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == f"agent {agent}: action {bad} is masked at junction {junction}"

@@ -174,9 +174,9 @@ class TestRollout:
             _, probs, _ = nets.masked_log_softmax(logits, masks[np.arange(40) % 4])
             seeds = rng.integers(2**32, size=40)
             ours, ref = ([np.random.default_rng(s) for s in seeds] for _ in range(2))
-            cdf = choice_cdf(probs)
+            cdf = choice_cdf(probs).tolist()
             for _ in range(25):
-                assert draw(cdf, ours).tolist() == [r.choice(4, p=p) for r, p in zip(ref, probs)]
+                assert [draw(row, g) for row, g in zip(cdf, ours)] == [r.choice(4, p=p) for r, p in zip(ref, probs)]
             assert [g.bit_generator.state for g in ours] == [g.bit_generator.state for g in ref]
 
     def test_draw_on_a_cdf_entry_counts_it(self):
@@ -189,20 +189,22 @@ class TestRollout:
                 return self.u
 
         row = np.array([0.0, 0.5, 0.5, 0.0])  # masked slots at both ends
-        cdf = choice_cdf(np.tile(row, (3, 1)))
+        cdf = choice_cdf(row[None])[0]
         draws = [0.0, 0.5, np.nextafter(1.0, 0.0)]
-        assert draw(cdf, [Fixed(u) for u in draws]).tolist() == \
-            [int(np.searchsorted(cdf[0], u, side="right")) for u in draws] == [1, 2, 2]
+        assert [draw(cdf.tolist(), Fixed(u)) for u in draws] == \
+            [int(np.searchsorted(cdf, u, side="right")) for u in draws] == [1, 2, 2]
 
     def test_draw_rejects_what_generator_choice_rejects(self):
         rows = np.array([[0.5, 0.5], [np.nan, 1.0], [0.7, 0.4], [-0.1, 1.1], [np.inf, 0.0]])
-        cdf = choice_cdf(rows)
-        assert draw(cdf[:1], [np.random.default_rng(0)]).tolist() == [np.random.default_rng(0).choice(2, p=rows[0])]
+        cdf = choice_cdf(rows).tolist()
+        assert draw(cdf[0], np.random.default_rng(0)) == np.random.default_rng(0).choice(2, p=rows[0])
         for r in range(1, len(rows)):
             with pytest.raises(ValueError):
                 np.random.default_rng(0).choice(2, p=rows[r])
+            rng = np.random.default_rng(1)
             with pytest.raises(ValueError, match="probabilities"):
-                draw(cdf[[0, r]], [np.random.default_rng(0), np.random.default_rng(1)])
+                draw(cdf[r], rng)
+            assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state  # nothing drawn
 
     def test_nan_policy_row_raises_when_sampled(self, grid3_setup):
         graph, specs = grid3_setup
