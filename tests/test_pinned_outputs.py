@@ -211,3 +211,35 @@ def test_update_matches_pin(name):
     learners, tau_a, tau_e, config = update_case(name)
     stats = update_agent(learners, tau_a, tau_e, 1, config)
     assert update_digest(learners, stats) == PINNED_UPDATE[name]
+
+
+# -- an A6-style loop that evaluates after every epoch ------------------------------------------
+#
+# The metrics pins never call ``Trainer.evaluate``; this one also pins the greedy
+# evaluation of the parameters each epoch leaves, as the A6 fixture and the benchmark's
+# a6 workload read them.
+
+A6_SPECS = (AgentSpec(0, 0, 24), AgentSpec(1, 4, 20), AgentSpec(2, 24, 0))
+
+# sha256 over metrics.csv, then the repr of every epoch's per-agent evaluation
+# (as a list, so every digit of each float counts), recorded before the trainer
+# kept a policy table per parameter version
+PINNED_EVAL_LOOP = {
+    "dynamic": "d8dcf0f5d2994b7072bd8dd97e9dc0508e6a6543fb0401aac46741e487b78539",
+    "ippo": "83d008709a78c8d285a7d5d8e8706c20dd0ccc24e44e97be48924760a3599354",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_EVAL_LOOP))
+def test_evaluated_loop_matches_pin(mode, tmp_path):
+    config = TrainConfig(n_agents=3, epochs=40, steps_per_episode=100, mode=mode,
+                         expert_provider="none" if mode == "ippo" else "oracle", seed=0)
+    trainer = Trainer(config, grid_graph(5), A6_SPECS)
+    evals = []
+    trainer.train(out_dir=tmp_path,
+                  on_epoch=lambda _: evals.append(repr(trainer.evaluate(1).per_agent.tolist())))
+    digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes())
+    for line in evals:
+        digest.update(line.encode())
+    assert len(evals) == config.epochs
+    assert digest.hexdigest() == PINNED_EVAL_LOOP[mode]
