@@ -25,7 +25,7 @@ from .losses import (
     value_loss,
 )
 from .trajectory import Trajectory, dtw_distance, traj_to_feature_seq
-from .training import TrainConfig, Trainer, evaluate, generate_agent_specs, rollout
+from .training import TrainConfig, Trainer, evaluate, generate_agent_specs, policy_table, rollout
 
 __all__ = [
     "AgentSpec", "EnvState", "Observation", "RouteEnv", "edge_score",
@@ -34,5 +34,5 @@ __all__ = [
     "alpha_weight", "advantages", "bootstrapped_returns", "clipped_surrogate",
     "mixed_policy_objective", "standardize", "total_policy_objective", "value_loss",
     "Trajectory", "dtw_distance", "traj_to_feature_seq",
-    "TrainConfig", "Trainer", "evaluate", "generate_agent_specs", "rollout",
+    "TrainConfig", "Trainer", "evaluate", "generate_agent_specs", "policy_table", "rollout",
 ]

@@ -36,6 +36,7 @@ from .training import (
     evaluate,
     generate_agent_specs,
     load_checkpoint,
+    policy_table,
     rollout,
 )
 
@@ -300,13 +301,14 @@ def demo_quality_report(
         raise ConfigError(f"need at least one phase and one prompt per phase, "
                           f"got {phases} and {prompts_per_phase}")
     trainer = Trainer(replace(config, provider_fallback="none"), graph, specs, completer)
-    policies = [ln.policy for ln in trainer.learners]
+    # the untrained policies never change here, so one table serves every round
+    table = policy_table(trainer.env, [ln.policy for ln in trainer.learners])
     rngs = [ln.rng for ln in trainer.learners]
     records: list[dg.DemoQualityRecord] = []
     for _phase in range(phases):
         tokens, flags, demo_rewards, dtw_values = [], [], [], []
         for _p in range(prompts_per_phase):
-            tau_a = rollout(trainer.env, policies, rngs)
+            tau_a = rollout(trainer.env, table, rngs)
             executable, token_count, tau_e, dtw = trainer.demonstrate(tau_a)
             tokens.append(token_count)
             flags.extend(executable.valid())

@@ -199,7 +199,7 @@ def mlp_grads(tape: MlpTape, deltas: Sequence[np.ndarray], rows: slice, grads: M
     for inputs, delta, dw, db in zip((tape.h2, tape.h1, tape.x), deltas,
                                      reversed(grads.weights), reversed(grads.biases)):
         np.matmul(inputs[rows].T, delta[rows], out=dw)
-        np.sum(delta[rows], axis=0, out=db)
+        np.add.reduce(delta[rows], axis=0, out=db)  # np.sum's ufunc, without its Python wrapper
     return grads
 
 

@@ -296,27 +296,36 @@ def draw(cdf_row: Sequence[float], rng: np.random.Generator) -> int:
     return bisect_right(cdf_row, rng.random())
 
 
+def policy_table(env: RouteEnv, policies: Sequence[nets.MlpParams]) -> tuple[np.ndarray, np.ndarray]:
+    """(log_probs, probs), each (A, n, m): agent ``a``'s action distribution at every junction of ``env``.
+
+    An observation depends only on the junction, so one agent-stacked forward
+    over ``env``'s observation tables gives every distribution an episode can
+    ask for.  The table holds for as long as the policies' parameters do.
+    """
+    return nets.policy_table_forward(nets.stack_params(policies), env.obs_tables, env.mask_table)
+
+
 def rollout(
     env: RouteEnv,
-    policies: Sequence[nets.MlpParams],
+    table: tuple[np.ndarray, np.ndarray],
     rngs: Sequence[np.random.Generator] | None,
     *,
     greedy: bool = False,
 ) -> list[Trajectory]:
-    """One episode of decentralized execution; one trajectory per agent.
+    """One episode of decentralized execution from a ``policy_table``; one trajectory per agent.
 
     Each agent samples from its own masked policy, with its own rng, given
     only its own observation.  ``greedy`` switches to argmax selection
-    (evaluation).  An observation depends only on the junction, and the
-    policies do not change during the episode, so every agent's action
-    distribution is tabulated over the junctions once, in one stacked
-    forward, and turned into Python lists (cdf rows to sample from, or
-    argmax actions) that each step of the agent's walk looks up.  Each
-    trajectory's ``logps`` are its actions' entries of that table.
+    (evaluation).  The table is turned into Python lists (cdf rows to sample
+    from, or argmax actions) that each step of the agent's walk looks up.
+    Each trajectory's ``logps`` are its actions' entries of the table.  The
+    ``Trainer`` computes one table per parameter version, which its greedy
+    evaluation and its next epoch's rollout share.
     """
     if not greedy and rngs is None:
         raise ValueError("sampling rollouts need per-agent rngs")
-    log_probs, probs = nets.policy_table_forward(nets.stack_params(policies), env.obs_tables, env.mask_table)
+    log_probs, probs = table
     if greedy:
         best = probs.argmax(axis=2).tolist()
 
@@ -396,10 +405,13 @@ def update_agent(
         errors = L.squared_errors(v, returns)
         deltas = nets.mlp_deltas(values, rows, value_tape, (2.0 * (v - returns) / n).reshape(-1, 1))
         for s, (i, batch, value, adam) in enumerate(zip(owners, batches, values, adams)):
-            stats[i][("loss_value_a", "loss_value_e")[batch]] = float(np.mean(errors[rows[s]]))
+            # a plain ufunc reduction over a segment: the bits of ``np.mean``, without its wrapper
+            loss = float(np.add.reduce(errors[rows[s]])) / lengths[s]
+            if not np.isfinite(loss):
+                raise TrainingError(f"agent {tau_a[i].agent_id}: non-finite "
+                                    f"{('own', 'expert')[batch]} value loss at epoch {k}")
+            stats[i][("loss_value_a", "loss_value_e")[batch]] = loss
             nets.adam_step(value, nets.mlp_grads(value_tape, deltas, rows[s], value_grads), adam, lr)
-            if not np.isfinite(stats[i]["loss_value_a"]):
-                raise TrainingError(f"agent {tau_a[i].agent_id}: non-finite value loss at epoch {k}")
         # each network's steps leave the pass's other arrays untouched, so the value heads go
         # first and their rows-by-128 arrays are freed before the policies' are made
         del value_tape, deltas
@@ -418,9 +430,10 @@ def update_agent(
         upstream = nets.policy_upstream(policy_tape, dlogp, dentropy)
         deltas = nets.mlp_deltas(policies, rows, policy_tape.mlp, upstream)
         for i, own in agents.items():
-            objs = [float(np.mean(terms[rows[s]])) for s in own]
+            objs = [float(np.add.reduce(terms[rows[s]])) / lengths[s] for s in own]
+            entropy = float(np.add.reduce(policy_tape.entropy[rows[own[0]]])) / lengths[own[0]]
             mixed = L.mixed_policy_objective(objs[0], objs[1] if len(objs) > 1 else 0.0, learners[i].alpha)
-            total = L.total_policy_objective(mixed, float(policy_tape.entropy[rows[own[0]]].mean()), beta)
+            total = L.total_policy_objective(mixed, entropy, beta)
             if not np.isfinite(total):
                 raise TrainingError(f"agent {tau_a[i].agent_id}: non-finite policy objective at epoch {k}")
             g = [nets.mlp_grads(policy_tape.mlp, deltas, rows[s], b).data for s, b in zip(own, policy_grads)]
@@ -459,6 +472,16 @@ class Trainer:
         self.epoch = 0
         self.metrics: list[EpochMetrics] = []
         self._validity = float("nan")
+        self._table: tuple[np.ndarray, np.ndarray] | None = None
+
+    def _policy_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``policy_table`` of the learners' current parameters, computed once per version.
+
+        Only ``run_epoch`` changes the parameters, and it drops the table before it does.
+        """
+        if self._table is None:
+            self._table = policy_table(self.env, [ln.policy for ln in self.learners])
+        return self._table
 
     def _init_learner(self, agent_id: int) -> AgentLearner:
         rng = agent_rng(self.config.seed, 0, agent_id)
@@ -543,15 +566,12 @@ class Trainer:
         start = time.perf_counter()
         k = self.epoch + 1
         cfg = self.config
-        tau_a = rollout(
-            self.env,
-            [ln.policy for ln in self.learners],
-            [ln.rng for ln in self.learners],
-        )
+        tau_a = rollout(self.env, self._policy_table(), [ln.rng for ln in self.learners])
         if cfg.expert_provider != "none" and (k == 1 or k % cfg.demo_interval == 0):
             self._regenerate_demos(k, tau_a)
         for learner, traj in zip(self.learners, tau_a):
             learner.last_agent = traj
+        self._table = None  # cleared before the update, so that an update that raises leaves none stale
         stats = update_agent(self.learners, tau_a, [ln.last_expert for ln in self.learners], k, cfg)
         metrics = EpochMetrics(
             epoch=k,
@@ -619,8 +639,9 @@ class Trainer:
         return TrainResult(learners=self.learners, metrics=self.metrics)
 
     def evaluate(self, episodes: int | None = None) -> EvalResult:
-        return evaluate([ln.policy for ln in self.learners], self.env,
-                        episodes if episodes is not None else self.config.eval_episodes)
+        """``evaluate`` of the learners' policies, from the table the next epoch's rollout reuses."""
+        return _evaluate_table(self.env, self._policy_table(),
+                               episodes if episodes is not None else self.config.eval_episodes)
 
 
 def evaluate(policies: Sequence[nets.MlpParams], env: RouteEnv, episodes: int) -> EvalResult:
@@ -630,7 +651,11 @@ def evaluate(policies: Sequence[nets.MlpParams], env: RouteEnv, episodes: int) -
     every time, so it is run once and its reward is reported for each of
     the ``episodes`` requested.
     """
-    rewards = np.array([t.episode_reward for t in rollout(env, policies, None, greedy=True)])
+    return _evaluate_table(env, policy_table(env, policies), episodes)
+
+
+def _evaluate_table(env: RouteEnv, table: tuple[np.ndarray, np.ndarray], episodes: int) -> EvalResult:
+    rewards = np.array([t.episode_reward for t in rollout(env, table, None, greedy=True)])
     return EvalResult(episode_rewards=np.full(episodes, rewards.mean()), per_agent=rewards)
 
 

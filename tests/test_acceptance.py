@@ -24,6 +24,7 @@ from routecoach.training import (
     TrainConfig,
     Trainer,
     agent_rng,
+    policy_table,
     rollout,
 )
 
@@ -442,7 +443,7 @@ def _ippo_matches_expert_free_build() -> bool:
                          "adam_p": nets.init_adam(policy), "adam_v": nets.init_adam(value),
                          "rng": agent_rng(cfg.seed, 1, i)})
     for _ in range(cfg.epochs):
-        trajectories = rollout(env, [l["policy"] for l in learners],
+        trajectories = rollout(env, policy_table(env, [l["policy"] for l in learners]),
                                [l["rng"] for l in learners])
         for learner, tau in zip(learners, trajectories):
             if len(tau) == 0:

@@ -1,5 +1,6 @@
 """The library names the benchmark under ``bench/`` calls and traces still exist."""
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
-from routecoach import AgentSpec, TrainConfig, Trainer, grid_graph  # noqa: E402
+from routecoach import AgentSpec, TrainConfig, Trainer, grid_graph, policy_table, rollout  # noqa: E402
 
 
 def _bindings() -> dict:
@@ -48,7 +49,11 @@ def test_make_inputs(tmp_path, name):
 
 
 def test_traced_epoch_records_the_a6_target_spans():
-    """A rename that hides the update from the tracer would make a traced a6 run fail."""
+    """A rename that hides the update from the tracer would make a traced a6 run fail.
+
+    The epoch and the evaluation each walk their episode through ``training.rollout``,
+    so the rollout spans and the transitions count cover both.
+    """
     config = TrainConfig(n_agents=2, epochs=2, steps_per_episode=20, seed=1)
     trainer = Trainer(config, grid_graph(3), (AgentSpec(0, 0, 8), AgentSpec(1, 2, 6)))
     tracer = tracing.Tracer()
@@ -63,3 +68,11 @@ def test_traced_epoch_records_the_a6_target_spans():
     # one update call per epoch; per pass, one Adam step per policy and per batch's value head
     assert calls["training.update_agent"] == 1
     assert calls["nets.adam_step"] == config.update_epochs * 2 * 3
+    rollout_parents = Counter(tracer.names[tracer.name_ids[tracer.parents[i]]]
+                              for i, name_id in enumerate(tracer.name_ids)
+                              if tracer.names[name_id] == "training.rollout")
+    assert rollout_parents == {"training.run_epoch": 1, "training.evaluate": 1}
+    policies = [ln.policy for ln in trainer.learners]
+    greedy_steps = sum(len(t) for t in rollout(trainer.env, policy_table(trainer.env, policies), None, greedy=True))
+    assert greedy_steps > 0
+    assert tracer.counts["transitions"] == sum(len(ln.last_agent) for ln in trainer.learners) + greedy_steps

@@ -4,7 +4,8 @@
 every move afterwards.  These tests draw tasks, depart times, congestion on
 or off, sit-outs and step limits (short enough to cut episodes and long
 enough to let them finish), and check what ``rollout`` and ``replay`` record
-against stepping all agents together with ``env.step``.
+against stepping all agents together with ``env.step``.  The policy table a
+rollout walks from is checked row by row against single forwards.
 """
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from routecoach import AgentSpec, RouteEnv, grid_graph, hilly_graph, nets
 from routecoach import demos as dg
 from routecoach.env import EnvError
 from routecoach.graph import INF, Edge, RoadGraph
-from routecoach.training import agent_rng, rollout
+from routecoach.training import agent_rng, policy_table, rollout
 from routecoach.trajectory import run_episode
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None,
@@ -83,7 +84,7 @@ def _policies(env: RouteEnv, seed: int) -> list[nets.MlpParams]:
 def test_rollout_matches_joint_steps(env, seed, greedy):
     policies = _policies(env, seed)
     ours = None if greedy else [agent_rng(seed, 1, i) for i in range(env.n_agents)]
-    trajectories = rollout(env, policies, ours, greedy=greedy)
+    trajectories = rollout(env, policy_table(env, policies), ours, greedy=greedy)
 
     rngs = [agent_rng(seed, 1, i) for i in range(env.n_agents)]
     logps = [[] for _ in env.specs]
@@ -143,3 +144,28 @@ def test_masked_action_raises_naming_agent_and_junction(env, data):
             play(env, choose)
         messages.append(str(info.value))
     assert messages[0] == messages[1] == f"agent {agent}: action {bad} is masked at junction {junction}"
+
+
+@settings(PROPERTY, max_examples=100)
+@given(agents=st.integers(1, 4), rows=st.integers(1, 12), actions=st.integers(1, 4), in_dim=st.integers(1, 10),
+       live=st.floats(0.0, 1.0), scale=st.sampled_from([0.0, 0.3, 3.0, 30.0]), seed=st.integers(0, 2**16))
+def test_policy_table_rows_match_single_forwards(agents, rows, actions, in_dim, live, scale, seed):
+    """Each row of the stacked table is ``policy_forward`` on that row alone, bit for bit; dead ends are -inf and 0."""
+    rng = np.random.default_rng(seed)
+    policies = [nets.init_mlp(rng, in_dim, actions) for _ in range(agents)]
+    for p in policies:
+        p.weights[-1][...] = rng.normal(scale=scale, size=p.weights[-1].shape)
+        p.biases[-1][...] = rng.normal(scale=scale, size=p.biases[-1].shape)
+    obs = rng.normal(scale=3.0, size=(agents, rows, in_dim))
+    obs[rng.random(obs.shape) < 0.2] = -10.0  # the score of a missing slot
+    masks = rng.random((rows, actions)) < live  # rows with no valid action are dead ends
+    log_probs, probs = nets.policy_table_forward(nets.stack_params(policies), obs, masks)
+    assert log_probs.shape == probs.shape == (agents, rows, actions)
+    for a, policy in enumerate(policies):
+        for j in range(rows):
+            if not masks[j].any():
+                assert np.all(log_probs[a, j] == -np.inf) and np.all(probs[a, j] == 0.0)
+                continue
+            out = nets.policy_forward(policy, obs[a, j], masks[j])
+            assert log_probs[a, j].tobytes() == out.log_probs.tobytes()
+            assert probs[a, j].tobytes() == out.probs.tobytes()

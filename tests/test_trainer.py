@@ -1,7 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
-from routecoach import AgentSpec, grid_graph, line_graph
+from routecoach import AgentSpec, grid_graph, line_graph, training
 from routecoach import demos as dg
 from routecoach import losses as L
 from routecoach import nets
@@ -14,6 +16,7 @@ from routecoach.training import (
     METRICS_COLUMNS,
     TrainConfig,
     Trainer,
+    TrainingError,
     agent_rng,
     choice_cdf,
     config_hash,
@@ -21,6 +24,7 @@ from routecoach.training import (
     evaluate,
     generate_agent_specs,
     load_checkpoint,
+    policy_table,
     rollout,
     save_checkpoint,
     update_agent,
@@ -113,7 +117,7 @@ class TestRollout:
 
         def run():
             rngs = [agent_rng(0, 1, i) for i in range(2)]
-            return rollout(env, policies, rngs)
+            return rollout(env, policy_table(env, policies), rngs)
 
         a, b = run(), run()
         for ta, tb in zip(a, b):
@@ -131,8 +135,8 @@ class TestRollout:
         policies = [nets.init_mlp(agent_rng(1, 0, i), env.obs_dim, env.n_actions) for i in range(5)]
         for p in policies:
             p.weights[-1][...] = rng.normal(scale=2.0, size=p.weights[-1].shape)
-        trajs = rollout(env, policies, None if greedy else [agent_rng(1, 1, i) for i in range(5)],
-                        greedy=greedy)
+        trajs = rollout(env, policy_table(env, policies),
+                        None if greedy else [agent_rng(1, 1, i) for i in range(5)], greedy=greedy)
 
         rngs = [agent_rng(1, 1, i) for i in range(5)]
         paths, actions, rewards, logps = ([[s.start] for s in specs], [[] for _ in specs],
@@ -212,7 +216,7 @@ class TestRollout:
         policies = [nets.init_mlp(agent_rng(0, 0, i), env.obs_dim, env.n_actions) for i in range(2)]
         policies[1].biases[-1][0] = np.nan  # every row where slot 0 is valid, the start included
         with pytest.raises(ValueError, match="probabilities"):
-            rollout(env, policies, [agent_rng(0, 1, i) for i in range(2)])
+            rollout(env, policy_table(env, policies), [agent_rng(0, 1, i) for i in range(2)])
 
     def test_uniform_policy_action_frequencies(self, line):
         # zero-init final layer => uniform over valid actions; junction 1 of a
@@ -225,7 +229,7 @@ class TestRollout:
         rng = agent_rng(0, 1, 0)
         first_actions = []
         for _ in range(1000):
-            traj = rollout(env, [policy], [rng])[0]
+            traj = rollout(env, policy_table(env, [policy]), [rng])[0]
             first_actions.append(traj.actions[0])
         freq = np.bincount(first_actions, minlength=2) / 1000
         chi2 = ((freq - 0.5) ** 2 / 0.5).sum() * 1000
@@ -236,7 +240,7 @@ class TestRollout:
         env = RouteEnv(grid5, specs, step_limit=200)
         policies = [nets.init_mlp(agent_rng(0, 0, i), env.obs_dim, env.n_actions) for i in range(10)]
         rngs = [agent_rng(0, 1, i) for i in range(10)]
-        trajs = rollout(env, policies, rngs)
+        trajs = rollout(env, policy_table(env, policies), rngs)
         assert len(trajs) == 10
         assert all(len(t) <= 200 for t in trajs)
 
@@ -244,8 +248,8 @@ class TestRollout:
         graph, specs = grid3_setup
         env = RouteEnv(graph, specs, step_limit=10)
         policies = [nets.init_mlp(agent_rng(0, 0, i), env.obs_dim, env.n_actions) for i in range(2)]
-        a = rollout(env, policies, None, greedy=True)
-        b = rollout(env, policies, None, greedy=True)
+        a = rollout(env, policy_table(env, policies), None, greedy=True)
+        b = rollout(env, policy_table(env, policies), None, greedy=True)
         assert [t.junction_path.tolist() for t in a] == [t.junction_path.tolist() for t in b]
 
 
@@ -255,7 +259,7 @@ class TestUpdateAgent:
         specs = (AgentSpec(0, 0, 8),)
         cfg = small_config(n_agents=1, mode=mode, seed=seed)
         trainer = Trainer(cfg, graph, specs)
-        tau_a = rollout(trainer.env, [trainer.learners[0].policy],
+        tau_a = rollout(trainer.env, policy_table(trainer.env, [trainer.learners[0].policy]),
                         [trainer.learners[0].rng])[0]
         tau_e = dg.execute_demos(graph, specs, dg.oracle_expert(graph, specs),
                                  step_limit=cfg.steps_per_episode)[0]
@@ -287,6 +291,26 @@ class TestUpdateAgent:
         assert not np.array_equal(before, learner.policy.flat())
 
 
+    @pytest.mark.parametrize("batch", ["own", "expert"])
+    def test_non_finite_value_loss_raises_before_its_step(self, batch):
+        """A batch whose squared errors overflow raises, and its value head is not stepped."""
+        trainer, cfg, tau_a, tau_e = self._learner_and_trajs()
+        learner = trainer.learners[0]
+        learner.alpha = 0.5
+        tau = tau_a if batch == "own" else tau_e
+        huge = Trajectory(tau.agent_id, tau.junction_path, tau.actions, tau.rewards * 1e200,
+                          tau.obs_table, tau.mask_table, tau.arrived, tau.terminated, tau.logps)
+        if batch == "own":
+            tau_a = huge
+        else:
+            tau_e = huge
+        head = learner.value_a if batch == "own" else learner.value_e
+        before = head.flat()
+        with np.errstate(over="ignore"), \
+                pytest.raises(TrainingError, match=f"non-finite {batch} value loss at epoch 1"):
+            update_agent([learner], [tau_a], [tau_e], 1, cfg)
+        np.testing.assert_array_equal(head.data, before)
+
 class TestUpdateTogether:
     """One update call over every agent gives each agent the bytes of updating it alone."""
 
@@ -297,7 +321,7 @@ class TestUpdateTogether:
     def _batches(self, cfg):
         """Rollouts and oracle demos; agent 2's own trajectory is empty, agent 3 has no demo."""
         trainer = Trainer(cfg, grid_graph(4), self.SPECS)
-        tau_a = rollout(trainer.env, [ln.policy for ln in trainer.learners],
+        tau_a = rollout(trainer.env, policy_table(trainer.env, [ln.policy for ln in trainer.learners]),
                         [ln.rng for ln in trainer.learners])
         t = tau_a[2]
         tau_a[2] = Trajectory(2, t.junction_path[:1], t.actions[:0], t.rewards[:0], t.obs_table,
@@ -546,7 +570,7 @@ def _primitive_build(cfg, graph, specs):
         })
 
     for k in range(1, cfg.epochs + 1):
-        trajs = rollout(env, [l["policy"] for l in learners],
+        trajs = rollout(env, policy_table(env, [l["policy"] for l in learners]),
                         [l["rng"] for l in learners])
         if cfg.mode != "ippo" and (k == 1 or k % cfg.demo_interval == 0):
             demos = dg.execute_demos(graph, specs, dg.oracle_expert(graph, specs),
@@ -588,6 +612,47 @@ class TestIppoGoldenEquivalence:
         graph, specs = grid3_setup
         cfg = small_config(mode=mode, epochs=6, demo_interval=2, steps_per_episode=3)
         self._assert_trainer_matches_primitives(cfg, graph, specs)
+
+
+class TestPolicyTableCache:
+    """The trainer's one table per parameter version serves what a freshly computed one would."""
+
+    @staticmethod
+    def _fresh(trainer):
+        """Module ``evaluate`` and the next rollout, from copies of the learners' policies and rngs."""
+        policies = [ln.policy.copy() for ln in trainer.learners]
+        rngs = [copy.deepcopy(ln.rng) for ln in trainer.learners]
+        return (evaluate(policies, trainer.env, 1),
+                rollout(trainer.env, policy_table(trainer.env, policies), rngs))
+
+    def test_evaluate_and_next_rollout_follow_the_parameters(self, grid3_setup, monkeypatch):
+        graph, specs = grid3_setup
+        trainer = Trainer(small_config(epochs=5), graph, specs)
+        real_update = training.update_agent
+
+        def update_then_raise(*args):
+            real_update(*args)
+            raise TrainingError("update failed after stepping")
+
+        for epoch in range(5):
+            expected_eval, expected_tau = self._fresh(trainer)
+            assert trainer.evaluate(1).per_agent.tobytes() == expected_eval.per_agent.tobytes()
+            if epoch == 2:  # the parameters move, then the update raises
+                monkeypatch.setattr(training, "update_agent", update_then_raise)
+                with pytest.raises(TrainingError, match="after stepping"):
+                    trainer.run_epoch()
+                monkeypatch.undo()
+            else:
+                trainer.run_epoch()
+            for learner, tau in zip(trainer.learners, expected_tau):
+                got = learner.last_agent
+                assert got.junction_path.tolist() == tau.junction_path.tolist()
+                assert got.actions.tolist() == tau.actions.tolist()
+                assert got.rewards.tobytes() == tau.rewards.tobytes()
+                assert got.logps.tobytes() == tau.logps.tobytes()
+        assert trainer.epoch == 4
+        expected_eval, _ = self._fresh(trainer)
+        assert trainer.evaluate(1).per_agent.tobytes() == expected_eval.per_agent.tobytes()
 
 
 class TestEvaluate:
