@@ -296,7 +296,6 @@ class TestUpdateAgent:
         """A batch whose squared errors overflow raises, and its value head is not stepped."""
         trainer, cfg, tau_a, tau_e = self._learner_and_trajs()
         learner = trainer.learners[0]
-        learner.alpha = 0.5
         tau = tau_a if batch == "own" else tau_e
         huge = Trajectory(tau.agent_id, tau.junction_path, tau.actions, tau.rewards * 1e200,
                           tau.obs_table, tau.mask_table, tau.arrived, tau.terminated, tau.logps)
