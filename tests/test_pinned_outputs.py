@@ -7,6 +7,7 @@ path or the update changes a digest here.  The digests depend on IEEE
 double arithmetic in numpy's matmul/tanh/exp; on a platform whose BLAS
 sums differently they must be recorded again, from an unchanged tree.
 """
+import csv
 import hashlib
 import json
 
@@ -35,6 +36,9 @@ PINNED_CLI = {
     "eval.csv": "0d86b8867eeeff2081fc0d6cd6ac252f1b4c55f536f632f086e302031dd004be",
     "demo_report.csv-oracle": "47ccd5fe4c5113456e0d9c58d553dc044fa6aba0034e3d482730884834f5f275",
     "demo_report.csv-mock": "677a7d41873b76d102ae36e9cd4e1dad23b5e5be84fc9c800a5461a0b6de0c91",
+    # recorded while sweep-agents and ablation trained without run directories
+    "ablation.csv": "a577c47d53ebdc1b0f8a1770ae4416a63ac7132101086a6079dfd30e632dd60a",
+    "sweep.csv-rewards": "4f2f859e7a2c92c98161c1876998b802aa0a766ce8f659c26cf5281e3584f113",
 }
 
 MOCK_REPLIES = (
@@ -100,7 +104,24 @@ def _run(name, tmp_path) -> str:
     return _train(tmp_path, config, grid_graph(3), WAITING_SPECS)
 
 
+def _cli_aggregate(name, tmp_path) -> str:
+    """``ablation.csv``, or the deterministic columns of ``sweep.csv``, on generated tasks."""
+    graph = str(write_graph(grid_graph(3), tmp_path / "grid3.json"))
+    out = tmp_path / "out"
+    args = ["--graph", graph, "--out", str(out), "--seeds", "0,1", "--set", "epochs=3",
+            "--set", "n_agents=2", "--set", "steps_per_episode=20"]
+    if name == "ablation.csv":
+        assert main(["ablation", *args]) == 0
+        return _digest(out / "ablation.csv")
+    assert main(["sweep-agents", *args, "--counts", "1,2"]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = [row[:3] for row in csv.reader(fh)]  # seconds_per_epoch is wall clock
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
 def _cli_run(name, tmp_path) -> str:
+    if name in ("ablation.csv", "sweep.csv-rewards"):
+        return _cli_aggregate(name, tmp_path)
     doc = {
         "graph": str(write_graph(grid_graph(3), tmp_path / "grid3.json")),
         "n_agents": 3,
