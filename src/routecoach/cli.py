@@ -141,13 +141,6 @@ def _load_graph_file(path: str | None) -> tuple[RoadGraph, Path, str]:
         raise ConfigError(f"graph file {p}: {exc}") from exc
 
 
-def _trained(doc: dict, graph: RoadGraph, **overrides) -> Trainer:
-    """Train the configuration ``doc`` with ``overrides`` applied, on generated tasks."""
-    trainer = Trainer(_config_from_doc({**doc, **overrides}), graph)
-    trainer.train()
-    return trainer
-
-
 def write_manifest(out: Path, config: TrainConfig, graph_path: Path, graph_text: str,
                    specs: Sequence[AgentSpec], seeds: Sequence[int], command: str) -> dict:
     manifest = {
@@ -168,22 +161,31 @@ def write_manifest(out: Path, config: TrainConfig, graph_path: Path, graph_text:
 
 # -- subcommands ------------------------------------------------------------------------
 
+def _train_run(doc: dict, graph_file: tuple[RoadGraph, Path, str], out: Path, command: str) -> Trainer:
+    """Train the resolved config ``doc`` into the run directory ``out`` and return the trainer.
+
+    ``manifest.json`` is written before training starts; ``Trainer.train`` adds
+    ``metrics.csv``, ``timing.csv`` and the checkpoints.
+    """
+    graph, graph_path, graph_text = graph_file
+    config = _config_from_doc(doc)
+    specs = _specs_from_doc(doc, graph, config)
+    trainer = Trainer(config, graph, specs)
+    write_manifest(out, config, graph_path, graph_text, specs, [config.seed], command)
+    trainer.train(out_dir=out)
+    return trainer
+
+
 def cmd_train(args) -> int:
     doc = _resolve(args, {
         "mode": args.mode, "seed": args.seed, "epochs": args.epochs,
         "n_agents": args.agents, "expert_provider": args.provider,
         "mock_dir": args.mock_dir, "graph": args.graph,
     })
-    config = _config_from_doc(doc)
-    graph, graph_path, graph_text = _load_graph_file(doc.get("graph"))
-    specs = _specs_from_doc(doc, graph, config)
-    trainer = Trainer(config, graph, specs)
     out = Path(args.out)
-    write_manifest(out, config, graph_path, graph_text, specs, [config.seed], "train")
-    result = trainer.train(out_dir=out)
-    last = result.metrics[-1]
-    print(f"trained {config.epochs} epochs; final mean reward {last.mean_reward_a:.3f}; "
-          f"outputs in {out}")
+    trainer = _train_run(doc, _load_graph_file(doc.get("graph")), out, "train")
+    print(f"trained {trainer.config.epochs} epochs; final mean reward "
+          f"{trainer.metrics[-1].mean_reward_a:.3f}; outputs in {out}")
     return 0
 
 
@@ -220,30 +222,27 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep_agents(args) -> int:
     doc = _resolve(args, {"graph": args.graph, "epochs": args.epochs})
-    base = _config_from_doc(doc)
-    graph, _, _ = _load_graph_file(doc.get("graph"))
+    if doc.get("agents") is not None:
+        raise ConfigError("sweep-agents draws the tasks for each agent count; 'agents' must be null")
+    graph_file = _load_graph_file(doc.get("graph"))
     counts: list[int] = []
     for c in args.counts:
         if c in counts:
             print(f"warning: duplicate agent count {c} ignored", file=sys.stderr)
         else:
             counts.append(c)
-    seeds = args.seeds
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for count in counts:
-        episode_rewards = []
-        epoch_seconds = []
-        for seed in seeds:
-            trainer = _trained(doc, graph, n_agents=count, seed=seed)
-            epoch_seconds.extend(m.seconds for m in trainer.metrics)
-            episode_rewards.extend(trainer.evaluate().episode_rewards)
+        trainers = [_train_run({**doc, "n_agents": count, "seed": seed}, graph_file,
+                              out / f"n{count}" / f"seed{seed}", "sweep-agents")
+                    for seed in args.seeds]
+        episode_rewards = np.concatenate([t.evaluate().episode_rewards for t in trainers])
         rows.append((
             count,
             repr(float(np.mean(episode_rewards))),
             repr(float(np.std(episode_rewards))),
-            f"{np.mean(epoch_seconds):.6f}",
+            f"{np.mean([m.seconds for t in trainers for m in t.metrics]):.6f}",
         ))
         print(f"agents={count}: reward mean {rows[-1][1]} sigma {rows[-1][2]} "
               f"({rows[-1][3]} s/epoch)")
@@ -256,27 +255,20 @@ def cmd_sweep_agents(args) -> int:
 
 def cmd_ablation(args) -> int:
     doc = _resolve(args, {"graph": args.graph, "epochs": args.epochs})
-    _config_from_doc(doc)  # a bad configuration fails before anything is written
-    graph, _, _ = _load_graph_file(doc.get("graph"))
-    seeds = args.seeds
+    graph_file = _load_graph_file(doc.get("graph"))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    per_variant: dict[str, np.ndarray] = {}
-    epochs = None
+    curves: dict[str, np.ndarray] = {}
     for column, mode in ABLATION_VARIANTS:
-        seed_curves = []
-        for seed in seeds:
-            trainer = _trained(doc, graph, mode=mode, seed=seed)
-            seed_curves.append([m.mean_reward_a for m in trainer.metrics])
-            epochs = trainer.config.epochs
-        per_variant[column] = np.mean(np.array(seed_curves), axis=0)
-        print(f"{column}: final mean reward {per_variant[column][-1]:.3f}")
+        trainers = [_train_run({**doc, "mode": mode, "seed": seed}, graph_file,
+                              out / column / f"seed{seed}", "ablation")
+                    for seed in args.seeds]
+        curves[column] = np.mean([[m.mean_reward_a for m in t.metrics] for t in trainers], axis=0)
+        print(f"{column}: final mean reward {curves[column][-1]:.3f}")
     with open(out / "ablation.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(("epoch",) + tuple(c for c, _ in ABLATION_VARIANTS))
-        for t in range(epochs):
-            writer.writerow(
-                (t + 1,) + tuple(repr(float(per_variant[c][t])) for c, _ in ABLATION_VARIANTS))
+        writer.writerow(("epoch", *curves))
+        for epoch, rewards in enumerate(zip(*curves.values()), start=1):
+            writer.writerow((epoch, *(repr(float(r)) for r in rewards)))
     return 0
 
 

@@ -233,6 +233,17 @@ class TestSweep:
         rows = read_csv(out / "sweep.csv")
         assert rows[0] == ["n_agents", "reward_mean", "reward_std", "seconds_per_epoch"]
         assert [r[0] for r in rows[1:]] == ["1", "2"]
+        assert sorted(p.name for p in out.iterdir()) == ["n1", "n2", "sweep.csv"]
+        manifest = json.loads((out / "n2" / "seed0" / "manifest.json").read_text())
+        assert manifest["command"] == "sweep-agents" and manifest["config"]["n_agents"] == 2
+        assert main(["evaluate", "--run", str(out / "n2" / "seed0")]) == 0
+
+    def test_listed_agents_exit_2_without_out_dir(self, tmp_path, base_config, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep-agents", "--config", base_config, "--out", str(out),
+                     "--counts", "1,2"]) == 2
+        assert "'agents' must be null" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAblation:
@@ -247,6 +258,19 @@ class TestAblation:
         assert rows[0] == ["epoch", "dynamic", "fixed_alpha_0_2", "fixed_alpha_0_5",
                            "logit_ppo", "ippo"]
         assert len(rows) == 4
+
+    def test_runs_train_the_config_agents_like_train(self, tmp_path, base_config):
+        out = tmp_path / "ablation"
+        assert main(["ablation", "--config", base_config, "--out", str(out), "--seeds", "0"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "ablation.csv", "dynamic", "fixed_alpha_0_2", "fixed_alpha_0_5", "ippo", "logit_ppo"]
+        run = out / "dynamic" / "seed0"
+        assert json.loads((run / "manifest.json").read_text())["agents"] == [[0, 8, 0], [2, 6, 0]]
+        single = tmp_path / "train"
+        assert main(["train", "--config", base_config, "--out", str(single),
+                     "--set", "mode=dynamic", "--set", "seed=0"]) == 0
+        assert (run / "metrics.csv").read_bytes() == (single / "metrics.csv").read_bytes()
+        assert main(["evaluate", "--run", str(out / "ippo" / "seed0")]) == 0
 
     def test_unknown_key_exits_2_before_writing(self, tmp_path, graph_file, capsys):
         out = tmp_path / "ablation"
