@@ -2,8 +2,8 @@
 
 Exercises every subcommand end to end in a temporary directory that is
 removed at the end: train, evaluate, an agent-count sweep, the loss-mixing
-ablation, a demonstration quality report against a scripted mock endpoint,
-and plot-data smoothing.
+ablation and the evaluation of one of its runs, a demonstration quality
+report against a scripted mock endpoint, and plot-data smoothing.
 All runs are tiny; the point is the artifact layout, not the learning.
 """
 import json
@@ -45,6 +45,10 @@ with tempfile.TemporaryDirectory(prefix="routecoach_demo_") as work:
     main(["ablation", "--config", str(tmp / "config.json"), "--out", str(tmp / "ablation"),
           "--seeds", "0", "--set", "epochs=3"])
     print((tmp / "ablation" / "ablation.csv").read_text().splitlines()[0])
+    print("run directories:", sorted(p.name for p in (tmp / "ablation").iterdir() if p.is_dir()))
+
+    print("\n$ routecoach evaluate (one ablation run)")
+    main(["evaluate", "--run", str(tmp / "ablation" / "dynamic" / "seed0")])
 
     print("\n$ routecoach demo-report (scripted mock endpoint)")
     mock = tmp / "mock"

@@ -55,18 +55,15 @@ class ConfigError(ValueError):
 
 # -- config plumbing ---------------------------------------------------------------
 
-def _read_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    p = Path(path)
+def _read_json_object(p: Path, what: str) -> dict:
     if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
+        raise ConfigError(f"{what} not found: {p}")
     try:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} {p} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError(f"config file {p} must hold a JSON object")
+        raise ConfigError(f"{what} {p} must hold a JSON object")
     return doc
 
 
@@ -111,7 +108,8 @@ def _specs_from_doc(doc: dict, graph: RoadGraph, config: TrainConfig) -> tuple[A
 
 
 def _resolve(args, extra_flags: dict | None = None) -> dict:
-    doc = _read_config_file(getattr(args, "config", None))
+    path = getattr(args, "config", None)
+    doc = {} if path is None else _read_json_object(Path(path), "config file")
     _apply_sets(doc, getattr(args, "set", None) or [])
     for key, value in (extra_flags or {}).items():
         if value is not None:
@@ -192,10 +190,14 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     run = Path(args.run)
     manifest_path = run / "manifest.json"
-    if not manifest_path.exists():
-        raise ConfigError(f"no manifest.json under {run}")
-    manifest = json.loads(manifest_path.read_text())
-    config = TrainConfig.from_dict(manifest["config"])
+    manifest = _read_json_object(manifest_path, "run manifest")
+    missing = [k for k in ("config", "config_hash", "graph_file", "graph_sha256", "agents")
+               if k not in manifest]
+    if missing:
+        raise ConfigError(f"run manifest {manifest_path} lacks {', '.join(missing)}")
+    if not isinstance(manifest["config"], dict):
+        raise ConfigError(f"run manifest {manifest_path}: 'config' must be a JSON object")
+    config = _config_from_doc(manifest["config"])
     episodes = config.eval_episodes if args.episodes is None else args.episodes
     if episodes < 1:
         raise ConfigError(f"--episodes must be at least 1, got {episodes}")
@@ -318,6 +320,8 @@ def demo_quality_report(
 
 def cmd_demo_report(args) -> int:
     doc = _resolve(args, {"graph": args.graph, "seed": args.seed, "mock_dir": args.mock_dir})
+    if args.provider == "mock" and not doc.get("mock_dir"):
+        raise ConfigError("--provider mock needs --mock-dir (or mock_dir in the config)")
     doc["expert_provider"] = "oracle" if args.provider == "oracle" else "llm"
     config = _config_from_doc(doc)
     if config.expert_provider != doc["expert_provider"]:
@@ -396,7 +400,10 @@ def cmd_make_graph(args) -> int:
 # -- argument parsing -----------------------------------------------------------------
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    values = [int(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of integers, got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -213,6 +213,44 @@ class TestEvaluate:
         assert "unknown junction 99" in capsys.readouterr().err
         assert not (out / "eval.csv").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "is not valid JSON"),
+        ("[1, 2]", "must hold a JSON object"),
+    ])
+    def test_unreadable_manifest_exits_2(self, tmp_path, base_config, capsys, text, message):
+        out = tmp_path / "run"
+        main(["train", "--config", base_config, "--out", str(out)])
+        (out / "manifest.json").write_text(text)
+        assert main(["evaluate", "--run", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "eval.csv").exists()
+
+    @pytest.mark.parametrize("key", ["config", "config_hash", "graph_file", "graph_sha256", "agents"])
+    def test_manifest_without_a_key_exits_2(self, tmp_path, base_config, capsys, key):
+        out = tmp_path / "run"
+        main(["train", "--config", base_config, "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest[key]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["evaluate", "--run", str(out)]) == 2
+        assert f"lacks {key}" in capsys.readouterr().err
+        assert not (out / "eval.csv").exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ({"learning_rat": 0.5}, "error: bad configuration: unknown config keys: ['learning_rat']"),
+        ([1, 2], "'config' must be a JSON object"),
+    ])
+    def test_manifest_config_not_a_train_config_exits_2(self, tmp_path, base_config, capsys,
+                                                         config, message):
+        out = tmp_path / "run"
+        main(["train", "--config", base_config, "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"] = {**manifest["config"], **config} if isinstance(config, dict) else config
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["evaluate", "--run", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "eval.csv").exists()
+
     def test_run_without_checkpoints_exits_2(self, tmp_path, base_config, capsys):
         out = tmp_path / "run"
         main(["train", "--config", base_config, "--out", str(out)])
@@ -237,6 +275,15 @@ class TestSweep:
         manifest = json.loads((out / "n2" / "seed0" / "manifest.json").read_text())
         assert manifest["command"] == "sweep-agents" and manifest["config"]["n_agents"] == 2
         assert main(["evaluate", "--run", str(out / "n2" / "seed0")]) == 0
+
+    @pytest.mark.parametrize("flags", [["--counts", ","], ["--counts", "1", "--seeds", ","]])
+    def test_empty_list_exits_2_without_out_dir(self, tmp_path, graph_file, capsys, flags):
+        out = tmp_path / "sweep"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-agents", "--graph", graph_file, "--out", str(out), *flags])
+        assert exc.value.code == 2
+        assert f"argument {flags[-2]}: expected a comma-separated list" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_listed_agents_exit_2_without_out_dir(self, tmp_path, base_config, capsys):
         out = tmp_path / "sweep"
@@ -271,6 +318,14 @@ class TestAblation:
                      "--set", "mode=dynamic", "--set", "seed=0"]) == 0
         assert (run / "metrics.csv").read_bytes() == (single / "metrics.csv").read_bytes()
         assert main(["evaluate", "--run", str(out / "ippo" / "seed0")]) == 0
+
+    def test_empty_seeds_exit_2_without_out_dir(self, tmp_path, graph_file, capsys):
+        out = tmp_path / "ablation"
+        with pytest.raises(SystemExit) as exc:
+            main(["ablation", "--graph", graph_file, "--out", str(out), "--seeds", ","])
+        assert exc.value.code == 2
+        assert "argument --seeds: expected a comma-separated list" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key_exits_2_before_writing(self, tmp_path, graph_file, capsys):
         out = tmp_path / "ablation"
@@ -322,6 +377,15 @@ class TestDemoReport:
                      "--set", "n_agents=2", flag, "0"])
         assert code == 2
         assert "error: need at least one phase and one prompt" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mock_without_mock_dir_exits_2(self, tmp_path, graph_file, monkeypatch, capsys):
+        monkeypatch.delenv("ROUTECOACH_LLM_BASE_URL", raising=False)
+        out = tmp_path / "report"
+        code = main(["demo-report", "--graph", graph_file, "--out", str(out),
+                     "--provider", "mock", "--set", "n_agents=2"])
+        assert code == 2
+        assert "error: --provider mock needs --mock-dir" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["ippo", "logit-ppo"])
