@@ -17,7 +17,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -174,6 +174,13 @@ def _train_run(doc: dict, graph_file: tuple[RoadGraph, Path, str], out: Path, co
     return trainer
 
 
+def _check_runs(run_docs: Iterable[Sequence[dict]]) -> None:
+    """Resolve the config of every run, so that a bad one exits before the first run writes."""
+    for docs in run_docs:
+        for run_doc in docs:
+            _config_from_doc(run_doc)
+
+
 def cmd_train(args) -> int:
     doc = _resolve(args, {
         "mode": args.mode, "seed": args.seed, "epochs": args.epochs,
@@ -233,12 +240,15 @@ def cmd_sweep_agents(args) -> int:
             print(f"warning: duplicate agent count {c} ignored", file=sys.stderr)
         else:
             counts.append(c)
+    run_docs = {count: [{**doc, "n_agents": count, "seed": seed} for seed in args.seeds]
+                for count in counts}
+    _check_runs(run_docs.values())
     out = Path(args.out)
     rows = []
-    for count in counts:
-        trainers = [_train_run({**doc, "n_agents": count, "seed": seed}, graph_file,
-                              out / f"n{count}" / f"seed{seed}", "sweep-agents")
-                    for seed in args.seeds]
+    for count, docs in run_docs.items():
+        trainers = [_train_run(run_doc, graph_file, out / f"n{count}" / f"seed{run_doc['seed']}",
+                               "sweep-agents")
+                    for run_doc in docs]
         episode_rewards = np.concatenate([t.evaluate().episode_rewards for t in trainers])
         rows.append((
             count,
@@ -258,12 +268,14 @@ def cmd_sweep_agents(args) -> int:
 def cmd_ablation(args) -> int:
     doc = _resolve(args, {"graph": args.graph, "epochs": args.epochs})
     graph_file = _load_graph_file(doc.get("graph"))
+    run_docs = {column: [{**doc, "mode": mode, "seed": seed} for seed in args.seeds]
+                for column, mode in ABLATION_VARIANTS}
+    _check_runs(run_docs.values())
     out = Path(args.out)
     curves: dict[str, np.ndarray] = {}
-    for column, mode in ABLATION_VARIANTS:
-        trainers = [_train_run({**doc, "mode": mode, "seed": seed}, graph_file,
-                              out / column / f"seed{seed}", "ablation")
-                    for seed in args.seeds]
+    for column, docs in run_docs.items():
+        trainers = [_train_run(run_doc, graph_file, out / column / f"seed{run_doc['seed']}", "ablation")
+                    for run_doc in docs]
         curves[column] = np.mean([[m.mean_reward_a for m in t.metrics] for t in trainers], axis=0)
         print(f"{column}: final mean reward {curves[column][-1]:.3f}")
     with open(out / "ablation.csv", "w", newline="") as fh:

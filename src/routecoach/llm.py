@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol
 
-import requests
-
 from .prompts import count_tokens
 
 ENV_BASE_URL = "ROUTECOACH_LLM_BASE_URL"
@@ -68,6 +66,8 @@ class HttpChatCompleter:
         self._sleep = sleep
 
     def complete(self, prompt: str) -> CompletionResult:
+        import requests  # only this endpoint needs it, and it loads hundreds of modules
+
         payload = {
             "model": self.config.model,
             "messages": [{"role": "user", "content": prompt}],

@@ -90,8 +90,9 @@ class TrainConfig:
         for name in ("n_agents", "epochs", "steps_per_episode", "update_epochs", "demo_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
+        for name in ("checkpoint_every", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         for name in ("learning_rate", "logit_temperature"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")

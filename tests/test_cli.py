@@ -106,6 +106,12 @@ class TestTrain:
         assert "error: bad configuration" in err and flags[-1].split("=")[0] in err
         assert not out.exists()
 
+    def test_negative_seed_exits_2_without_run_dir(self, tmp_path, base_config, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", base_config, "--out", str(out), "--seed", "-1"]) == 2
+        assert "error: bad configuration: seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("setting", ["learning_rat=0.5", "foo.bar=1"])
     def test_unknown_set_key_exits_2_without_run_dir(self, tmp_path, base_config, capsys, setting):
         out = tmp_path / "run"
@@ -285,6 +291,17 @@ class TestSweep:
         assert f"argument {flags[-2]}: expected a comma-separated list" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--counts", "2,0"], "n_agents must be >= 1"),
+        (["--counts", "1,2", "--seeds", "0,-1"], "seed must be >= 0"),
+    ])
+    def test_bad_later_run_exits_2_without_out_dir(self, tmp_path, graph_file, capsys, flags, message):
+        out = tmp_path / "sweep"
+        assert main(["sweep-agents", "--graph", graph_file, "--out", str(out), *flags,
+                     "--set", "epochs=1", "--set", "steps_per_episode=20"]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_listed_agents_exit_2_without_out_dir(self, tmp_path, base_config, capsys):
         out = tmp_path / "sweep"
         assert main(["sweep-agents", "--config", base_config, "--out", str(out),
@@ -325,6 +342,14 @@ class TestAblation:
             main(["ablation", "--graph", graph_file, "--out", str(out), "--seeds", ","])
         assert exc.value.code == 2
         assert "argument --seeds: expected a comma-separated list" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["-1", "0,-1"])
+    def test_negative_seed_exits_2_without_out_dir(self, tmp_path, graph_file, capsys, seeds):
+        out = tmp_path / "ablation"
+        assert main(["ablation", "--graph", graph_file, "--out", str(out), "--seeds", seeds,
+                     "--set", "epochs=1", "--set", "steps_per_episode=20", "--set", "n_agents=2"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_key_exits_2_before_writing(self, tmp_path, graph_file, capsys):

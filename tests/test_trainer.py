@@ -90,6 +90,10 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            TrainConfig(seed=-1)
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             TrainConfig.from_dict({"learning_rte": 1e-3})
