@@ -25,7 +25,7 @@ import json
 import time
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
-from math import isnan
+from math import isfinite, isnan
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -87,15 +87,21 @@ class TrainConfig:
     llm_temperature: float = 0.2
 
     def __post_init__(self) -> None:
-        for name in ("n_agents", "epochs", "steps_per_episode", "update_epochs", "demo_interval"):
+        for name in ("n_agents", "epochs", "steps_per_episode", "update_epochs", "demo_interval",
+                     "eval_episodes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("time_penalty", "shaping_coef", "arrival_bonus", "learning_rate", "llm_temperature"):
+            if not isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("checkpoint_every", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("learning_rate", "logit_temperature"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
+        if self.llm_temperature < 0:
+            raise ValueError(f"llm_temperature must be >= 0, got {self.llm_temperature}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if not 0.0 < self.clip_epsilon < 1.0:

@@ -98,6 +98,9 @@ class TestTrain:
         ["--set", "n_agents=0"], ["--set", "epochs=0"], ["--set", "steps_per_episode=0"],
         ["--set", "update_epochs=0"], ["--set", "learning_rate=-1"], ["--set", "checkpoint_every=-1"],
         ["--mode", "logit-ppo", "--set", "logit_temperature=0"],
+        ["--set", "eval_episodes=0"], ["--set", "time_penalty=NaN"], ["--set", "shaping_coef=Infinity"],
+        ["--set", "arrival_bonus=-Infinity"], ["--set", "learning_rate=Infinity"],
+        ["--set", "llm_temperature=-1"],
     ])
     def test_out_of_range_value_exits_2_without_run_dir(self, tmp_path, base_config, capsys, flags):
         out = tmp_path / "run"
@@ -302,6 +305,14 @@ class TestSweep:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting", ["eval_episodes=0", "time_penalty=NaN"])
+    def test_bad_value_exits_2_without_out_dir(self, tmp_path, graph_file, capsys, setting):
+        out = tmp_path / "sweep"
+        assert main(["sweep-agents", "--graph", graph_file, "--out", str(out), "--counts", "1",
+                     "--set", "epochs=1", "--set", "steps_per_episode=20", "--set", setting]) == 2
+        assert f"error: bad configuration: {setting.split('=')[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_listed_agents_exit_2_without_out_dir(self, tmp_path, base_config, capsys):
         out = tmp_path / "sweep"
         assert main(["sweep-agents", "--config", base_config, "--out", str(out),
@@ -350,6 +361,15 @@ class TestAblation:
         assert main(["ablation", "--graph", graph_file, "--out", str(out), "--seeds", seeds,
                      "--set", "epochs=1", "--set", "steps_per_episode=20", "--set", "n_agents=2"]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", ["eval_episodes=-1", "llm_temperature=Infinity"])
+    def test_bad_value_exits_2_without_out_dir(self, tmp_path, graph_file, capsys, setting):
+        out = tmp_path / "ablation"
+        assert main(["ablation", "--graph", graph_file, "--out", str(out), "--seeds", "0",
+                     "--set", "epochs=1", "--set", "steps_per_episode=20", "--set", "n_agents=2",
+                     "--set", setting]) == 2
+        assert f"error: bad configuration: {setting.split('=')[0]}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_key_exits_2_before_writing(self, tmp_path, graph_file, capsys):

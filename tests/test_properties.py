@@ -5,19 +5,22 @@ every move afterwards.  These tests draw tasks, depart times, congestion on
 or off, sit-outs and step limits (short enough to cut episodes and long
 enough to let them finish), and check what ``rollout`` and ``replay`` record
 against stepping all agents together with ``env.step``.  The policy table a
-rollout walks from is checked row by row against single forwards.
+rollout walks from is checked row by row against single forwards, each
+sampled step's ``draw`` against ``Generator.choice``, and one update of
+every agent together against updating each agent alone.
 """
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from routecoach import AgentSpec, RouteEnv, grid_graph, hilly_graph, nets
+from routecoach import AgentSpec, RouteEnv, TrainConfig, Trainer, grid_graph, hilly_graph, nets
 from routecoach import demos as dg
 from routecoach.env import EnvError
 from routecoach.graph import INF, Edge, RoadGraph
-from routecoach.training import agent_rng, policy_table, rollout
+from routecoach.training import agent_rng, choice_cdf, draw, policy_table, rollout, update_agent
 from routecoach.trajectory import run_episode
+from test_pinned_outputs import _hand_trajectory
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -169,3 +172,78 @@ def test_policy_table_rows_match_single_forwards(agents, rows, actions, in_dim, 
             out = nets.policy_forward(policy, obs[a, j], masks[j])
             assert log_probs[a, j].tobytes() == out.log_probs.tobytes()
             assert probs[a, j].tobytes() == out.probs.tobytes()
+
+
+PLAIN = st.floats(1e-6, 1.0)
+
+
+@st.composite
+def probability_rows(pick, actions: int) -> np.ndarray:
+    """``actions`` probabilities: exact zeros, tiny ones (so that the cdf reaches or nears 1
+    before its last entry) and plain ones, at least one of them plain."""
+    weights = pick(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e-15), PLAIN),
+                            min_size=actions, max_size=actions))
+    weights[pick(st.integers(0, actions - 1))] = pick(PLAIN)
+    return np.array(weights) / sum(weights)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(actions=st.integers(1, 6), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_draws_match_generator_choice(actions, data, seed):
+    """``draw`` on a ``choice_cdf`` row picks what ``Generator.choice`` picks and leaves the same state."""
+    probs = np.array(data.draw(st.lists(probability_rows(actions), min_size=1, max_size=8)))
+    cdf = choice_cdf(probs).tolist()
+    seeds = np.random.default_rng(seed).integers(2**32, size=len(probs))
+    ours, ref = ([np.random.default_rng(s) for s in seeds] for _ in range(2))
+    for _ in range(5):
+        assert [draw(row, g) for row, g in zip(cdf, ours)] == [g.choice(actions, p=p) for g, p in zip(ref, probs)]
+    assert [g.bit_generator.state for g in ours] == [g.bit_generator.state for g in ref]
+
+
+UPDATE_GRAPH = grid_graph(4)
+UPDATE_SPECS = tuple(AgentSpec(i, i, 15 - i) for i in range(8))
+# trajectory lengths that give a segment of 1 row, 2-9 rows (where a product's bits depend on
+# its row count) and 10 or more; a demonstration is absent (None), empty (0) or present
+LENGTHS = st.one_of(st.just(1), st.integers(2, 9), st.integers(10, 64))
+OWN = st.one_of(st.just(0), LENGTHS)
+DEMO = st.one_of(st.none(), st.just(0), LENGTHS)
+
+
+def _learners(config, seed):
+    """Fresh learners with non-zero final layers and drawn mixing weights; the same for one seed."""
+    trainer = Trainer(config, UPDATE_GRAPH, UPDATE_SPECS[:config.n_agents])
+    rng = np.random.default_rng(seed)
+    for learner in trainer.learners:
+        learner.alpha = config.fixed_alpha or float(rng.uniform(0.01, 1.0))
+        for net in (learner.policy, learner.value_a, learner.value_e):
+            net.weights[-1][...] = rng.normal(scale=0.3, size=net.weights[-1].shape)
+    return trainer.env, trainer.learners
+
+
+def _state(learner) -> bytes:
+    """Every network's and Adam moment's bytes, and the Adam step counts."""
+    adams = (learner.adam_policy, learner.adam_value_a, learner.adam_value_e)
+    arrays = [learner.policy, learner.value_a, learner.value_e] + [x for a in adams for x in (a.m, a.v)]
+    return b"".join(x.data.tobytes() for x in arrays) + repr([a.t for a in adams]).encode()
+
+
+@settings(PROPERTY, max_examples=50)
+@given(agents=st.integers(1, 8), mode=st.sampled_from(["dynamic", "fixed-alpha:0.3", "ippo"]),
+       data=st.data(), seed=st.integers(0, 2**16))
+def test_fused_update_equals_solo_updates(agents, mode, data, seed):
+    """``update_agent`` over every agent gives each agent the bytes and stats of updating it alone."""
+    own = data.draw(st.lists(OWN, min_size=agents, max_size=agents))
+    demos = data.draw(st.lists(DEMO, min_size=agents, max_size=agents))
+    config = TrainConfig(n_agents=agents, epochs=4, steps_per_episode=64, update_epochs=2, mode=mode)
+    env, together = _learners(config, seed)
+    rng = np.random.default_rng(seed)
+    tau_a = [_hand_trajectory(env, i, m, rng, terminated=bool(rng.integers(2)), behaviour=True)
+             for i, m in enumerate(own)]
+    tau_e = [None if m is None else _hand_trajectory(env, i, m, rng, terminated=bool(rng.integers(2)),
+                                                     behaviour=False)
+             for i, m in enumerate(demos)]
+    stats = update_agent(together, tau_a, tau_e, 1, config)
+    _, alone = _learners(config, seed)
+    for i in range(agents):
+        alone_stats, = update_agent([alone[i]], [tau_a[i]], [tau_e[i]], 1, config)
+        assert (_state(together[i]), repr(stats[i])) == (_state(alone[i]), repr(alone_stats)), f"agent {i}"

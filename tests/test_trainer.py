@@ -94,6 +94,22 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             TrainConfig(seed=-1)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("eval_episodes", 0, "eval_episodes must be >= 1"),
+        ("eval_episodes", -1, "eval_episodes must be >= 1"),
+        ("time_penalty", float("nan"), "time_penalty must be finite"),
+        ("shaping_coef", float("inf"), "shaping_coef must be finite"),
+        ("arrival_bonus", -float("inf"), "arrival_bonus must be finite"),
+        ("learning_rate", float("inf"), "learning_rate must be finite"),
+        ("llm_temperature", float("nan"), "llm_temperature must be finite"),
+        ("llm_temperature", float("inf"), "llm_temperature must be finite"),
+        ("llm_temperature", -0.1, "llm_temperature must be >= 0"),
+    ])
+    def test_values_that_crash_or_poison_a_run_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{field: value})
+        TrainConfig(llm_temperature=0.0)  # greedy sampling stays allowed
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             TrainConfig.from_dict({"learning_rte": 1e-3})
