@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 import sys
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -88,14 +89,12 @@ def _specs_from_doc(doc: dict, graph: RoadGraph, config: TrainConfig) -> tuple[A
     specs = []
     for i, entry in enumerate(agents):
         try:
-            if isinstance(entry, dict):
-                entry = (entry["start"], entry["dest"], entry.get("depart_time", 0))
-            if not isinstance(entry, (list, tuple)) or not 2 <= len(entry) <= 3:
+            if not isinstance(entry, list) or not 2 <= len(entry) <= 3:
                 raise ValueError("an entry has 2 or 3 items")
             start, dest, *rest = entry
             specs.append(AgentSpec(agent_id=i, start=int(start), dest=int(dest),
                                    depart_time=int(rest[0]) if rest else 0))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"agent {i}: bad entry {entry!r}; expected [start, dest] "
                               f"or [start, dest, depart_time] with integer entries") from exc
     if len(specs) != config.n_agents:
@@ -212,11 +211,22 @@ def cmd_evaluate(args) -> int:
     if hashlib.sha256(graph_text.encode()).hexdigest() != manifest["graph_sha256"]:
         raise ConfigError(f"graph file {graph_path} changed since training (sha256 differs from the manifest)")
     specs = _specs_from_doc(manifest, graph, config)
-    if not (run / "checkpoints" / "checkpoint_manifest.json").exists():
-        raise ConfigError(f"no checkpoint under {run / 'checkpoints'}")
-    params, ck_manifest = load_checkpoint(run / "checkpoints")
+    checkpoints = run / "checkpoints"
+    if not (checkpoints / "checkpoint_manifest.json").exists():
+        raise ConfigError(f"no checkpoint under {checkpoints}")
+    ck_manifest = _read_json_object(checkpoints / "checkpoint_manifest.json", "checkpoint manifest")
+    missing = [k for k in ("config_hash", "n_agents") if k not in ck_manifest]
+    if missing:
+        raise ConfigError(f"checkpoint manifest under {checkpoints} lacks {', '.join(missing)}")
     if ck_manifest["config_hash"] != manifest["config_hash"]:
         raise ConfigError("checkpoint was produced by a different configuration than the manifest")
+    if ck_manifest["n_agents"] != len(specs):
+        raise ConfigError(f"checkpoint holds {ck_manifest['n_agents']!r} agents "
+                          f"but the run manifest lists {len(specs)}")
+    try:
+        params, _ = load_checkpoint(checkpoints)
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"cannot read the checkpoint under {checkpoints}: {type(exc).__name__}: {exc}") from exc
     result = evaluate([p["policy"] for p in params], env_from_config(graph, specs, config), episodes)
     out = Path(args.out) if args.out else run
     out.mkdir(parents=True, exist_ok=True)

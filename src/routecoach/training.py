@@ -236,12 +236,6 @@ class EvalResult:
         return float(self.episode_rewards.mean())
 
 
-@dataclass
-class TrainResult:
-    learners: list[AgentLearner]
-    metrics: list[EpochMetrics]
-
-
 # -- seed plumbing ----------------------------------------------------------------
 
 def agent_rng(seed: int, stream: int, agent_id: int) -> np.random.Generator:
@@ -308,8 +302,11 @@ def policy_table(env: RouteEnv, policies: Sequence[nets.MlpParams]) -> tuple[np.
 
     An observation depends only on the junction, so one agent-stacked forward
     over ``env``'s observation tables gives every distribution an episode can
-    ask for.  The table holds for as long as the policies' parameters do.
+    ask for.  The table holds for as long as the policies' parameters do.  One policy per
+    agent: another count raises ``ValueError``.
     """
+    if len(policies) != env.n_agents:
+        raise ValueError(f"{len(policies)} policies for an environment of {env.n_agents} agents")
     return nets.policy_table_forward(nets.stack_params(policies), env.obs_tables, env.mask_table)
 
 
@@ -602,8 +599,8 @@ class Trainer:
         self,
         out_dir: str | Path | None = None,
         on_epoch: Callable[[EpochMetrics], None] | None = None,
-    ) -> TrainResult:
-        """Run all configured epochs; stream metrics/checkpoints to disk.
+    ) -> Trainer:
+        """Run all configured epochs, stream metrics/checkpoints to disk, and return the trainer.
 
         With ``out_dir`` set, appends one row per epoch to ``metrics.csv``
         (deterministic columns) and ``timing.csv`` (wall clock), and writes
@@ -643,7 +640,7 @@ class Trainer:
             if metrics_file is not None:
                 metrics_file.close()
                 timing_file.close()
-        return TrainResult(learners=self.learners, metrics=self.metrics)
+        return self
 
     def evaluate(self, episodes: int | None = None) -> EvalResult:
         """``evaluate`` of the learners' policies, from the table the next epoch's rollout reuses."""

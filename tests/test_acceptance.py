@@ -18,15 +18,9 @@ from routecoach import demos as dg
 from routecoach import losses as L
 from routecoach import nets
 from routecoach.cli import demo_quality_report, main
-from routecoach.env import RouteEnv
 from routecoach.llm import MockChatCompleter
-from routecoach.training import (
-    TrainConfig,
-    Trainer,
-    agent_rng,
-    policy_table,
-    rollout,
-)
+from routecoach.training import TrainConfig, Trainer
+from reference import learner_bytes, primitive_build
 
 pytestmark = pytest.mark.acceptance
 
@@ -415,64 +409,12 @@ def test_a10_determinism(tmp_path):
         blobs.append((out / "metrics.csv").read_bytes())
     csv_identical = blobs[0] == blobs[1]
 
-    golden_identical = _ippo_matches_expert_free_build()
+    graph, specs = rc.grid_graph(3), (rc.AgentSpec(0, 0, 8), rc.AgentSpec(1, 2, 6))
+    cfg = TrainConfig(n_agents=2, epochs=5, steps_per_episode=30, mode="ippo", seed=3)
+    golden_identical = ([learner_bytes(ln) for ln in Trainer(cfg, graph, specs).train().learners]
+                        == [learner_bytes(ln) for ln in primitive_build(cfg, graph, specs)])
     ok = csv_identical and golden_identical
     report("A10", ok, f"metrics.csv byte-identical: {csv_identical}; "
                       f"ippo golden run bit-identical: {golden_identical}")
     assert csv_identical
     assert golden_identical
-
-
-def _ippo_matches_expert_free_build() -> bool:
-    """Full trainer in ippo mode vs a loop with no expert code at all."""
-    graph = rc.grid_graph(3)
-    specs = (rc.AgentSpec(0, 0, 8), rc.AgentSpec(1, 2, 6))
-    cfg = TrainConfig(n_agents=2, epochs=5, steps_per_episode=30, mode="ippo", seed=3)
-    result = Trainer(cfg, graph, specs).train()
-
-    env = RouteEnv(graph, specs, step_limit=cfg.steps_per_episode,
-                   time_penalty=cfg.time_penalty, shaping_coef=cfg.shaping_coef,
-                   arrival_bonus=cfg.arrival_bonus)
-    learners = []
-    for i in range(2):
-        rng = agent_rng(cfg.seed, 0, i)
-        policy = nets.init_mlp(rng, env.obs_dim, env.n_actions)
-        value = nets.init_mlp(rng, env.obs_dim, 1)
-        nets.init_mlp(rng, env.obs_dim, 1)  # mirror the trainer's init stream
-        learners.append({"policy": policy, "value": value,
-                         "adam_p": nets.init_adam(policy), "adam_v": nets.init_adam(value),
-                         "rng": agent_rng(cfg.seed, 1, i)})
-    for _ in range(cfg.epochs):
-        trajectories = rollout(env, policy_table(env, [l["policy"] for l in learners]),
-                               [l["rng"] for l in learners])
-        for learner, tau in zip(learners, trajectories):
-            if len(tau) == 0:
-                continue
-            obs, masks = tau.obs_matrix(), tau.mask_matrix()
-            acts, logp_old = tau.actions, tau.logps
-            tail = 0.0 if tau.terminated else float(
-                nets.value_forward(learner["value"], tau.terminal_obs()))
-            returns = L.bootstrapped_returns(tau.rewards, cfg.gamma, tail)
-            adv = L.standardize(L.advantages(returns, nets.value_forward(learner["value"], obs)))
-            for _ in range(cfg.update_epochs):
-                logp_mat, _, _ = nets.policy_forward_batch(learner["policy"], obs, masks)
-                logp_new = logp_mat[np.arange(len(tau)), acts]
-                dlogp = np.zeros_like(logp_mat)
-                dlogp[np.arange(len(tau)), acts] = L.clipped_surrogate_grad(
-                    logp_new, logp_old, adv, cfg.clip_epsilon)
-                grads = nets.policy_backward(learner["policy"], obs, masks, dlogp,
-                                             np.full(len(tau), cfg.entropy_beta / len(tau)))
-                learner["policy"], learner["adam_p"] = nets.adam_step(
-                    learner["policy"], nets.neg(grads), learner["adam_p"], cfg.learning_rate)
-                values = nets.value_forward(learner["value"], obs)
-                dv = 2.0 * (values - returns) / len(tau)
-                learner["value"], learner["adam_v"] = nets.adam_step(
-                    learner["value"], nets.value_backward(learner["value"], obs, dv),
-                    learner["adam_v"], cfg.learning_rate)
-
-    for trained, golden in zip(result.learners, learners):
-        if not np.array_equal(trained.policy.flat(), golden["policy"].flat()):
-            return False
-        if not np.array_equal(trained.value_a.flat(), golden["value"].flat()):
-            return False
-    return True

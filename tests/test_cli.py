@@ -134,7 +134,8 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "demo-report"])
-    @pytest.mark.parametrize("entry", [[0], {"start": 0}, ["a", 8], [0, 99], [0, 8, -1], [0, 8, 0, 7], "08"])
+    @pytest.mark.parametrize("entry", [[0], {"start": 0}, {"start": 0, "dest": 8}, ["a", 8], [0, 99], [0, 8, -1],
+                                       [0, 8, 0, 7], "08"])
     def test_malformed_agent_entry_exits_2_without_run_dir(self, tmp_path, base_config, capsys,
                                                             command, entry):
         doc = json.loads(open(base_config).read())
@@ -174,6 +175,30 @@ class TestTrain:
             assert main(["train", "--config", base_config, "--out", str(out)]) == 0
             outs.append((out / "metrics.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+def _edit_json(path, edit) -> None:
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def _version_2(path) -> None:
+    with np.load(path) as data:
+        arrays = dict(data)
+    np.savez(path, **{**arrays, "version": np.array(2)})
+
+
+# how each checkpoint file is spoiled, and what the error names
+CHECKPOINT_FAULTS = {
+    "manifest-not-json": ("checkpoint_manifest.json", lambda p: p.write_text("{not json"), "is not valid JSON"),
+    "manifest-without-config-hash": ("checkpoint_manifest.json",
+                                     lambda p: _edit_json(p, lambda doc: doc.pop("config_hash")), "lacks config_hash"),
+    "npz-missing": ("agent001_policy.npz", lambda p: p.unlink(), "FileNotFoundError"),
+    "npz-truncated": ("agent000_value_a.npz", lambda p: p.write_bytes(p.read_bytes()[:200]), "BadZipFile"),
+    "npz-empty": ("agent001_value_e.npz", lambda p: p.write_bytes(b""), "EOFError"),
+    "npz-version-2": ("agent000_policy.npz", _version_2, "unsupported checkpoint version 2"),
+}
 
 
 class TestEvaluate:
@@ -258,6 +283,26 @@ class TestEvaluate:
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert main(["evaluate", "--run", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not (out / "eval.csv").exists()
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_checkpoint_agent_count_differing_from_manifest_exits_2(self, tmp_path, base_config, capsys, count):
+        out = tmp_path / "run"
+        main(["train", "--config", base_config, "--out", str(out)])
+        _edit_json(out / "checkpoints" / "checkpoint_manifest.json", lambda doc: doc.update(n_agents=count))
+        assert main(["evaluate", "--run", str(out)]) == 2
+        assert f"error: checkpoint holds {count} agents but the run manifest lists 2" in capsys.readouterr().err
+        assert not (out / "eval.csv").exists()
+
+    @pytest.mark.parametrize("fault", list(CHECKPOINT_FAULTS))
+    def test_unreadable_checkpoint_exits_2(self, tmp_path, base_config, capsys, fault):
+        name, spoil, message = CHECKPOINT_FAULTS[fault]
+        out = tmp_path / "run"
+        main(["train", "--config", base_config, "--out", str(out)])
+        spoil(out / "checkpoints" / name)
+        assert main(["evaluate", "--run", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert not (out / "eval.csv").exists()
 
     def test_run_without_checkpoints_exits_2(self, tmp_path, base_config, capsys):

@@ -1,13 +1,15 @@
-"""Property tests: the per-agent episode walks equal the joint ``env.step`` loop.
+"""Property tests: the per-agent episode walks equal the test-side reference's joint episode.
 
 ``trajectory.run_episode`` walks each agent's episode on its own and scores
 every move afterwards.  These tests draw tasks, depart times, congestion on
 or off, sit-outs and step limits (short enough to cut episodes and long
 enough to let them finish), and check what ``rollout`` and ``replay`` record
-against stepping all agents together with ``env.step``.  The policy table a
-rollout walks from is checked row by row against single forwards, each
+against ``reference.joint_episode``, which steps all agents together and
+scores every move with its own copy of the reward formula.  The policy table
+a rollout walks from is checked row by row against single forwards, each
 sampled step's ``draw`` against ``Generator.choice``, and one update of
-every agent together against updating each agent alone.
+every agent together against updating each agent alone and against the
+reference's one-network-at-a-time update.
 """
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from routecoach.env import EnvError
 from routecoach.graph import INF, Edge, RoadGraph
 from routecoach.training import agent_rng, choice_cdf, draw, policy_table, rollout, update_agent
 from routecoach.trajectory import run_episode
+from reference import (episode_record, joint_episode, learner_bytes, policy_episode, primitive_update,
+                       route_episode)
 from test_pinned_outputs import _hand_trajectory
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None,
@@ -45,34 +49,6 @@ def envs(draw) -> RouteEnv:
     return RouteEnv(GRAPHS[g], specs, step_limit=draw(st.integers(1, 20)), congestion=draw(st.booleans()))
 
 
-def joint_episode(env: RouteEnv, pick, sit_out=()):
-    """Every acting agent picks its action, then one ``env.step``: (paths, actions, rewards, final state)."""
-    paths = [[spec.start] for spec in env.specs]
-    actions, rewards = [[] for _ in env.specs], [[] for _ in env.specs]
-    state = env.reset(sit_out)
-    while not env.episode_done(state):
-        joint = [None] * env.n_agents
-        for i in env.acting(state).tolist():
-            joint[i] = pick(i, int(state.positions[i]))
-            actions[i].append(joint[i])
-        state, step_rewards = env.step(state, joint)
-        for i, a in enumerate(joint):
-            if a is not None:
-                paths[i].append(int(state.positions[i]))
-                rewards[i].append(float(step_rewards[i]))
-    return paths, actions, rewards, state
-
-
-def assert_same_episode(trajectories, reference) -> None:
-    paths, actions, rewards, state = reference
-    assert [t.agent_id for t in trajectories] == list(range(len(paths)))
-    for i, tau in enumerate(trajectories):
-        assert tau.junction_path.tolist() == paths[i]
-        assert tau.actions.tolist() == actions[i]
-        assert tau.rewards.tolist() == rewards[i]
-        assert (tau.arrived, tau.terminated) == (bool(state.arrived[i]), bool(state.done[i]) and bool(actions[i]))
-
-
 def _policies(env: RouteEnv, seed: int) -> list[nets.MlpParams]:
     """Random networks with sharpened outputs, so that some agents wander and some head home."""
     rng = np.random.default_rng(seed)
@@ -90,17 +66,7 @@ def test_rollout_matches_joint_steps(env, seed, greedy):
     trajectories = rollout(env, policy_table(env, policies), ours, greedy=greedy)
 
     rngs = [agent_rng(seed, 1, i) for i in range(env.n_agents)]
-    logps = [[] for _ in env.specs]
-
-    def pick(i, junction):
-        obs_table, masks = env.agent_tables(i)
-        out = nets.policy_forward(policies[i], obs_table[junction], masks[junction])
-        a = int(np.argmax(out.probs)) if greedy else int(rngs[i].choice(out.probs.size, p=out.probs))
-        logps[i].append(float(out.log_probs[a]))
-        return a
-
-    assert_same_episode(trajectories, joint_episode(env, pick))
-    assert [t.logps.tolist() for t in trajectories] == logps
+    assert episode_record(trajectories) == episode_record(policy_episode(env, policies, None if greedy else rngs))
     if not greedy:
         assert [g.bit_generator.state for g in ours] == [g.bit_generator.state for g in rngs]
 
@@ -115,12 +81,7 @@ def test_replay_matches_joint_steps(env, data):
         candidates = [()] + [tuple(p) for _, p in graph.k_shortest_paths(spec.start, spec.dest, 3)]
         routes[spec.agent_id] = data.draw(st.sampled_from(candidates))
     trajectories = dg.replay(env, dg.ExecutableSet(routes))
-
-    plans = {i: iter(dg.compile_to_actions(graph, env.specs[i], r)) for i, r in routes.items() if r}
-    reference = joint_episode(env, lambda i, junction: next(plans[i]),
-                              sit_out=[i for i, r in routes.items() if not r])
-    assert_same_episode([trajectories[i] for i in range(env.n_agents)], reference)
-    assert all(t.logps is None for t in trajectories.values())
+    assert episode_record(trajectories[i] for i in range(env.n_agents)) == episode_record(route_episode(env, routes))
 
 
 @PROPERTY
@@ -128,10 +89,10 @@ def test_replay_matches_joint_steps(env, data):
 def test_masked_action_raises_naming_agent_and_junction(env, data):
     """Agents take slot 0 until one returns a masked action; the walk raises what ``env.step`` raises."""
     agent = data.draw(st.integers(0, env.n_agents - 1))
-    paths, actions, _, _ = joint_episode(env, lambda i, junction: 0)
-    assume(actions[agent])
-    step = data.draw(st.integers(0, len(actions[agent]) - 1))
-    junction = paths[agent][step]
+    tau = joint_episode(env, lambda i, junction: 0)[agent]
+    assume(len(tau))
+    step = data.draw(st.integers(0, len(tau) - 1))
+    junction = int(tau.junction_path[step])
     bad = data.draw(st.sampled_from([-1, len(env.successors[junction])]))
 
     def choose(i, j):
@@ -220,30 +181,46 @@ def _learners(config, seed):
     return trainer.env, trainer.learners
 
 
-def _state(learner) -> bytes:
-    """Every network's and Adam moment's bytes, and the Adam step counts."""
-    adams = (learner.adam_policy, learner.adam_value_a, learner.adam_value_e)
-    arrays = [learner.policy, learner.value_a, learner.value_e] + [x for a in adams for x in (a.m, a.v)]
-    return b"".join(x.data.tobytes() for x in arrays) + repr([a.t for a in adams]).encode()
-
-
-@settings(PROPERTY, max_examples=50)
-@given(agents=st.integers(1, 8), mode=st.sampled_from(["dynamic", "fixed-alpha:0.3", "ippo"]),
-       data=st.data(), seed=st.integers(0, 2**16))
-def test_fused_update_equals_solo_updates(agents, mode, data, seed):
-    """``update_agent`` over every agent gives each agent the bytes and stats of updating it alone."""
+def _update_case(agents, mode, data, seed):
+    """(config, learners, agent trajectories, expert trajectories) drawn for one update."""
     own = data.draw(st.lists(OWN, min_size=agents, max_size=agents))
     demos = data.draw(st.lists(DEMO, min_size=agents, max_size=agents))
     config = TrainConfig(n_agents=agents, epochs=4, steps_per_episode=64, update_epochs=2, mode=mode)
-    env, together = _learners(config, seed)
+    env, learners = _learners(config, seed)
     rng = np.random.default_rng(seed)
     tau_a = [_hand_trajectory(env, i, m, rng, terminated=bool(rng.integers(2)), behaviour=True)
              for i, m in enumerate(own)]
     tau_e = [None if m is None else _hand_trajectory(env, i, m, rng, terminated=bool(rng.integers(2)),
                                                      behaviour=False)
              for i, m in enumerate(demos)]
+    return config, learners, tau_a, tau_e
+
+
+UPDATES = dict(agents=st.integers(1, 8), mode=st.sampled_from(["dynamic", "fixed-alpha:0.3", "ippo"]),
+               data=st.data(), seed=st.integers(0, 2**16))
+
+
+@settings(PROPERTY, max_examples=50)
+@given(**UPDATES)
+def test_fused_update_equals_solo_updates(agents, mode, data, seed):
+    """``update_agent`` over every agent gives each agent the bytes and stats of updating it alone."""
+    config, together, tau_a, tau_e = _update_case(agents, mode, data, seed)
     stats = update_agent(together, tau_a, tau_e, 1, config)
     _, alone = _learners(config, seed)
     for i in range(agents):
         alone_stats, = update_agent([alone[i]], [tau_a[i]], [tau_e[i]], 1, config)
-        assert (_state(together[i]), repr(stats[i])) == (_state(alone[i]), repr(alone_stats)), f"agent {i}"
+        assert ((learner_bytes(together[i]), repr(stats[i]))
+                == (learner_bytes(alone[i]), repr(alone_stats))), f"agent {i}"
+
+
+@PROPERTY
+@given(**UPDATES)
+def test_fused_update_equals_reference(agents, mode, data, seed):
+    """``update_agent`` over every agent gives each agent the bytes of ``reference.primitive_update`` on it alone."""
+    config, together, tau_a, tau_e = _update_case(agents, mode, data, seed)
+    update_agent(together, tau_a, tau_e, 1, config)
+    _, alone = _learners(config, seed)
+    for i in range(agents):
+        if len(tau_a[i]) > 0:
+            primitive_update(alone[i], tau_a[i], tau_e[i], config)
+        assert learner_bytes(together[i]) == learner_bytes(alone[i]), f"agent {i}"

@@ -10,9 +10,8 @@ from routecoach import nets
 from routecoach.env import RouteEnv
 from routecoach.llm import LlmError, MockChatCompleter
 from routecoach.prompts import build_prompt
-from routecoach.trajectory import Trajectory, dtw_distance, traj_to_feature_seq
+from routecoach.trajectory import Trajectory
 from routecoach.training import (
-    ALPHA_FLOOR,
     METRICS_COLUMNS,
     TrainConfig,
     Trainer,
@@ -29,6 +28,7 @@ from routecoach.training import (
     save_checkpoint,
     update_agent,
 )
+from reference import episode_record, policy_episode, primitive_build
 
 
 @pytest.fixture()
@@ -157,33 +157,10 @@ class TestRollout:
             p.weights[-1][...] = rng.normal(scale=2.0, size=p.weights[-1].shape)
         trajs = rollout(env, policy_table(env, policies),
                         None if greedy else [agent_rng(1, 1, i) for i in range(5)], greedy=greedy)
-
-        rngs = [agent_rng(1, 1, i) for i in range(5)]
-        paths, actions, rewards, logps = ([[s.start] for s in specs], [[] for _ in specs],
-                                          [[] for _ in specs], [[] for _ in specs])
-        state = env.reset()
-        while not env.episode_done(state):
-            joint = [None] * 5
-            for i in range(5):
-                if env.active(state, i):
-                    obs = env.observe(state, i)
-                    out = nets.policy_forward(policies[i], obs.vector, obs.mask)
-                    a = int(np.argmax(out.probs)) if greedy else int(rngs[i].choice(out.probs.size, p=out.probs))
-                    joint[i] = a
-                    actions[i].append(a)
-                    logps[i].append(float(out.log_probs[a]))
-            state, step_rewards = env.step(state, joint)
-            for i in range(5):
-                if joint[i] is not None:
-                    paths[i].append(int(state.positions[i]))
-                    rewards[i].append(float(step_rewards[i]))
+        assert episode_record(trajs) == episode_record(
+            policy_episode(env, policies, None if greedy else [agent_rng(1, 1, i) for i in range(5)]))
         for i, tau in enumerate(trajs):
-            assert tau.junction_path.tolist() == paths[i]
-            assert tau.actions.tolist() == actions[i]
-            assert tau.rewards.tolist() == rewards[i]
-            assert tau.logps.tolist() == logps[i]
-            assert (tau.arrived, tau.terminated) == (bool(state.arrived[i]), bool(state.done[i]))
-            np.testing.assert_array_equal(tau.obs_matrix(), [env.agent_tables(i)[0][j] for j in paths[i][:-1]])
+            np.testing.assert_array_equal(tau.obs_matrix(), env.agent_tables(i)[0][tau.junction_path[:-1]])
         assert sum(len(t) for t in trajs) > 20
 
     def test_draw_matches_generator_choice(self):
@@ -527,91 +504,12 @@ class TestTrainerLoop:
             np.testing.assert_array_equal(agent_params["policy"].flat(), learner.policy.flat())
 
 
-def _primitive_update(l, tau_a, cfg):
-    """One agent's update written with the public primitives, expert branch optional."""
-    tau_e = l["expert"]
-    use_expert = tau_e is not None and len(tau_e) > 0
-    obs, masks = tau_a.obs_matrix(), tau_a.mask_matrix()
-    acts, logp_old = tau_a.actions, tau_a.logps
-    tail = 0.0 if tau_a.terminated else float(nets.value_forward(l["value_a"], tau_a.terminal_obs()))
-    returns = L.bootstrapped_returns(tau_a.rewards, cfg.gamma, tail)
-    adv = L.standardize(L.advantages(returns, nets.value_forward(l["value_a"], obs)))
-    if use_expert:
-        obs_e, masks_e, acts_e = tau_e.obs_matrix(), tau_e.mask_matrix(), tau_e.actions
-        tail_e = 0.0 if tau_e.terminated else float(nets.value_forward(l["value_e"], tau_e.terminal_obs()))
-        returns_e = L.bootstrapped_returns(tau_e.rewards, cfg.gamma, tail_e)
-        adv_e = L.advantages(returns_e, nets.value_forward(l["value_e"], obs_e))
-        logp_old_e = nets.policy_forward_batch(l["policy"], obs_e, masks_e)[0][np.arange(len(tau_e)), acts_e]
-    for _ in range(cfg.update_epochs):
-        logp_mat, _, _ = nets.policy_forward_batch(l["policy"], obs, masks)
-        logp_new = logp_mat[np.arange(len(tau_a)), acts]
-        dlogp = np.zeros_like(logp_mat)
-        dlogp[np.arange(len(tau_a)), acts] = l["alpha"] * L.clipped_surrogate_grad(
-            logp_new, logp_old, adv, cfg.clip_epsilon)
-        grads = nets.policy_backward(l["policy"], obs, masks, dlogp,
-                                     np.full(len(tau_a), cfg.entropy_beta / len(tau_a)))
-        if use_expert:
-            logp_mat_e, _, _ = nets.policy_forward_batch(l["policy"], obs_e, masks_e)
-            logp_new_e = logp_mat_e[np.arange(len(tau_e)), acts_e]
-            dlogp_e = np.zeros_like(logp_mat_e)
-            dlogp_e[np.arange(len(tau_e)), acts_e] = (1.0 - l["alpha"]) * L.clipped_surrogate_grad(
-                logp_new_e, logp_old_e, adv_e, cfg.clip_epsilon)
-            grads = nets.add(grads, nets.policy_backward(l["policy"], obs_e, masks_e, dlogp_e, 0.0))
-        l["policy"], l["adam_p"] = nets.adam_step(
-            l["policy"], nets.neg(grads), l["adam_p"], cfg.learning_rate)
-        values = nets.value_forward(l["value_a"], obs)
-        dv = 2.0 * (values - returns) / len(tau_a)
-        l["value_a"], l["adam_a"] = nets.adam_step(
-            l["value_a"], nets.value_backward(l["value_a"], obs, dv), l["adam_a"], cfg.learning_rate)
-        if use_expert:
-            values_e = nets.value_forward(l["value_e"], obs_e)
-            dve = 2.0 * (values_e - returns_e) / len(tau_e)
-            l["value_e"], l["adam_e"] = nets.adam_step(
-                l["value_e"], nets.value_backward(l["value_e"], obs_e, dve), l["adam_e"], cfg.learning_rate)
-
-
-def _primitive_build(cfg, graph, specs):
-    """The training loop rebuilt from the public primitives; oracle demos unless ippo."""
-    env_kwargs = dict(time_penalty=cfg.time_penalty, shaping_coef=cfg.shaping_coef,
-                      arrival_bonus=cfg.arrival_bonus)
-    env = RouteEnv(graph, specs, step_limit=cfg.steps_per_episode, **env_kwargs)
-    learners = []
-    for i in range(len(specs)):
-        rng = agent_rng(cfg.seed, 0, i)
-        policy = nets.init_mlp(rng, env.obs_dim, env.n_actions)
-        value_a = nets.init_mlp(rng, env.obs_dim, 1)
-        value_e = nets.init_mlp(rng, env.obs_dim, 1)
-        learners.append({
-            "policy": policy, "value_a": value_a, "value_e": value_e,
-            "adam_p": nets.init_adam(policy), "adam_a": nets.init_adam(value_a),
-            "adam_e": nets.init_adam(value_e),
-            "rng": agent_rng(cfg.seed, 1, i), "alpha": 1.0, "expert": None,
-        })
-
-    for k in range(1, cfg.epochs + 1):
-        trajs = rollout(env, policy_table(env, [l["policy"] for l in learners]),
-                        [l["rng"] for l in learners])
-        if cfg.mode != "ippo" and (k == 1 or k % cfg.demo_interval == 0):
-            demos = dg.execute_demos(graph, specs, dg.oracle_expert(graph, specs),
-                                     step_limit=cfg.steps_per_episode, **env_kwargs)
-            for i, l in enumerate(learners):
-                l["expert"] = demos[i]
-                dtw = dtw_distance(traj_to_feature_seq(trajs[i], graph),
-                                   traj_to_feature_seq(demos[i], graph))
-                l["alpha"] = max(L.alpha_weight(k, cfg.epochs, dtw), ALPHA_FLOOR)
-        for l, tau in zip(learners, trajs):
-            if len(tau) > 0:
-                _primitive_update(l, tau, cfg)
-    return learners
-
-
 class TestIppoGoldenEquivalence:
     def _assert_trainer_matches_primitives(self, cfg, graph, specs):
-        result = Trainer(cfg, graph, specs).train()
-        for learner, golden in zip(result.learners, _primitive_build(cfg, graph, specs)):
-            np.testing.assert_array_equal(learner.policy.flat(), golden["policy"].flat())
-            np.testing.assert_array_equal(learner.value_a.flat(), golden["value_a"].flat())
-            np.testing.assert_array_equal(learner.value_e.flat(), golden["value_e"].flat())
+        for learner, golden in zip(Trainer(cfg, graph, specs).train().learners, primitive_build(cfg, graph, specs)):
+            np.testing.assert_array_equal(learner.policy.flat(), golden.policy.flat())
+            np.testing.assert_array_equal(learner.value_a.flat(), golden.value_a.flat())
+            np.testing.assert_array_equal(learner.value_e.flat(), golden.value_e.flat())
 
     def test_matches_expert_free_build(self, grid3_setup):
         """IPPO through the full trainer equals a loop with no expert code."""
@@ -694,6 +592,14 @@ class TestEvaluate:
         assert result.episode_rewards.shape == (20,)
         assert result.per_agent.shape == (2,)
         assert np.isfinite(result.mean)
+
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_policy_count_differing_from_agent_count_raises(self, grid5, count):
+        env = RouteEnv(grid5, tuple(AgentSpec(i, i, 24 - i) for i in range(3)))
+        policies = [nets.init_mlp(agent_rng(0, 0, i), env.obs_dim, env.n_actions) for i in range(count)]
+        with pytest.raises(ValueError, match=f"^{count} policies for an environment of 3 agents$"):
+            evaluate(policies, env, 1)
 
 
 class TestTrendSanity:
