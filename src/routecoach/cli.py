@@ -15,7 +15,6 @@ import csv
 import hashlib
 import json
 import sys
-import zipfile
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -31,6 +30,7 @@ from .llm import ChatCompleter, LlmError
 from .training import (
     TrainConfig,
     Trainer,
+    TrainingError,
     completer_for,
     config_hash,
     env_from_config,
@@ -88,15 +88,11 @@ def _specs_from_doc(doc: dict, graph: RoadGraph, config: TrainConfig) -> tuple[A
         raise ConfigError(f"'agents' must be a list of agent entries, got {agents!r}")
     specs = []
     for i, entry in enumerate(agents):
-        try:
-            if not isinstance(entry, list) or not 2 <= len(entry) <= 3:
-                raise ValueError("an entry has 2 or 3 items")
-            start, dest, *rest = entry
-            specs.append(AgentSpec(agent_id=i, start=int(start), dest=int(dest),
-                                   depart_time=int(rest[0]) if rest else 0))
-        except (TypeError, ValueError) as exc:
+        if not (isinstance(entry, list) and 2 <= len(entry) <= 3 and all(type(v) is int for v in entry)):
             raise ConfigError(f"agent {i}: bad entry {entry!r}; expected [start, dest] "
-                              f"or [start, dest, depart_time] with integer entries") from exc
+                              f"or [start, dest, depart_time] with integer entries")
+        start, dest, *rest = entry
+        specs.append(AgentSpec(agent_id=i, start=start, dest=dest, depart_time=rest[0] if rest else 0))
     if len(specs) != config.n_agents:
         raise ConfigError(f"config lists {len(specs)} agents but n_agents={config.n_agents}")
     try:
@@ -136,6 +132,15 @@ def _load_graph_file(path: str | None) -> tuple[RoadGraph, Path, str]:
         return load_graph(text), p, text
     except GraphError as exc:
         raise ConfigError(f"graph file {p}: {exc}") from exc
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and ``rows`` to the CSV file ``path``, creating its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_manifest(out: Path, config: TrainConfig, graph_path: Path, graph_text: str,
@@ -211,30 +216,13 @@ def cmd_evaluate(args) -> int:
     if hashlib.sha256(graph_text.encode()).hexdigest() != manifest["graph_sha256"]:
         raise ConfigError(f"graph file {graph_path} changed since training (sha256 differs from the manifest)")
     specs = _specs_from_doc(manifest, graph, config)
-    checkpoints = run / "checkpoints"
-    if not (checkpoints / "checkpoint_manifest.json").exists():
-        raise ConfigError(f"no checkpoint under {checkpoints}")
-    ck_manifest = _read_json_object(checkpoints / "checkpoint_manifest.json", "checkpoint manifest")
-    missing = [k for k in ("config_hash", "n_agents") if k not in ck_manifest]
-    if missing:
-        raise ConfigError(f"checkpoint manifest under {checkpoints} lacks {', '.join(missing)}")
-    if ck_manifest["config_hash"] != manifest["config_hash"]:
-        raise ConfigError("checkpoint was produced by a different configuration than the manifest")
-    if ck_manifest["n_agents"] != len(specs):
-        raise ConfigError(f"checkpoint holds {ck_manifest['n_agents']!r} agents "
-                          f"but the run manifest lists {len(specs)}")
     try:
-        params, _ = load_checkpoint(checkpoints)
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-        raise ConfigError(f"cannot read the checkpoint under {checkpoints}: {type(exc).__name__}: {exc}") from exc
+        params, _ = load_checkpoint(run / "checkpoints", manifest["config_hash"], len(specs))
+    except TrainingError as exc:
+        raise ConfigError(str(exc)) from exc
     result = evaluate([p["policy"] for p in params], env_from_config(graph, specs, config), episodes)
-    out = Path(args.out) if args.out else run
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "eval.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("episode", "mean_reward"))
-        for ep, r in enumerate(result.episode_rewards):
-            writer.writerow((ep, repr(float(r))))
+    _write_csv((Path(args.out) if args.out else run) / "eval.csv", ("episode", "mean_reward"),
+               ((ep, repr(float(r))) for ep, r in enumerate(result.episode_rewards)))
     print(f"evaluated {episodes} episodes: mean {result.mean:.3f}")
     return 0
 
@@ -268,10 +256,7 @@ def cmd_sweep_agents(args) -> int:
         ))
         print(f"agents={count}: reward mean {rows[-1][1]} sigma {rows[-1][2]} "
               f"({rows[-1][3]} s/epoch)")
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("n_agents", "reward_mean", "reward_std", "seconds_per_epoch"))
-        writer.writerows(rows)
+    _write_csv(out / "sweep.csv", ("n_agents", "reward_mean", "reward_std", "seconds_per_epoch"), rows)
     return 0
 
 
@@ -288,11 +273,9 @@ def cmd_ablation(args) -> int:
                     for run_doc in docs]
         curves[column] = np.mean([[m.mean_reward_a for m in t.metrics] for t in trainers], axis=0)
         print(f"{column}: final mean reward {curves[column][-1]:.3f}")
-    with open(out / "ablation.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("epoch", *curves))
-        for epoch, rewards in enumerate(zip(*curves.values()), start=1):
-            writer.writerow((epoch, *(repr(float(r)) for r in rewards)))
+    _write_csv(out / "ablation.csv", ("epoch", *curves),
+               ((epoch, *(repr(float(r)) for r in rewards))
+                for epoch, rewards in enumerate(zip(*curves.values()), start=1)))
     return 0
 
 
@@ -351,16 +334,12 @@ def cmd_demo_report(args) -> int:
     graph, _, _ = _load_graph_file(doc.get("graph"))
     specs = _specs_from_doc(doc, graph, config)
     records = demo_quality_report(graph, specs, config, completer_for(config), args.phases, args.prompts)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "demo_report.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("phase", "tokens", "validity_rate", "mean_reward", "mean_dtw"))
-        for phase, rec in enumerate(records, start=1):
-            writer.writerow((phase, rec.token_count, repr(rec.validity_rate),
-                             repr(rec.mean_reward), repr(rec.mean_dtw)))
-            print(f"phase {phase}: tokens {rec.token_count} validity {rec.validity_rate:.1f}% "
-                  f"reward {rec.mean_reward:.3f} dtw {rec.mean_dtw:.3f}")
+    _write_csv(Path(args.out) / "demo_report.csv", ("phase", "tokens", "validity_rate", "mean_reward", "mean_dtw"),
+               ((phase, rec.token_count, repr(rec.validity_rate), repr(rec.mean_reward), repr(rec.mean_dtw))
+                for phase, rec in enumerate(records, start=1)))
+    for phase, rec in enumerate(records, start=1):
+        print(f"phase {phase}: tokens {rec.token_count} validity {rec.validity_rate:.1f}% "
+              f"reward {rec.mean_reward:.3f} dtw {rec.mean_dtw:.3f}")
     return 0
 
 
@@ -368,12 +347,11 @@ def moving_average(x: np.ndarray, window: int) -> np.ndarray:
     """Trailing moving average; expanding at the start, identity at window=1."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    out = np.empty_like(np.asarray(x, dtype=float))
-    csum = np.cumsum(np.insert(np.asarray(x, dtype=float), 0, 0.0))
-    for t in range(out.size):
-        lo = max(0, t - window + 1)
-        out[t] = (csum[t + 1] - csum[lo]) / (t + 1 - lo)
-    return out
+    x = np.asarray(x, dtype=float)
+    csum = np.cumsum(np.insert(x, 0, 0.0))
+    hi = np.arange(1, x.size + 1)
+    lo = np.maximum(hi - window, 0)
+    return (csum[hi] - csum[lo]) / (hi - lo)
 
 
 def cmd_plot_data(args) -> int:
@@ -396,15 +374,11 @@ def cmd_plot_data(args) -> int:
         print(f"warning: epoch ranges differ {sorted(set(lengths))}; truncating to {common}",
               file=sys.stderr)
     smoothed = np.array([moving_average(c[:common], args.window) for c in curves])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "plot_data.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("epoch", "reward_mean", "reward_std"))
-        for t in range(common):
-            writer.writerow((t + 1, repr(float(smoothed[:, t].mean())),
-                             repr(float(smoothed[:, t].std()))))
-    print(f"wrote {out / 'plot_data.csv'} ({common} epochs, {len(curves)} runs)")
+    path = Path(args.out) / "plot_data.csv"
+    _write_csv(path, ("epoch", "reward_mean", "reward_std"),
+               ((t + 1, repr(float(smoothed[:, t].mean())), repr(float(smoothed[:, t].std())))
+                for t in range(common)))
+    print(f"wrote {path} ({common} epochs, {len(curves)} runs)")
     return 0
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from heapq import heappop, heappush
+from math import isfinite
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -37,6 +38,9 @@ class RoadGraph:
         self.nodes: dict[int, tuple[float, float]] = dict(nodes)
         if sorted(self.nodes) != list(range(len(self.nodes))):
             raise GraphError("junction ids must be dense integers starting at 0")
+        for j, xy in self.nodes.items():
+            if not all(map(isfinite, xy)):
+                raise GraphError(f"junction {j} has non-finite coordinates {xy}")
         self.edges: tuple[Edge, ...] = tuple(Edge(int(e[0]), int(e[1]), float(e[2])) for e in edges)
         seen: set[tuple[int, int]] = set()
         for e in self.edges:
@@ -44,8 +48,8 @@ class RoadGraph:
                 raise GraphError(f"edge {e.src}->{e.dst} references missing junction {e.src}")
             if e.dst not in self.nodes:
                 raise GraphError(f"edge {e.src}->{e.dst} references missing junction {e.dst}")
-            if e.length <= 0:
-                raise GraphError(f"edge {e.src}->{e.dst} has non-positive length {e.length}")
+            if not 0 < e.length < INF:
+                raise GraphError(f"edge {e.src}->{e.dst} has length {e.length}; lengths are positive and finite")
             if (e.src, e.dst) in seen:
                 raise GraphError(f"duplicate edge {e.src}->{e.dst}")
             seen.add((e.src, e.dst))

@@ -19,10 +19,12 @@ Randomness is split from the master seed with named spawn keys, so agent
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
 import time
+import zipfile
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
 from math import isfinite, isnan
@@ -87,8 +89,14 @@ class TrainConfig:
     llm_temperature: float = 0.2
 
     def __post_init__(self) -> None:
-        for name in ("n_agents", "epochs", "steps_per_episode", "update_epochs", "demo_interval",
-                     "eval_episodes"):
+        counts = ("n_agents", "epochs", "steps_per_episode", "update_epochs", "demo_interval", "eval_episodes")
+        for name in (*counts, "checkpoint_every", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.congestion, bool):
+            raise ValueError(f"congestion must be true or false, got {self.congestion!r}")
+        for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("time_penalty", "shaping_coef", "arrival_bonus", "learning_rate", "llm_temperature"):
@@ -604,42 +612,30 @@ class Trainer:
 
         With ``out_dir`` set, appends one row per epoch to ``metrics.csv``
         (deterministic columns) and ``timing.csv`` (wall clock), and writes
-        checkpoints at the configured cadence plus at the end.  On failure
-        the rows written so far are preserved.
+        checkpoints at the configured cadence and after the last epoch, each
+        epoch at most once.  On failure the rows written so far are preserved.
         """
         out = Path(out_dir) if out_dir is not None else None
-        metrics_file = timing_file = None
-        metrics_writer = timing_writer = None
-        if out is not None:
-            out.mkdir(parents=True, exist_ok=True)
-            metrics_file = open(out / "metrics.csv", "w", newline="")
-            metrics_writer = csv.writer(metrics_file)
-            metrics_writer.writerow(METRICS_COLUMNS)
-            timing_file = open(out / "timing.csv", "w", newline="")
-            timing_writer = csv.writer(timing_file)
-            timing_writer.writerow(("epoch", "seconds"))
-        try:
-            for _ in range(self.config.epochs):
+        epochs, every = self.config.epochs, self.config.checkpoint_every
+        with contextlib.ExitStack() as files:
+            if out is not None:
+                out.mkdir(parents=True, exist_ok=True)
+                metrics_file, timing_file = (files.enter_context(open(out / name, "w", newline=""))
+                                             for name in ("metrics.csv", "timing.csv"))
+                metrics_writer, timing_writer = csv.writer(metrics_file), csv.writer(timing_file)
+                metrics_writer.writerow(METRICS_COLUMNS)
+                timing_writer.writerow(("epoch", "seconds"))
+            for n in range(1, epochs + 1):
                 row = self.run_epoch()
-                if metrics_writer is not None:
+                if out is not None:
                     metrics_writer.writerow(row.csv_row())
                     metrics_file.flush()
                     timing_writer.writerow((row.epoch, f"{row.seconds:.6f}"))
                     timing_file.flush()
                 if on_epoch is not None:
                     on_epoch(row)
-                if (
-                    out is not None
-                    and self.config.checkpoint_every
-                    and row.epoch % self.config.checkpoint_every == 0
-                ):
+                if out is not None and (n == epochs or every and row.epoch % every == 0):
                     save_checkpoint(out / "checkpoints", self.learners, self.config, row.epoch)
-            if out is not None:
-                save_checkpoint(out / "checkpoints", self.learners, self.config, self.epoch)
-        finally:
-            if metrics_file is not None:
-                metrics_file.close()
-                timing_file.close()
         return self
 
     def evaluate(self, episodes: int | None = None) -> EvalResult:
@@ -665,14 +661,16 @@ def _evaluate_table(env: RouteEnv, table: tuple[np.ndarray, np.ndarray], episode
 
 # -- checkpoints ------------------------------------------------------------------------
 
+NETWORKS = ("policy", "value_a", "value_e")  # an AgentLearner's networks, one .npz each
+
+
 def save_checkpoint(directory: str | Path, learners: Sequence[AgentLearner],
                     config: TrainConfig, epoch: int) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for i, learner in enumerate(learners):
-        nets.save_params(directory / f"agent{i:03d}_policy.npz", learner.policy)
-        nets.save_params(directory / f"agent{i:03d}_value_a.npz", learner.value_a)
-        nets.save_params(directory / f"agent{i:03d}_value_e.npz", learner.value_e)
+        for name in NETWORKS:
+            nets.save_params(directory / f"agent{i:03d}_{name}.npz", getattr(learner, name))
     manifest = {
         "version": nets.CHECKPOINT_VERSION,
         "epoch": epoch,
@@ -683,14 +681,34 @@ def save_checkpoint(directory: str | Path, learners: Sequence[AgentLearner],
     return directory
 
 
-def load_checkpoint(directory: str | Path) -> tuple[list[dict[str, nets.MlpParams]], dict]:
+def load_checkpoint(directory: str | Path, config_hash: str,
+                    n_agents: int) -> tuple[list[dict[str, nets.MlpParams]], dict]:
+    """The networks ``save_checkpoint`` wrote under ``directory``, one dict by name per agent, and its manifest.
+
+    Raises ``TrainingError`` when there is no checkpoint, when its manifest
+    is not a JSON object with ``config_hash`` and ``n_agents`` equal to
+    the given ones, or when a network file is missing or unreadable.
+    """
     directory = Path(directory)
-    manifest = json.loads((directory / "checkpoint_manifest.json").read_text())
-    agents = []
-    for i in range(manifest["n_agents"]):
-        agents.append({
-            "policy": nets.load_params(directory / f"agent{i:03d}_policy.npz"),
-            "value_a": nets.load_params(directory / f"agent{i:03d}_value_a.npz"),
-            "value_e": nets.load_params(directory / f"agent{i:03d}_value_e.npz"),
-        })
-    return agents, manifest
+    path = directory / "checkpoint_manifest.json"
+    if not path.exists():
+        raise TrainingError(f"no checkpoint under {directory}")
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise TrainingError(f"checkpoint manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise TrainingError(f"checkpoint manifest {path} must hold a JSON object")
+    missing = [k for k in ("config_hash", "n_agents") if k not in manifest]
+    if missing:
+        raise TrainingError(f"checkpoint manifest under {directory} lacks {', '.join(missing)}")
+    if manifest["config_hash"] != config_hash:
+        raise TrainingError("checkpoint was produced by a different configuration than the manifest")
+    if manifest["n_agents"] != n_agents:
+        raise TrainingError(f"checkpoint holds {manifest['n_agents']!r} agents "
+                            f"but the run manifest lists {n_agents}")
+    try:
+        return [{name: nets.load_params(directory / f"agent{i:03d}_{name}.npz") for name in NETWORKS}
+                for i in range(n_agents)], manifest
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise TrainingError(f"cannot read the checkpoint under {directory}: {type(exc).__name__}: {exc}") from exc

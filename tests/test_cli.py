@@ -101,6 +101,8 @@ class TestTrain:
         ["--set", "eval_episodes=0"], ["--set", "time_penalty=NaN"], ["--set", "shaping_coef=Infinity"],
         ["--set", "arrival_bonus=-Infinity"], ["--set", "learning_rate=Infinity"],
         ["--set", "llm_temperature=-1"],
+        ["--set", "epochs=2.5"], ["--set", "update_epochs=1.5"], ["--set", "steps_per_episode=7.9"],
+        ["--set", "congestion=no"], ["--set", "congestion=1"], ["--set", "seed=true"], ["--set", "n_agents=2.0"],
     ])
     def test_out_of_range_value_exits_2_without_run_dir(self, tmp_path, base_config, capsys, flags):
         out = tmp_path / "run"
@@ -135,7 +137,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("command", ["train", "demo-report"])
     @pytest.mark.parametrize("entry", [[0], {"start": 0}, {"start": 0, "dest": 8}, ["a", 8], [0, 99], [0, 8, -1],
-                                       [0, 8, 0, 7], "08"])
+                                       [0, 8, 0, 7], "08", [0.7, 8], [0, 8.0], [True, 8], ["0", 8], [0, 8, 1.5]])
     def test_malformed_agent_entry_exits_2_without_run_dir(self, tmp_path, base_config, capsys,
                                                             command, entry):
         doc = json.loads(open(base_config).read())
@@ -583,6 +585,13 @@ class TestMakeGraph:
         assert main(["make-graph", "--kind", "hilly", "--out", str(hilly_path)]) == 0
         assert load_graph(hilly_path.read_text()).node_count == 9
 
+    @pytest.mark.parametrize("length", ["nan", "inf"])
+    def test_non_finite_edge_length_exits_2(self, tmp_path, capsys, length):
+        path = tmp_path / "g.json"
+        assert main(["make-graph", "--n", "3", "--edge-length", length, "--out", str(path)]) == 2
+        assert "error: cannot build the grid map: junction 0 has non-finite coordinates" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_grid_too_small_exits_2(self, tmp_path, capsys):
         path = tmp_path / "g.json"
         assert main(["make-graph", "--kind", "grid", "--n", "1", "--out", str(path)]) == 2
@@ -595,3 +604,17 @@ def test_moving_average_edges():
     np.testing.assert_allclose(moving_average(x, 1), x)
     np.testing.assert_allclose(moving_average(x, 2), [1.0, 2.0, 4.0, 6.0])
     np.testing.assert_allclose(moving_average(x, 10), [1.0, 2.0, 3.0, 4.0])
+
+    def loop(x, window):  # one window at a time, over the same cumulative sum
+        csum = np.cumsum(np.insert(x, 0, 0.0))
+        out = np.empty_like(x)
+        for t in range(x.size):
+            lo = max(0, t - window + 1)
+            out[t] = (csum[t + 1] - csum[lo]) / (t + 1 - lo)
+        return out
+
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        x = rng.normal(size=rng.integers(0, 300)) * 10.0 ** rng.integers(-3, 4)
+        window = int(rng.integers(1, 40))
+        assert moving_average(x, window).tobytes() == loop(x, window).tobytes()

@@ -45,10 +45,23 @@ def test_dangling_endpoint_named():
 
 
 def test_non_positive_length_named():
-    doc = {"nodes": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}],
-           "edges": [{"from": 0, "to": 1, "length": 0.0}]}
-    with pytest.raises(GraphError, match="0->1"):
+    for length in (0.0, -1.0, float("nan"), float("inf")):
+        doc = {"nodes": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}],
+               "edges": [{"from": 0, "to": 1, "length": length}]}
+        with pytest.raises(GraphError, match="0->1"):
+            load_graph(json.dumps(doc))
+        with pytest.raises(GraphError, match="positive and finite"):
+            RoadGraph({0: (0, 0), 1: (1, 0)}, [Edge(0, 1, length)])
+
+
+@pytest.mark.parametrize("xy", [(float("nan"), 0.0), (0.0, float("inf")), (-float("inf"), 1.0)])
+def test_non_finite_coordinates_named(xy):
+    doc = {"nodes": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": xy[0], "y": xy[1]}],
+           "edges": [{"from": 0, "to": 1, "length": 1.0}]}
+    with pytest.raises(GraphError, match="junction 1 has non-finite coordinates"):
         load_graph(json.dumps(doc))
+    with pytest.raises(GraphError, match="junction 1 has non-finite coordinates"):
+        RoadGraph({0: (0.0, 0.0), 1: xy}, [Edge(0, 1, 1.0)])
 
 
 def test_bad_json_and_sparse_ids():

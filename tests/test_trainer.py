@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from routecoach import AgentSpec, grid_graph, line_graph, training
+from routecoach import AgentSpec, grid_graph, hilly_graph, line_graph, training
 from routecoach import demos as dg
 from routecoach import losses as L
 from routecoach import nets
@@ -104,6 +104,16 @@ class TestConfig:
         ("llm_temperature", float("nan"), "llm_temperature must be finite"),
         ("llm_temperature", float("inf"), "llm_temperature must be finite"),
         ("llm_temperature", -0.1, "llm_temperature must be >= 0"),
+        ("epochs", 2.5, "epochs must be an integer, got 2.5"),
+        ("update_epochs", 1.5, "update_epochs must be an integer"),
+        ("steps_per_episode", 7.9, "steps_per_episode must be an integer"),
+        ("n_agents", True, "n_agents must be an integer, got True"),
+        ("demo_interval", "2", "demo_interval must be an integer"),
+        ("eval_episodes", 1.0, "eval_episodes must be an integer"),
+        ("checkpoint_every", None, "checkpoint_every must be an integer"),
+        ("seed", np.int64(3), "seed must be an integer"),
+        ("congestion", "no", "congestion must be true or false, got 'no'"),
+        ("congestion", 1, "congestion must be true or false"),
     ])
     def test_values_that_crash_or_poison_a_run_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -496,12 +506,27 @@ class TestTrainerLoop:
         cfg = small_config(epochs=4, checkpoint_every=2)
         trainer = Trainer(cfg, graph, specs)
         trainer.train(out_dir=tmp_path / "run")
-        params, manifest = load_checkpoint(tmp_path / "run" / "checkpoints")
+        params, manifest = load_checkpoint(tmp_path / "run" / "checkpoints", config_hash(cfg), 2)
         assert manifest["epoch"] == 4
         assert manifest["config_hash"] == config_hash(cfg)
         assert len(params) == 2
         for agent_params, learner in zip(params, trainer.learners):
             np.testing.assert_array_equal(agent_params["policy"].flat(), learner.policy.flat())
+
+    @pytest.mark.parametrize("every, epochs, saved", [(2, 4, [2, 4]), (2, 5, [2, 4, 5]), (0, 3, [3]), (1, 2, [1, 2])])
+    def test_each_checkpoint_written_once(self, tmp_path, grid3_setup, monkeypatch, every, epochs, saved):
+        graph, specs = grid3_setup
+        cfg = small_config(epochs=epochs, checkpoint_every=every)
+        written, save = [], training.save_checkpoint
+
+        def counting_save(directory, learners, config, epoch):
+            written.append(epoch)
+            return save(directory, learners, config, epoch)
+
+        monkeypatch.setattr(training, "save_checkpoint", counting_save)
+        Trainer(cfg, graph, specs).train(out_dir=tmp_path)
+        assert written == saved
+        assert load_checkpoint(tmp_path / "checkpoints", config_hash(cfg), 2)[1]["epoch"] == epochs
 
 
 class TestIppoGoldenEquivalence:
@@ -529,6 +554,14 @@ class TestIppoGoldenEquivalence:
         graph, specs = grid3_setup
         cfg = small_config(mode=mode, epochs=6, demo_interval=2, steps_per_episode=3)
         self._assert_trainer_matches_primitives(cfg, graph, specs)
+
+    @pytest.mark.parametrize("mode", ["dynamic", "ippo"])
+    def test_hilly_graph_matches_primitive_build(self, mode):
+        """Unequal edge lengths: the only golden build in which adding the arrival bonus before
+        or after the shaping term changes the bits of an arriving move."""
+        specs = (AgentSpec(0, 0, 8), AgentSpec(1, 8, 0), AgentSpec(2, 2, 6))
+        cfg = small_config(mode=mode, n_agents=3, epochs=6, demo_interval=2, steps_per_episode=20, seed=3)
+        self._assert_trainer_matches_primitives(cfg, hilly_graph(), specs)
 
 
 class TestPolicyTableCache:
