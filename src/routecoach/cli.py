@@ -17,7 +17,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .fixtures import grid_graph, hilly_graph, write_graph
 from .graph import GraphError, RoadGraph, load_graph
 from .llm import ChatCompleter, LlmError
 from .training import (
+    PROVIDERS,
     TrainConfig,
     Trainer,
     TrainingError,
@@ -83,7 +84,10 @@ def _apply_sets(doc: dict, assignments: Sequence[str]) -> dict:
 def _specs_from_doc(doc: dict, graph: RoadGraph, config: TrainConfig) -> tuple[AgentSpec, ...]:
     agents = doc.get("agents")
     if agents is None:
-        return generate_agent_specs(graph, config.n_agents, config.seed)
+        try:
+            return generate_agent_specs(graph, config.n_agents, config.seed)
+        except TrainingError as exc:
+            raise ConfigError(str(exc)) from exc
     if not isinstance(agents, list):
         raise ConfigError(f"'agents' must be a list of agent entries, got {agents!r}")
     specs = []
@@ -124,6 +128,8 @@ def _config_from_doc(doc: dict) -> TrainConfig:
 def _load_graph_file(path: str | None) -> tuple[RoadGraph, Path, str]:
     if not path:
         raise ConfigError("no graph file configured (pass --graph or set 'graph' in the config)")
+    if not isinstance(path, str):
+        raise ConfigError(f"the graph file must be given as a path string, got {path!r}")
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"graph file not found: {p}")
@@ -144,7 +150,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
 
 
 def write_manifest(out: Path, config: TrainConfig, graph_path: Path, graph_text: str,
-                   specs: Sequence[AgentSpec], seeds: Sequence[int], command: str) -> dict:
+                   specs: Sequence[AgentSpec], command: str) -> dict:
     manifest = {
         "command": command,
         "build": __version__,
@@ -153,7 +159,7 @@ def write_manifest(out: Path, config: TrainConfig, graph_path: Path, graph_text:
         "graph_file": str(graph_path.resolve()),
         "graph_sha256": hashlib.sha256(graph_text.encode()).hexdigest(),
         "agents": [[s.start, s.dest, s.depart_time] for s in specs],
-        "seeds": list(seeds),
+        "seeds": [config.seed],
         "out_dir": str(out.resolve()),
     }
     out.mkdir(parents=True, exist_ok=True)
@@ -173,16 +179,23 @@ def _train_run(doc: dict, graph_file: tuple[RoadGraph, Path, str], out: Path, co
     config = _config_from_doc(doc)
     specs = _specs_from_doc(doc, graph, config)
     trainer = Trainer(config, graph, specs)
-    write_manifest(out, config, graph_path, graph_text, specs, [config.seed], command)
+    write_manifest(out, config, graph_path, graph_text, specs, command)
     trainer.train(out_dir=out)
     return trainer
 
 
-def _check_runs(run_docs: Iterable[Sequence[dict]]) -> None:
-    """Resolve the config of every run, so that a bad one exits before the first run writes."""
-    for docs in run_docs:
-        for run_doc in docs:
-            _config_from_doc(run_doc)
+def _train_runs(groups: dict[str, list[dict]], graph_file: tuple[RoadGraph, Path, str], out: Path,
+                command: str) -> Iterator[tuple[str, list[Trainer]]]:
+    """Train each group's resolved docs into ``out/<group>/seed<k>/``, yielding each group's trainers.
+
+    Every config and task set is resolved before the first run writes, so
+    that a bad one exits with nothing written.
+    """
+    for docs in groups.values():
+        for doc in docs:
+            _specs_from_doc(doc, graph_file[0], _config_from_doc(doc))
+    for group, docs in groups.items():
+        yield group, [_train_run(doc, graph_file, out / group / f"seed{doc['seed']}", command) for doc in docs]
 
 
 def cmd_train(args) -> int:
@@ -231,22 +244,12 @@ def cmd_sweep_agents(args) -> int:
     doc = _resolve(args, {"graph": args.graph, "epochs": args.epochs})
     if doc.get("agents") is not None:
         raise ConfigError("sweep-agents draws the tasks for each agent count; 'agents' must be null")
-    graph_file = _load_graph_file(doc.get("graph"))
-    counts: list[int] = []
-    for c in args.counts:
-        if c in counts:
-            print(f"warning: duplicate agent count {c} ignored", file=sys.stderr)
-        else:
-            counts.append(c)
-    run_docs = {count: [{**doc, "n_agents": count, "seed": seed} for seed in args.seeds]
-                for count in counts}
-    _check_runs(run_docs.values())
     out = Path(args.out)
+    groups = {f"n{count}": [{**doc, "n_agents": count, "seed": seed} for seed in args.seeds]
+              for count in args.counts}
     rows = []
-    for count, docs in run_docs.items():
-        trainers = [_train_run(run_doc, graph_file, out / f"n{count}" / f"seed{run_doc['seed']}",
-                               "sweep-agents")
-                    for run_doc in docs]
+    for _, trainers in _train_runs(groups, _load_graph_file(doc.get("graph")), out, "sweep-agents"):
+        count = trainers[0].config.n_agents
         episode_rewards = np.concatenate([t.evaluate().episode_rewards for t in trainers])
         rows.append((
             count,
@@ -262,15 +265,11 @@ def cmd_sweep_agents(args) -> int:
 
 def cmd_ablation(args) -> int:
     doc = _resolve(args, {"graph": args.graph, "epochs": args.epochs})
-    graph_file = _load_graph_file(doc.get("graph"))
-    run_docs = {column: [{**doc, "mode": mode, "seed": seed} for seed in args.seeds]
-                for column, mode in ABLATION_VARIANTS}
-    _check_runs(run_docs.values())
     out = Path(args.out)
+    groups = {column: [{**doc, "mode": mode, "seed": seed} for seed in args.seeds]
+              for column, mode in ABLATION_VARIANTS}
     curves: dict[str, np.ndarray] = {}
-    for column, docs in run_docs.items():
-        trainers = [_train_run(run_doc, graph_file, out / column / f"seed{run_doc['seed']}", "ablation")
-                    for run_doc in docs]
+    for column, trainers in _train_runs(groups, _load_graph_file(doc.get("graph")), out, "ablation"):
         curves[column] = np.mean([[m.mean_reward_a for m in t.metrics] for t in trainers], axis=0)
         print(f"{column}: final mean reward {curves[column][-1]:.3f}")
     _write_csv(out / "ablation.csv", ("epoch", *curves),
@@ -367,7 +366,14 @@ def cmd_plot_data(args) -> int:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or "mean_reward_a" not in reader.fieldnames:
                 raise ConfigError(f"{p} lacks a mean_reward_a column")
-            curves.append(np.array([float(row["mean_reward_a"]) for row in reader]))
+            rewards = []
+            for row in reader:
+                try:
+                    rewards.append(float(row["mean_reward_a"]))
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"{p} line {reader.line_num}: mean_reward_a is "
+                                      f"{row['mean_reward_a']!r}, not a number") from exc
+            curves.append(np.array(rewards))
         lengths.append(curves[-1].size)
     common = min(lengths)
     if len(set(lengths)) > 1:
@@ -396,10 +402,14 @@ def cmd_make_graph(args) -> int:
 # -- argument parsing -----------------------------------------------------------------
 
 def _int_list(text: str) -> list[int]:
+    """The integers of a comma-separated list, each once, in order; a repeat is dropped with a warning."""
     values = [int(part) for part in text.split(",") if part.strip()]
     if not values:
         raise argparse.ArgumentTypeError(f"expected a comma-separated list of integers, got {text!r}")
-    return values
+    unique = list(dict.fromkeys(values))
+    if len(unique) < len(values):
+        print(f"warning: duplicate values in {text!r} ignored", file=sys.stderr)
+    return unique
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--agents", type=int, help="number of agents")
-    p.add_argument("--provider", choices=("llm", "oracle", "logit", "none"))
+    p.add_argument("--provider", choices=PROVIDERS)
     p.add_argument("--mock-dir", help="directory of scripted completions (mock endpoint)")
     p.set_defaults(func=cmd_train)
 

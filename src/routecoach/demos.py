@@ -23,6 +23,7 @@ from .llm import ChatCompleter
 from .trajectory import Trajectory, run_episode
 
 LOGIT_CANDIDATES = 8
+INVALID_ROUTE_FALLBACKS = ("oracle", "skip")  # what replaces an invalid route: its shortest path, or nothing
 
 
 @dataclass
@@ -197,7 +198,7 @@ def prepare_executable(
     shortest path (``"oracle"``) or sits out (``"skip"``), and still
     counts as invalid in ``ExecutableSet.valid()``.
     """
-    if fallback not in ("oracle", "skip"):
+    if fallback not in INVALID_ROUTE_FALLBACKS:
         raise ValueError(f"unknown fallback policy {fallback!r}")
     routes: dict[int, tuple[int, ...]] = {}
     fallback_agents = set()

@@ -23,6 +23,7 @@ over any episode that reaches the destination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Collection, Sequence
 
 import numpy as np
@@ -125,7 +126,6 @@ class RouteEnv:
         self._validate_specs()
         self._dests = np.array([spec.dest for spec in self.specs], dtype=np.int64)
         self._depart = np.array([spec.depart_time for spec in self.specs], dtype=np.int64)
-        self._table_cache: _Tables | None = None
 
     def _validate_specs(self) -> None:
         for i, spec in enumerate(self.specs):
@@ -155,52 +155,51 @@ class RouteEnv:
 
     # -- lookup tables -----------------------------------------------------
 
+    @cached_property
     def _tables(self) -> _Tables:
         """The tables, built with ``edge_score``'s arithmetic on first use."""
-        if self._table_cache is None:
-            graph = self.graph
-            n = graph.node_count
-            dst, length = graph.out_arrays
-            valid = dst >= 0
-            succ = np.where(valid, dst, 0)
-            dests, dest_row = np.unique(self._dests, return_inverse=True)
-            dist = np.array([[d[j] for j in range(n)] for d in map(graph.distances_to, dests.tolist())])
-            remaining = dist[:, succ]
-            denom = max(n - 1, 1)
-            diameter = graph.diameter
-            score = -(length + remaining) / diameter if diameter > 0 else np.zeros_like(remaining)
-            score = np.where(valid, np.where(remaining == INF, UNREACHABLE_SCORE, score), 0.0)
-            obs = np.empty((len(dests), n, 2 + 2 * graph.max_out_degree))
-            obs[:, :, 0] = np.arange(n) / denom
-            obs[:, :, 1] = (dests / denom)[:, None]
-            obs[:, :, 2::2] = score
-            obs[:, :, 3::2] = np.where(valid, dst / denom, PAD_ID)
-            with np.errstate(invalid="ignore"):  # inf - inf: both ends cut off from the destination
-                gain = dist[:, :, None] - remaining
-            degree = valid.sum(axis=1)
-            self._table_cache = _Tables(
-                obs=_read_only(obs[dest_row]), masks=_read_only(valid), succ=succ,
-                successors=[row[:d] for row, d in zip(dst.tolist(), degree.tolist())],
-                degree=degree, gain=gain, dest_row=dest_row)
-        return self._table_cache
+        graph = self.graph
+        n = graph.node_count
+        dst, length = graph.out_arrays
+        valid = dst >= 0
+        succ = np.where(valid, dst, 0)
+        dests, dest_row = np.unique(self._dests, return_inverse=True)
+        dist = np.array([[d[j] for j in range(n)] for d in map(graph.distances_to, dests.tolist())])
+        remaining = dist[:, succ]
+        denom = max(n - 1, 1)
+        diameter = graph.diameter
+        score = -(length + remaining) / diameter if diameter > 0 else np.zeros_like(remaining)
+        score = np.where(valid, np.where(remaining == INF, UNREACHABLE_SCORE, score), 0.0)
+        obs = np.empty((len(dests), n, 2 + 2 * graph.max_out_degree))
+        obs[:, :, 0] = np.arange(n) / denom
+        obs[:, :, 1] = (dests / denom)[:, None]
+        obs[:, :, 2::2] = score
+        obs[:, :, 3::2] = np.where(valid, dst / denom, PAD_ID)
+        with np.errstate(invalid="ignore"):  # inf - inf: both ends cut off from the destination
+            gain = dist[:, :, None] - remaining
+        degree = valid.sum(axis=1)
+        return _Tables(
+            obs=_read_only(obs[dest_row]), masks=_read_only(valid), succ=succ,
+            successors=[row[:d] for row, d in zip(dst.tolist(), degree.tolist())],
+            degree=degree, gain=gain, dest_row=dest_row)
 
     def agent_tables(self, agent_id: int) -> tuple[np.ndarray, np.ndarray]:
         """(observation table, mask table) of a departed agent, rows by junction.
 
         Read-only, and shared with every episode of this environment.
         """
-        tables = self._tables()
+        tables = self._tables
         return tables.obs[agent_id], tables.masks
 
     @property
     def obs_tables(self) -> np.ndarray:
         """(n_agents, n_nodes, 2 + 2m), read-only: every agent's observation table, stacked."""
-        return self._tables().obs
+        return self._tables.obs
 
     @property
     def mask_table(self) -> np.ndarray:
         """(n_nodes, m), read-only: the valid slots at each junction, the same for every agent."""
-        return self._tables().masks
+        return self._tables.masks
 
     @property
     def successors(self) -> list[list[int]]:
@@ -208,7 +207,7 @@ class RouteEnv:
 
         Python lists, for walks that step one agent at a time; do not modify.
         """
-        return self._tables().successors
+        return self._tables.successors
 
     # -- state machinery ---------------------------------------------------
 
@@ -260,7 +259,7 @@ class RouteEnv:
         if len(actions) != self.n_agents:
             raise EnvError(f"expected {self.n_agents} actions, got {len(actions)}")
 
-        tables = self._tables()
+        tables = self._tables
         movers = self.acting(state)
         src = state.positions[movers]
         chosen = np.asarray(actions)[movers]
@@ -296,7 +295,7 @@ class RouteEnv:
         time penalty is scaled by the number of moves over the same edge on
         the same step, so the moves given must be all the moves of their steps.
         """
-        tables = self._tables()
+        tables = self._tables
         if self.congestion:
             edge = (steps * len(tables.succ) + src) * self.n_actions + chosen
             _, inverse, counts = np.unique(edge, return_inverse=True, return_counts=True)

@@ -7,6 +7,7 @@ i-th outgoing edge is well defined everywhere an action index refers to one.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from heapq import heappop, heappush
 from math import isfinite
 from typing import Iterable, NamedTuple
@@ -65,8 +66,6 @@ class RoadGraph:
         self._dist_cache: dict[int, dict[int, float]] = {}
         self._path_cache: dict[tuple[int, int], tuple[float, tuple[int, ...]] | None] = {}
         self._k_paths_cache: dict[tuple[int, int, int], tuple[tuple[float, tuple[int, ...]], ...]] = {}
-        self._diameter: float | None = None
-        self._out_arrays: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def node_count(self) -> int:
@@ -81,22 +80,20 @@ class RoadGraph:
                 return e
         return None
 
-    @property
+    @cached_property
     def out_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(end junctions, lengths) of the outgoing edges, in slot order.
 
         Both are read-only ``(node_count, max_out_degree)`` arrays; slots
         beyond a junction's out-degree hold -1 and 0.0.  Built on first use.
         """
-        if self._out_arrays is None:
-            shape = (self.node_count, self.max_out_degree)
-            dst, length = np.full(shape, -1, dtype=np.int64), np.zeros(shape)
-            for j, out in self._adjacency.items():
-                dst[j, :len(out)] = [e.dst for e in out]
-                length[j, :len(out)] = [e.length for e in out]
-            dst.flags.writeable = length.flags.writeable = False
-            self._out_arrays = dst, length
-        return self._out_arrays
+        shape = (self.node_count, self.max_out_degree)
+        dst, length = np.full(shape, -1, dtype=np.int64), np.zeros(shape)
+        for j, out in self._adjacency.items():
+            dst[j, :len(out)] = [e.dst for e in out]
+            length[j, :len(out)] = [e.length for e in out]
+        dst.flags.writeable = length.flags.writeable = False
+        return dst, length
 
     # -- shortest paths ----------------------------------------------------
 
@@ -148,17 +145,15 @@ class RoadGraph:
                     heappush(frontier, (nd, nxt))
         return dist
 
-    @property
+    @cached_property
     def diameter(self) -> float:
         """Largest finite shortest-path distance over all ordered pairs."""
-        if self._diameter is None:
-            best = 0.0
-            for dest in self.nodes:
-                for d in self.distances_to(dest).values():
-                    if d != INF and d > best:
-                        best = d
-            self._diameter = best
-        return self._diameter
+        best = 0.0
+        for dest in self.nodes:
+            for d in self.distances_to(dest).values():
+                if d != INF and d > best:
+                    best = d
+        return best
 
     def k_shortest_paths(self, a: int, b: int, k: int) -> list[tuple[float, list[int]]]:
         """Up to ``k`` loopless paths from ``a`` to ``b``, cheapest first.
@@ -251,19 +246,26 @@ def load_graph(text: str) -> RoadGraph:
         raise GraphError(f"graph file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
         raise GraphError("graph file must be an object with 'nodes' and 'edges'")
+    for key in ("nodes", "edges"):
+        if not isinstance(doc[key], list):
+            raise GraphError(f"'{key}' must be a list, got {doc[key]!r}")
     nodes: dict[int, tuple[float, float]] = {}
     for entry in doc["nodes"]:
-        try:
-            node_id, xy = int(entry["id"]), (float(entry["x"]), float(entry["y"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GraphError(f"bad node entry {entry!r}") from exc
-        if node_id in nodes:
-            raise GraphError(f"junction {node_id} listed more than once")
-        nodes[node_id] = xy
+        if not (isinstance(entry, dict) and type(entry.get("id")) is int
+                and all(_is_number(entry.get(k)) for k in ("x", "y"))):
+            raise GraphError(f"bad node entry {entry!r}: 'id' must be an integer, 'x' and 'y' numbers")
+        if entry["id"] in nodes:
+            raise GraphError(f"junction {entry['id']} listed more than once")
+        nodes[entry["id"]] = (float(entry["x"]), float(entry["y"]))
     edges = []
     for entry in doc["edges"]:
-        try:
-            edges.append(Edge(int(entry["from"]), int(entry["to"]), float(entry["length"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GraphError(f"bad edge entry {entry!r}") from exc
+        if not (isinstance(entry, dict) and all(type(entry.get(k)) is int for k in ("from", "to"))
+                and _is_number(entry.get("length"))):
+            raise GraphError(f"bad edge entry {entry!r}: 'from' and 'to' must be integers, 'length' a number")
+        edges.append(Edge(entry["from"], entry["to"], float(entry["length"])))
     return RoadGraph(nodes, edges)
+
+
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, and not a bool."""
+    return type(value) in (int, float)

@@ -26,9 +26,10 @@ import json
 import time
 import zipfile
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, replace
-from math import isfinite, isnan
+from dataclasses import asdict, dataclass, fields, replace
+from math import isnan
 from pathlib import Path
+from sys import float_info
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,6 +51,15 @@ METRICS_COLUMNS = (
 )
 
 PROVIDERS = ("llm", "oracle", "logit", "none")
+# the values each annotation of a TrainConfig field admits; a bool is an int,
+# so it is admitted only where the annotation names bool
+FIELD_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+}
 LOSSES = ("loss_policy", "loss_value_a", "loss_value_e")  # per-agent stats of an update
 
 
@@ -89,19 +99,16 @@ class TrainConfig:
     llm_temperature: float = 0.2
 
     def __post_init__(self) -> None:
-        counts = ("n_agents", "epochs", "steps_per_episode", "update_epochs", "demo_interval", "eval_episodes")
-        for name in (*counts, "checkpoint_every", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.congestion, bool):
-            raise ValueError(f"congestion must be true or false, got {self.congestion!r}")
-        for name in counts:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            types, what = FIELD_TYPES[f.type]
+            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
+            if f.type == "float" and not abs(value) <= float_info.max:  # NaN, +-inf, or an int no float holds
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        for name in ("n_agents", "epochs", "steps_per_episode", "update_epochs", "demo_interval", "eval_episodes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("time_penalty", "shaping_coef", "arrival_bonus", "learning_rate", "llm_temperature"):
-            if not isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("checkpoint_every", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -120,7 +127,7 @@ class TrainConfig:
             raise ValueError(f"unknown expert provider {self.expert_provider!r}")
         if self.provider_fallback not in ("oracle", "logit", "none"):
             raise ValueError(f"unknown provider_fallback {self.provider_fallback!r}")
-        if self.invalid_route_fallback not in ("oracle", "skip"):
+        if self.invalid_route_fallback not in dg.INVALID_ROUTE_FALLBACKS:
             raise ValueError(f"unknown invalid_route_fallback {self.invalid_route_fallback!r}")
         self.mode_kind  # validates the mode string
         if self.mode == "ippo":

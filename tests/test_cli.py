@@ -8,7 +8,7 @@ import pytest
 from routecoach import AgentSpec, grid_graph, write_graph
 from routecoach.cli import demo_quality_report, main, moving_average
 from routecoach.llm import LlmError
-from routecoach.training import TrainConfig
+from routecoach.training import TrainConfig, Trainer
 
 
 @pytest.fixture()
@@ -32,6 +32,20 @@ def base_config(tmp_path, graph_file):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+@pytest.fixture()
+def train_calls(monkeypatch):
+    """(n_agents, seed) of every training run, in order."""
+    calls = []
+    train = Trainer.train
+
+    def counted(self, *args, **kwargs):
+        calls.append((self.config.n_agents, self.config.seed))
+        return train(self, *args, **kwargs)
+
+    monkeypatch.setattr(Trainer, "train", counted)
+    return calls
 
 
 def read_csv(path):
@@ -103,6 +117,9 @@ class TestTrain:
         ["--set", "llm_temperature=-1"],
         ["--set", "epochs=2.5"], ["--set", "update_epochs=1.5"], ["--set", "steps_per_episode=7.9"],
         ["--set", "congestion=no"], ["--set", "congestion=1"], ["--set", "seed=true"], ["--set", "n_agents=2.0"],
+        ["--set", "mode=5"], ["--set", "gamma=true"], ["--set", "learning_rate=true"],
+        ["--set", "logit_temperature=Infinity"], ["--provider", "llm", "--set", "mock_dir=5"],
+        ["--set", "learning_rate=1" + "0" * 400],
     ])
     def test_out_of_range_value_exits_2_without_run_dir(self, tmp_path, base_config, capsys, flags):
         out = tmp_path / "run"
@@ -160,6 +177,28 @@ class TestTrain:
         out = tmp_path / "run"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert "error: 'agents' must be a list" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("graph", [
+        {"nodes": [{"id": 0, "x": 0, "y": 0}], "edges": None},
+        {"nodes": 5, "edges": []},
+        {"nodes": [{"id": 0, "x": 0, "y": 0}, {"id": 1.7, "x": 1, "y": 0}], "edges": []},
+    ])
+    def test_graph_file_of_other_json_types_exits_2_without_run_dir(self, tmp_path, capsys, graph):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(graph))
+        out = tmp_path / "run"
+        assert main(["train", "--graph", str(path), "--out", str(out), "--set", "n_agents=1"]) == 2
+        assert f"error: graph file {path}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["train"], ["sweep-agents", "--counts", "1"], ["demo-report"]])
+    def test_graph_without_a_task_exits_2_without_out_dir(self, tmp_path, capsys, command):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"nodes": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}], "edges": []}))
+        out = tmp_path / "run"
+        assert main([*command, "--graph", str(path), "--out", str(out), "--set", "n_agents=1"]) == 2
+        assert "error: could not draw a routable task for agent 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_set_overrides_dotted(self, tmp_path, base_config):
@@ -307,6 +346,15 @@ class TestEvaluate:
         assert err.startswith("error: ") and message in err
         assert not (out / "eval.csv").exists()
 
+    @pytest.mark.parametrize("value", [5, ["grid3.json"]])
+    def test_manifest_graph_file_not_a_string_exits_2(self, tmp_path, base_config, capsys, value):
+        out = tmp_path / "run"
+        main(["train", "--config", base_config, "--out", str(out)])
+        _edit_json(out / "manifest.json", lambda doc: doc.update(graph_file=value))
+        assert main(["evaluate", "--run", str(out)]) == 2
+        assert f"error: the graph file must be given as a path string, got {value!r}" in capsys.readouterr().err
+        assert not (out / "eval.csv").exists()
+
     def test_run_without_checkpoints_exits_2(self, tmp_path, base_config, capsys):
         out = tmp_path / "run"
         main(["train", "--config", base_config, "--out", str(out)])
@@ -331,6 +379,14 @@ class TestSweep:
         manifest = json.loads((out / "n2" / "seed0" / "manifest.json").read_text())
         assert manifest["command"] == "sweep-agents" and manifest["config"]["n_agents"] == 2
         assert main(["evaluate", "--run", str(out / "n2" / "seed0")]) == 0
+
+    def test_repeated_seed_trains_once(self, tmp_path, graph_file, capsys, train_calls):
+        out = tmp_path / "sweep"
+        assert main(["sweep-agents", "--graph", graph_file, "--out", str(out), "--counts", "1",
+                     "--seeds", "0,0", "--set", "epochs=2", "--set", "steps_per_episode=20"]) == 0
+        assert "warning: duplicate values in '0,0' ignored" in capsys.readouterr().err
+        assert train_calls == [(1, 0)]
+        assert len(read_csv(out / "sweep.csv")) == 2
 
     @pytest.mark.parametrize("flags", [["--counts", ","], ["--counts", "1", "--seeds", ","]])
     def test_empty_list_exits_2_without_out_dir(self, tmp_path, graph_file, capsys, flags):
@@ -393,6 +449,13 @@ class TestAblation:
                      "--set", "mode=dynamic", "--set", "seed=0"]) == 0
         assert (run / "metrics.csv").read_bytes() == (single / "metrics.csv").read_bytes()
         assert main(["evaluate", "--run", str(out / "ippo" / "seed0")]) == 0
+
+    def test_repeated_seed_trains_once(self, tmp_path, graph_file, capsys, train_calls):
+        out = tmp_path / "ablation"
+        assert main(["ablation", "--graph", graph_file, "--out", str(out), "--seeds", "0,0",
+                     "--set", "epochs=2", "--set", "steps_per_episode=20", "--set", "n_agents=2"]) == 0
+        assert "warning: duplicate values in '0,0' ignored" in capsys.readouterr().err
+        assert train_calls == [(2, 0)] * 5
 
     def test_empty_seeds_exit_2_without_out_dir(self, tmp_path, graph_file, capsys):
         out = tmp_path / "ablation"
@@ -564,6 +627,15 @@ class TestPlotData:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
         assert main(["plot-data", str(bad), "--out", str(tmp_path / "p")]) == 2
+
+    @pytest.mark.parametrize("row, shown", [("1,abc", "'abc'"), ("1", "None")])
+    def test_reward_not_a_number_exits_2(self, tmp_path, capsys, row, shown):
+        bad = tmp_path / "metrics.csv"
+        bad.write_text(f"epoch,mean_reward_a\n0,1.5\n{row}\n")
+        plot = tmp_path / "plot"
+        assert main(["plot-data", str(bad), "--out", str(plot)]) == 2
+        assert f"error: {bad} line 3: mean_reward_a is {shown}, not a number" in capsys.readouterr().err
+        assert not plot.exists()
 
     def test_window_below_one_exits_2(self, tmp_path, base_config, capsys):
         out = tmp_path / "run"

@@ -67,6 +67,20 @@ def test_non_finite_coordinates_named(xy):
 def test_bad_json_and_sparse_ids():
     with pytest.raises(GraphError, match="JSON"):
         load_graph("not json {")
+    node, edge = {"id": 0, "x": 0, "y": 0.5}, {"from": 0, "to": 1, "length": 1}
+    for nodes, edges, message in [
+        (None, [], "'nodes' must be a list"), (5, [], "'nodes' must be a list"),
+        ([node], None, "'edges' must be a list"), ([node], {"0": edge}, "'edges' must be a list"),
+        *(([{**node, "id": v}], [], "bad node entry") for v in (1.7, 0.0, True, "0", None)),
+        *(([{**node, k: v}], [], "bad node entry") for k in ("x", "y") for v in (True, "0", None, [0])),
+        ([{"id": 0, "x": 0}], [], "bad node entry"), ([[0, 0, 0]], [], "bad node entry"),
+        *(([node, {**node, "id": 1}], [{**edge, k: v}], "bad edge entry")
+          for k in ("from", "to") for v in (1.0, 0.5, False, "1", None)),
+        *(([node, {**node, "id": 1}], [{**edge, "length": v}], "bad edge entry") for v in (True, "1", None)),
+        ([node, {**node, "id": 1}], [[0, 1, 1.0]], "bad edge entry"),
+    ]:
+        with pytest.raises(GraphError, match=message):
+            load_graph(json.dumps({"nodes": nodes, "edges": edges}))
     doc = {"nodes": [{"id": 0, "x": 0, "y": 0}, {"id": 2, "x": 1, "y": 0}], "edges": []}
     with pytest.raises(GraphError, match="dense"):
         load_graph(json.dumps(doc))

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -119,6 +120,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             TrainConfig(**{field: value})
         TrainConfig(llm_temperature=0.0)  # greedy sampling stays allowed
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TrainConfig)])
+    def test_values_of_another_type_rejected(self, field):
+        annotation = next(f.type for f in dataclasses.fields(TrainConfig) if f.name == field)
+        wrong = {"int": [1.5, True], "float": [True, "x"], "bool": [1], "str": [5], "str | None": [5]}
+        for value in wrong[annotation]:
+            with pytest.raises(ValueError, match=f"^{field} must be "):
+                TrainConfig(**{field: value})
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
