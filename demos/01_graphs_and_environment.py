@@ -6,7 +6,8 @@ decomposition: time penalty, potential shaping, arrival bonus.
 """
 import numpy as np
 
-from routecoach import AgentSpec, RouteEnv, edge_score, grid_graph, hilly_graph, line_graph
+from routecoach import AgentSpec, RouteEnv, grid_graph, hilly_graph, line_graph
+from routecoach.trajectory import run_episode
 
 grid = grid_graph(5)
 print(f"5x5 grid: {grid.node_count} junctions, {len(grid.edges)} directed edges, "
@@ -28,18 +29,14 @@ for c, p in hilly.k_shortest_paths(0, 8, 3):
 line = line_graph((1.0, 1.0))
 spec = AgentSpec(agent_id=0, start=0, dest=2)
 env = RouteEnv(line, (spec,))
-state = env.reset()
-obs = env.observe(state, 0)
+obs_table, mask_table = env.agent_tables(0)  # the observation and mask at every junction
 
-print("\nobservation layout (2 + 2m slots + action mask):")
-print("  vector:", obs.vector, " mask:", obs.mask)
-print("  slot 2 is the first edge's score:",
-      edge_score(line, line.out_edges(0)[0], 2))
+print("\nobservation layout at the start (2 + 2m slots + action mask):")
+print("  vector:", obs_table[spec.start], " mask:", mask_table[spec.start])
+print("  slot 2 is the first edge's score, -(length + remaining distance) / diameter:",
+      obs_table[spec.start, 2], "=", -line.shortest_path(0, 2)[0] / line.diameter)
 
-total = 0.0
-while not env.episode_done(state):
-    state, rewards = env.step(state, [0])
-    total += rewards[0]
-    print(f"  step {state.step}: at junction {state.positions[0]}, "
-          f"reward {rewards[0]:+.1f}")
-print(f"episode reward {total:.1f} = -0.1*2 steps + 2.0 shaping + 10 arrival bonus")
+(traj,) = run_episode(env, lambda agent, junction: 0)  # always take the first edge
+for step, (junction, reward) in enumerate(zip(traj.junction_path[1:], traj.rewards), start=1):
+    print(f"  step {step}: at junction {junction}, reward {reward:+.1f}")
+print(f"episode reward {traj.episode_reward:.1f} = -0.1*2 steps + 2.0 shaping + 10 arrival bonus")

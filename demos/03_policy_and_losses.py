@@ -14,15 +14,19 @@ rng = np.random.default_rng(0)
 
 params = nets.init_mlp(rng, in_dim=10, out_dim=4)
 obs = rng.normal(size=10)
-out = nets.policy_forward(params, obs, np.array([True, True, False, True]))
-print("fresh policy over 3 valid actions:", np.round(out.probs, 4),
-      "entropy", round(out.entropy, 4), "= ln 3 =", round(np.log(3), 4))
+fresh = nets.policy_forward_tape(params, obs, np.array([True, True, False, True]))
+print("fresh policy over 3 valid actions:", np.round(fresh.probs[0], 4),
+      "entropy", round(float(fresh.entropy[0]), 4), "= ln 3 =", round(np.log(3), 4))
 
 # gradient check along one random coordinate
 params.weights[-1][...] = rng.normal(scale=0.3, size=params.weights[-1].shape)
 x = rng.normal(size=(5, 10))
 up = rng.normal(size=(5, 4))
-analytic = nets.mlp_backward(params, x, up)
+# the backward training runs: a forward that keeps its activations, then the
+# upstream on each layer, then the parameter gradients of the batch
+tape = nets.mlp_forward_tape(params, x)
+deltas = nets.mlp_deltas([params], [slice(None)], tape, up)
+analytic = nets.mlp_grads(tape, deltas, slice(None), params.like(np.empty_like(params.data)))
 h = 1e-5
 w = params.weights[0]
 w[3, 7] += h

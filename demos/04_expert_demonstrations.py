@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from routecoach import AgentSpec, grid_graph
+from routecoach import AgentSpec, RouteEnv, grid_graph
 from routecoach import demos as dg
 from routecoach.llm import MockChatCompleter
 from routecoach.prompts import PromptState, build_prompt, count_tokens
@@ -48,7 +48,7 @@ executable = dg.prepare_executable(grid, specs, parsed, fallback="oracle")
 print("validity flags:", executable.valid(), "->", f"{dg.validity_rate(executable.valid()):.1f}% valid")
 print("agent 1 fell back to the oracle:", 1 in executable.fallback_agents)
 
-trajectories = dg.execute_demos(grid, specs, executable)
+trajectories = dg.replay(RouteEnv(grid, specs), executable)
 for i, traj in trajectories.items():
     print(f"executed demo, agent {i}: reward {traj.episode_reward:.1f}, "
           f"arrived {traj.arrived}, route {traj.junction_path.tolist()}")

@@ -26,7 +26,7 @@ if os.name == "posix" and not any(v in os.environ for v in _MALLOC_VARS) \
         _libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
         _libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
-from .env import AgentSpec, EnvState, Observation, RouteEnv, edge_score
+from .env import AgentSpec, RouteEnv
 from .fixtures import grid_graph, hilly_graph, line_graph, write_graph
 from .graph import Edge, GraphError, RoadGraph, load_graph
 from .losses import (
@@ -43,7 +43,7 @@ from .trajectory import Trajectory, dtw_distance, traj_to_feature_seq
 from .training import TrainConfig, Trainer, evaluate, generate_agent_specs, policy_table, rollout
 
 __all__ = [
-    "AgentSpec", "EnvState", "Observation", "RouteEnv", "edge_score",
+    "AgentSpec", "RouteEnv",
     "grid_graph", "hilly_graph", "line_graph", "write_graph",
     "Edge", "GraphError", "RoadGraph", "load_graph",
     "alpha_weight", "advantages", "bootstrapped_returns", "clipped_surrogate",

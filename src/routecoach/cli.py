@@ -357,7 +357,6 @@ def cmd_plot_data(args) -> int:
     if args.window < 1:
         raise ConfigError(f"--window must be at least 1, got {args.window}")
     curves = []
-    lengths = []
     for path in args.csvs:
         p = Path(path)
         if not p.exists():
@@ -373,11 +372,13 @@ def cmd_plot_data(args) -> int:
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"{p} line {reader.line_num}: mean_reward_a is "
                                       f"{row['mean_reward_a']!r}, not a number") from exc
-            curves.append(np.array(rewards))
-        lengths.append(curves[-1].size)
+        if not rewards:
+            raise ConfigError(f"{p} has no rows")
+        curves.append(np.array(rewards))
+    lengths = {c.size for c in curves}
     common = min(lengths)
-    if len(set(lengths)) > 1:
-        print(f"warning: epoch ranges differ {sorted(set(lengths))}; truncating to {common}",
+    if len(lengths) > 1:
+        print(f"warning: epoch ranges differ {sorted(lengths)}; truncating to {common}",
               file=sys.stderr)
     smoothed = np.array([moving_average(c[:common], args.window) for c in curves])
     path = Path(args.out) / "plot_data.csv"

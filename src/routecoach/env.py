@@ -1,19 +1,20 @@
 """Multi-agent routing environment on a road graph.
 
-Agents travel one edge per joint step.  Each agent sees only its own
-fixed-layout observation vector of length ``2 + 2m`` (m = the graph's max
-out-degree): its current and destination junction ids (normalized to
-[0, 1]), then per edge slot a score and the normalized end-junction id.
-Slots beyond the junction's out-degree are padded with score 0 and id -1
-and masked out via the boolean action mask.
+Each agent sees only its own fixed-layout observation vector of length
+``2 + 2m`` (m = the graph's max out-degree): its current and destination
+junction ids (normalized to [0, 1]), then per edge slot a score,
+``-(edge length + dist(end, dest)) / diameter`` (0 if the diameter is 0; -10
+if ``dest`` is unreachable from the end, so hopeless-but-real edges are
+clearly worst), and the normalized end-junction id.  Slots beyond the
+junction's out-degree are padded with score 0 and id -1 and masked out via
+the boolean action mask.
 
-An observation depends only on the junction and the destination (the mask
-also on whether the agent has departed), so on first use the environment
-tabulates, for each agent, the observation at every junction; observing is
-then a row lookup, and the tables, shared by every episode, are read-only.
+An observation depends only on the junction and the destination, so on
+first use the environment tabulates, for each agent, the observation at
+every junction (``agent_tables``), read-only and shared by every episode.
 Agents interact only through the congestion term of the reward, so an
-episode can also be walked one agent at a time and scored afterwards
-(``move_rewards``, see ``trajectory.run_episode``).
+episode is walked one agent at a time and scored afterwards
+(``trajectory.run_episode``, ``move_rewards``).
 
 Per-step reward is ``-time_penalty + shaping_coef * (dist(prev, dest) -
 dist(curr, dest)) + arrival_bonus * [arrived]``.  The shaping term is
@@ -28,7 +29,7 @@ from typing import Collection, Sequence
 
 import numpy as np
 
-from .graph import INF, Edge, RoadGraph
+from .graph import INF, RoadGraph
 
 UNREACHABLE_SCORE = -10.0
 PAD_ID = -1.0
@@ -80,29 +81,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def edge_score(graph: RoadGraph, edge: Edge, dest: int) -> float:
-    """Goodness of taking ``edge`` when heading for ``dest``.
-
-    Negative normalized total cost: -(edge length + remaining shortest
-    distance from the edge's endpoint) / graph diameter.  Edges from which
-    the destination cannot be reached get the sentinel -10; the mask is
-    what keeps a policy away from padded slots, the sentinel keeps the
-    hopeless-but-real ones clearly worst.
-    """
-    remaining = graph.distances_to(dest)[edge.dst]
-    if remaining == INF:
-        return UNREACHABLE_SCORE
-    diameter = graph.diameter
-    if diameter <= 0:
-        return 0.0
-    return -(edge.length + remaining) / diameter
-
-
 class RouteEnv:
     """Deterministic routing environment for a fixed graph and agent set.
 
-    One instance is single-threaded; state is carried in immutable
-    ``EnvState`` values, so stepping never mutates shared structure.
+    Training reads its tables and scores walks with ``move_rewards``.  The
+    joint-step methods over immutable ``EnvState`` values (``reset``, ``step``,
+    ``observe``, ...) are kept for the tests and the benchmark.
     """
 
     def __init__(
@@ -157,7 +141,7 @@ class RouteEnv:
 
     @cached_property
     def _tables(self) -> _Tables:
-        """The tables, built with ``edge_score``'s arithmetic on first use."""
+        """The tables, built on first use; the scores are those of the module docstring."""
         graph = self.graph
         n = graph.node_count
         dst, length = graph.out_arrays
@@ -231,10 +215,6 @@ class RouteEnv:
 
     def spawned(self, state: EnvState, agent_id: int) -> bool:
         return state.step >= self.specs[agent_id].depart_time
-
-    def active(self, state: EnvState, agent_id: int) -> bool:
-        """True when the agent must supply an action this step."""
-        return self.spawned(state, agent_id) and not state.done[agent_id]
 
     def acting(self, state: EnvState) -> np.ndarray:
         """Ids of the agents that must supply an action this step, ascending."""

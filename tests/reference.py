@@ -1,14 +1,24 @@
-"""A test-side reference for the episode and the training loop.
+"""The test-side reference: the one copy of each oracle the suite checks the library against.
 
-It keeps its own copies of what the library computes in optimized form:
-``joint_episode`` steps every acting agent together and scores each move with
-the reward formula of the README, ``policy_episode`` runs one
-``policy_forward`` per move and samples with ``Generator.choice``, and
-``primitive_build`` trains from those episodes with one agent's update at a
-time, written with the single-network primitives.  It uses none of the
-library's episode walk, move scoring, rollout, replay or fused update
-(``test_reference_independence`` checks the names), so a fault there shows up
-as a difference instead of being shared by the oracle.
+- The episode and the training loop.  ``joint_episode`` steps every acting
+  agent together and scores each move with the reward formula of the README,
+  ``policy_episode`` runs one ``policy_forward`` per move and samples with
+  ``Generator.choice``, and ``primitive_build`` trains from those episodes
+  with one agent's update at a time, written with the single-network
+  primitives.
+- The observation.  ``edge_score`` scores one edge and
+  ``reference_observation`` builds a departed agent's observation slot by
+  slot from it; the environment's tables are checked against them.
+- ``dtw_bruteforce`` enumerates every warping path, the oracle for
+  ``dtw_distance``.
+- ``returns_direct_sum`` sums the definition of the bootstrapped return term
+  by term.
+- ``max_gradient_error`` compares an analytic gradient with central finite
+  differences (``numeric_grad``) at coordinates drawn by ``sample_coords``.
+
+It uses none of the library's episode walk, move scoring, rollout, replay or
+fused update (``test_reference_independence`` checks the names), so a fault
+there shows up as a difference instead of being shared by the oracle.
 """
 from collections import Counter
 
@@ -17,7 +27,8 @@ import numpy as np
 from routecoach import demos as dg
 from routecoach import losses as L
 from routecoach import nets
-from routecoach.env import EnvError, RouteEnv
+from routecoach.env import PAD_ID, UNREACHABLE_SCORE, EnvError, RouteEnv
+from routecoach.graph import INF
 from routecoach.training import ALPHA_FLOOR, AgentLearner, agent_rng
 from routecoach.trajectory import Trajectory, dtw_distance, traj_to_feature_seq
 
@@ -152,3 +163,106 @@ def episode_record(trajectories) -> list[tuple]:
     """Each agent's id, path, actions, rewards, arrival, termination and log-probs, as Python values."""
     return [(t.agent_id, t.junction_path.tolist(), t.actions.tolist(), t.rewards.tolist(), t.arrived, t.terminated,
              None if t.logps is None else t.logps.tolist()) for t in trajectories]
+
+
+def edge_score(graph, edge, dest) -> float:
+    """Goodness of taking ``edge`` toward ``dest``: -(edge length + remaining distance from its end) / diameter.
+
+    0 on a graph of diameter 0, and ``UNREACHABLE_SCORE`` when ``dest`` cannot be reached from the end.
+    """
+    remaining = graph.distances_to(dest)[edge.dst]
+    if remaining == INF:
+        return UNREACHABLE_SCORE
+    diameter = graph.diameter
+    if diameter <= 0:
+        return 0.0
+    return -(edge.length + remaining) / diameter
+
+
+def reference_observation(graph, junction, dest):
+    """A departed agent's observation and mask, built slot by slot with ``edge_score``."""
+    m = graph.max_out_degree
+    denom = max(graph.node_count - 1, 1)
+    vector = np.zeros(2 + 2 * m)
+    vector[0] = junction / denom
+    vector[1] = dest / denom
+    out = graph.out_edges(junction)
+    for i in range(m):
+        if i < len(out):
+            vector[2 + 2 * i] = edge_score(graph, out[i], dest)
+            vector[2 + 2 * i + 1] = out[i].dst / denom
+        else:
+            vector[2 + 2 * i] = 0.0
+            vector[2 + 2 * i + 1] = PAD_ID
+    mask = np.zeros(m, dtype=bool)
+    mask[: len(out)] = True
+    return vector, mask
+
+
+def dtw_bruteforce(a, b):
+    """Min summed cost over every monotone warping path, by bare recursion.
+
+    No memoization: the recursion tree enumerates each warping path, which
+    keeps this an independent oracle rather than the same dynamic program.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    cost = [[float(np.hypot(*(a[i] - b[j]))) for j in range(len(b))] for i in range(len(a))]
+    n, m = len(a), len(b)
+
+    def rec(i, j):
+        c = cost[i][j]
+        if i == n - 1 and j == m - 1:
+            return c
+        best = float("inf")
+        if i + 1 < n:
+            best = min(best, rec(i + 1, j))
+        if j + 1 < m:
+            best = min(best, rec(i, j + 1))
+        if i + 1 < n and j + 1 < m:
+            best = min(best, rec(i + 1, j + 1))
+        return c + best
+
+    return rec(0, 0)
+
+
+def returns_direct_sum(rewards, gamma, tail_value):
+    """Literal double sum of the return definition, with the tail value discounted past the last reward."""
+    T = len(rewards)
+    out = np.zeros(T)
+    for t in range(T):
+        acc = 0.0
+        for k in range(T - t):
+            acc += gamma**k * rewards[t + k]
+        out[t] = acc + gamma ** (T - t) * tail_value
+    return out
+
+
+def sample_coords(rng, params, per_layer):
+    """``per_layer`` random (kind, layer, index) coordinates of each weight array, then of each bias array."""
+    return [(kind, layer, tuple(rng.integers(s) for s in arr.shape))
+            for kind in ("weights", "biases") for layer, arr in enumerate(getattr(params, kind))
+            for _ in range(per_layer)]
+
+
+def numeric_grad(fn, params, coord, h=1e-5):
+    """Central finite difference of the scalar ``fn(params)`` at one coordinate, which it restores."""
+    kind, layer, index = coord
+    arr = getattr(params, kind)[layer]
+    orig = arr[index]
+    arr[index] = orig + h
+    up = fn(params)
+    arr[index] = orig - h
+    down = fn(params)
+    arr[index] = orig
+    return (up - down) / (2 * h)
+
+
+def relative_error(a, b):
+    return abs(a - b) / max(1e-8, abs(a) + abs(b))
+
+
+def max_gradient_error(rng, params, fn, analytic, per_layer):
+    """The largest ``relative_error`` of ``analytic`` against ``numeric_grad`` of ``fn`` at ``sample_coords``."""
+    return max(relative_error(getattr(analytic, kind)[layer][index], numeric_grad(fn, params, (kind, layer, index)))
+               for kind, layer, index in sample_coords(rng, params, per_layer))

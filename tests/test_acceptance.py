@@ -1,10 +1,12 @@
 """Acceptance criteria, one test per criterion, with pass/fail lines.
 
 Run as ``pytest tests/test_acceptance.py -v -s``.  The learning-efficacy
-criteria (A6/A7) share one batch of 20 small training runs built in a
-session fixture; expect the whole module to take 10-15 minutes on a
-laptop CPU.  A7 is expected to fail at desk scale; the decisions ledger
-holds the blocking analysis, and the test carries an xfail marker so the
+criteria (A6/A7) and the collapse check share one batch of 20 small
+training runs built in a module fixture, which takes about 70-95 s on a
+2-vCPU Linux host with one BLAS thread, most of the module's time.  A7 and
+the collapse check are expected to fail: every guided mode reaches the
+oracle's reward by about epoch 100 and collapses after about epoch 140.
+ROADMAP item 7 holds the measurements.  Both carry xfail markers, so the
 failure stays visible without masking the rest of the suite.
 """
 import time
@@ -20,7 +22,7 @@ from routecoach import nets
 from routecoach.cli import demo_quality_report, main
 from routecoach.llm import MockChatCompleter
 from routecoach.training import TrainConfig, Trainer
-from reference import learner_bytes, primitive_build
+from reference import dtw_bruteforce, learner_bytes, max_gradient_error, primitive_build, returns_direct_sum
 
 pytestmark = pytest.mark.acceptance
 
@@ -33,32 +35,6 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 # A1: DTW equals exhaustive warping-path enumeration
 # ---------------------------------------------------------------------------
 
-def dtw_enumerated(a, b):
-    """Min cost over all monotone warping paths via plain recursion.
-
-    No memoization; the recursion tree has one leaf per warping path, so
-    this is the exhaustive enumeration, independent of the dynamic program.
-    """
-    cost = [[float(np.hypot(a[i][0] - b[j][0], a[i][1] - b[j][1]))
-             for j in range(len(b))] for i in range(len(a))]
-    n, m = len(a), len(b)
-
-    def rec(i, j):
-        c = cost[i][j]
-        if i == n - 1 and j == m - 1:
-            return c
-        best = float("inf")
-        if i + 1 < n:
-            best = min(best, rec(i + 1, j))
-        if j + 1 < m:
-            best = min(best, rec(i, j + 1))
-        if i + 1 < n and j + 1 < m:
-            best = min(best, rec(i + 1, j + 1))
-        return c + best
-
-    return rec(0, 0)
-
-
 def test_a1_dtw_oracle_equivalence():
     rng = np.random.default_rng(101)
     start = time.perf_counter()
@@ -67,7 +43,7 @@ def test_a1_dtw_oracle_equivalence():
         a = rng.integers(0, 9, size=(rng.integers(1, 9), 2)).astype(float)
         b = rng.integers(0, 9, size=(rng.integers(1, 9), 2)).astype(float)
         got = rc.dtw_distance(a, b)
-        expect = dtw_enumerated(a.tolist(), b.tolist())
+        expect = dtw_bruteforce(a.tolist(), b.tolist())
         worst = max(worst, abs(got - expect))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and elapsed < 10.0
@@ -79,31 +55,6 @@ def test_a1_dtw_oracle_equivalence():
 # ---------------------------------------------------------------------------
 # A2: analytic gradients vs central finite differences
 # ---------------------------------------------------------------------------
-
-def _probe_coords(rng, params, per_layer=3):
-    coords = []
-    for kind in ("weights", "biases"):
-        for layer, arr in enumerate(getattr(params, kind)):
-            for _ in range(per_layer):
-                coords.append((kind, layer, tuple(rng.integers(s) for s in arr.shape)))
-    return coords
-
-
-def _max_rel_error(rng, params, scalar_fn, analytic, h=1e-5):
-    worst = 0.0
-    for kind, layer, index in _probe_coords(rng, params):
-        arr = getattr(params, kind)[layer]
-        orig = arr[index]
-        arr[index] = orig + h
-        up = scalar_fn(params)
-        arr[index] = orig - h
-        down = scalar_fn(params)
-        arr[index] = orig
-        numeric = (up - down) / (2 * h)
-        ana = getattr(analytic, kind)[layer][index]
-        worst = max(worst, abs(ana - numeric) / max(1e-8, abs(ana) + abs(numeric)))
-    return worst
-
 
 def test_a2_gradient_exactness():
     rng = np.random.default_rng(202)
@@ -124,7 +75,7 @@ def test_a2_gradient_exactness():
             return float((np.where(masks, logp, 0.0) * dlogp).sum() + (dent * ent).sum())
 
         analytic = nets.policy_backward(params, x, masks, dlogp, dent)
-        worst = max(worst, _max_rel_error(rng, params, policy_loss, analytic))
+        worst = max(worst, max_gradient_error(rng, params, policy_loss, analytic, per_layer=3))
 
         # value net case: loss = sum(direction * V)
         vparams = nets.init_mlp(rng, 10, 1)
@@ -135,7 +86,7 @@ def test_a2_gradient_exactness():
             return float((nets.value_forward(p, x) * dvals).sum())
 
         vanalytic = nets.value_backward(vparams, x, dvals)
-        worst = max(worst, _max_rel_error(rng, vparams, value_loss_fn, vanalytic))
+        worst = max(worst, max_gradient_error(rng, vparams, value_loss_fn, vanalytic, per_layer=3))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-4 and elapsed < 30.0
     report("A2", ok, f"20 policy + 20 value cases, max rel error {worst:.2e}, {elapsed:.1f}s")
@@ -158,10 +109,7 @@ def test_a3_return_advantage_oracle():
         values = rng.normal(size=T) * 5
 
         got_r = L.bootstrapped_returns(rewards, gamma, tail)
-        oracle_r = np.array([
-            sum(gamma**k * rewards[t + k] for k in range(T - t)) + gamma ** (T - t) * tail
-            for t in range(T)
-        ])
+        oracle_r = returns_direct_sum(rewards, gamma, tail)
         got_a = L.advantages(got_r, values)
         oracle_a = oracle_r - values
         worst = max(worst, float(np.max(np.abs(got_r - oracle_r))),
@@ -234,6 +182,7 @@ SEEDS = (0, 1, 2, 3, 4)
 EPOCHS = 300
 STEPS = 100
 SUSTAIN = 4  # epochs the evaluation must hold the target to count as reached
+GUIDED = ("dynamic", "fixed-alpha:0.2", "fixed-alpha:0.5")
 
 
 def oracle_return() -> float:
@@ -259,7 +208,7 @@ def run_mode(mode: str, seed: int) -> dict:
 def efficacy_runs():
     start = time.perf_counter()
     runs = {}
-    for mode in ("ippo", "dynamic", "fixed-alpha:0.2", "fixed-alpha:0.5"):
+    for mode in ("ippo", *GUIDED):
         for seed in SEEDS:
             runs[(mode, seed)] = run_mode(mode, seed)
             print(f"  [efficacy fixture] {mode} seed {seed} done "
@@ -299,25 +248,47 @@ def test_a6_learning_efficacy(efficacy_runs):
     assert runtime_ok
 
 
+def final100(curve) -> float:
+    return float(np.mean(curve[-100:]))
+
+
+def final100_median(efficacy_runs, mode: str) -> float:
+    """The median over the seeds of the mean sampled training reward of the last 100 epochs."""
+    return float(np.median([final100(efficacy_runs[(mode, s)]["train"]) for s in SEEDS]))
+
+
 @pytest.mark.xfail(
-    reason="unattainable at desk scale: exp(-(k/K)*D) drives alpha to ~0 late in "
-           "training, so the agent branch never consolidates and fixed-alpha "
-           "variants keep a constant agent share; see the decisions ledger",
+    reason="every guided mode collapses after about epoch 140 (ROADMAP item 7), so A7 "
+           "compares three collapsed plateaus",
     strict=False,
 )
 def test_a7_ablation_direction(efficacy_runs):
-    def final100(curve):
-        return float(np.mean(curve[-100:]))
-
-    dyn = np.median([final100(efficacy_runs[("dynamic", s)]["train"]) for s in SEEDS])
-    f02 = np.median([final100(efficacy_runs[("fixed-alpha:0.2", s)]["train"]) for s in SEEDS])
-    f05 = np.median([final100(efficacy_runs[("fixed-alpha:0.5", s)]["train"]) for s in SEEDS])
+    dyn, f02, f05 = (final100_median(efficacy_runs, mode) for mode in GUIDED)
     ok = dyn >= f02 and dyn >= f05
     report("A7", ok, f"final-100-epoch medians: dynamic {dyn:.3f}, "
                      f"fixed-0.2 {f02:.3f}, fixed-0.5 {f05:.3f}"
-                     + ("" if ok else " (expected at desk scale; see decisions ledger)"))
+                     + ("" if ok else " (three collapsed plateaus; see ROADMAP item 7)"))
     assert dyn >= f02, "dynamic weighting below fixed alpha 0.2"
     assert dyn >= f05, "dynamic weighting below fixed alpha 0.5"
+
+
+@pytest.mark.xfail(
+    reason="ROADMAP item 7: every guided mode collapses after about epoch 140, to a "
+           "final-100-epoch median of 1.1-1.7 against IPPO's 15.5",
+    strict=True,
+)
+def test_guided_modes_hold_the_target(efficacy_runs):
+    """Each guided mode's sampled training reward holds A6's target over the last 100 epochs.
+
+    Sampled, not greedy: IPPO's greedy evaluation is low over those epochs
+    too (median 2.4), so a greedy check would not single out the guided modes.
+    """
+    target = 0.8 * oracle_return()
+    medians = {mode: final100_median(efficacy_runs, mode) for mode in GUIDED}
+    ok = all(m >= target for m in medians.values())
+    report("collapse", ok, f"target {target:.2f}; final-100-epoch medians "
+                           + ", ".join(f"{mode} {m:.3f}" for mode, m in medians.items()))
+    assert ok, f"a guided mode fell below the target {target:.2f}: {medians}"
 
 
 # ---------------------------------------------------------------------------

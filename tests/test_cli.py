@@ -637,6 +637,16 @@ class TestPlotData:
         assert f"error: {bad} line 3: mean_reward_a is {shown}, not a number" in capsys.readouterr().err
         assert not plot.exists()
 
+    @pytest.mark.parametrize("files", [["empty"], ["full", "empty"]], ids=["alone", "one-of-several"])
+    def test_metrics_file_without_rows_exits_2(self, tmp_path, capsys, files):
+        paths = {"empty": tmp_path / "empty.csv", "full": tmp_path / "full.csv"}
+        paths["empty"].write_text("epoch,mean_reward_a\n")
+        paths["full"].write_text("epoch,mean_reward_a\n0,1.5\n1,2.5\n")
+        plot = tmp_path / "plot"
+        assert main(["plot-data", *(str(paths[f]) for f in files), "--out", str(plot)]) == 2
+        assert f"error: {paths['empty']} has no rows" in capsys.readouterr().err
+        assert not plot.exists()
+
     def test_window_below_one_exits_2(self, tmp_path, base_config, capsys):
         out = tmp_path / "run"
         main(["train", "--config", base_config, "--out", str(out)])

@@ -5,33 +5,7 @@ from hypothesis import strategies as st
 
 from routecoach import AgentSpec, grid_graph
 from routecoach.trajectory import Trajectory, dtw_distance, traj_to_feature_seq
-
-
-def dtw_bruteforce(a, b):
-    """Min summed cost over every monotone warping path, by bare recursion.
-
-    No memoization: the recursion tree enumerates each warping path, which
-    keeps this an independent oracle rather than the same dynamic program.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    cost = [[float(np.hypot(*(a[i] - b[j]))) for j in range(len(b))] for i in range(len(a))]
-    n, m = len(a), len(b)
-
-    def rec(i, j):
-        c = cost[i][j]
-        if i == n - 1 and j == m - 1:
-            return c
-        best = float("inf")
-        if i + 1 < n:
-            best = min(best, rec(i + 1, j))
-        if j + 1 < m:
-            best = min(best, rec(i, j + 1))
-        if i + 1 < n and j + 1 < m:
-            best = min(best, rec(i + 1, j + 1))
-        return c + best
-
-    return rec(0, 0)
+from reference import dtw_bruteforce
 
 
 def _traj(path, steps=None, logps=None):

@@ -2,53 +2,41 @@ import numpy as np
 import pytest
 
 from routecoach import AgentSpec, grid_graph, line_graph
-from routecoach.env import PAD_ID, EnvError, EnvState, RouteEnv, edge_score
+from routecoach.env import EnvError, EnvState, RouteEnv
 from routecoach.graph import INF, Edge, RoadGraph
 from routecoach.trajectory import run_episode
+from reference import reference_observation
 
 
-def reference_observation(graph, junction, dest):
-    """A departed agent's observation built slot by slot with ``edge_score``."""
-    m = graph.max_out_degree
-    denom = max(graph.node_count - 1, 1)
-    vector = np.zeros(2 + 2 * m)
-    vector[0] = junction / denom
-    vector[1] = dest / denom
-    out = graph.out_edges(junction)
-    for i in range(m):
-        if i < len(out):
-            vector[2 + 2 * i] = edge_score(graph, out[i], dest)
-            vector[2 + 2 * i + 1] = out[i].dst / denom
-        else:
-            vector[2 + 2 * i] = 0.0
-            vector[2 + 2 * i + 1] = PAD_ID
-    mask = np.zeros(m, dtype=bool)
-    mask[: len(out)] = True
-    return vector, mask
+def scores(graph, start, dest):
+    """The score of each junction's slot ``a`` (column ``2 + 2 * a`` of its row) for an agent heading to ``dest``."""
+    return RouteEnv(graph, (AgentSpec(0, start, dest),)).agent_tables(0)[0][:, 2::2]
 
 
 def test_edge_score_line(line):
     # diameter 2; A->B carries full remaining cost, B->C half
-    assert edge_score(line, line.out_edges(0)[0], 2) == pytest.approx(-1.0)
-    assert edge_score(line, line.out_edges(1)[0], 2) == pytest.approx(-0.5)
+    score = scores(line, 0, 2)
+    assert score[0, 0] == pytest.approx(-1.0)
+    assert score[1, 0] == pytest.approx(-0.5)
 
 
 def test_edge_score_unreachable_sentinel():
     g = RoadGraph({0: (0, 0), 1: (1, 0), 2: (2, 0)},
                   [Edge(0, 1, 1.0), Edge(0, 2, 4.0)])
     # from junction 1 nothing is reachable; heading for 2 via 1 is hopeless
-    assert edge_score(g, g.out_edges(0)[0], 2) == -10.0
+    assert scores(g, 0, 2)[0, 0] == -10.0
 
 
 def test_edge_score_monotone_on_grid(grid5):
     # uniform edge lengths: closer endpoint <=> strictly larger score
     dist = grid5.distances_to(24)
+    score = scores(grid5, 0, 24)
     for j in grid5.nodes:
         edges = grid5.out_edges(j)
-        for a in edges:
-            for b in edges:
+        for slot_a, a in enumerate(edges):
+            for slot_b, b in enumerate(edges):
                 if dist[a.dst] < dist[b.dst]:
-                    assert edge_score(grid5, a, 24) > edge_score(grid5, b, 24)
+                    assert score[j, slot_a] > score[j, slot_b]
 
 
 def test_observation_layout_line(line, line_specs):
@@ -256,7 +244,7 @@ def test_trajectory_determinism(grid5):
     state = env.reset()
     obs = [env.observe(state, i) for i in range(2)]
     while not env.episode_done(state):
-        joint = [int(rng.integers(obs[i].mask.sum())) if env.active(state, i) else None
+        joint = [int(rng.integers(obs[i].mask.sum())) if i in env.acting(state) else None
                  for i in range(2)]
         actions.append(joint)
         state, rewards = env.step(state, joint)

@@ -4,18 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routecoach import losses as L
-
-
-def returns_direct_sum(rewards, gamma, tail_value):
-    """Independent oracle: literal double-sum of the return definition."""
-    T = len(rewards)
-    out = np.zeros(T)
-    for t in range(T):
-        acc = 0.0
-        for k in range(T - t):
-            acc += gamma**k * rewards[t + k]
-        out[t] = acc + gamma ** (T - t) * tail_value
-    return out
+from reference import returns_direct_sum
 
 
 class TestBootstrappedReturns:

@@ -3,6 +3,7 @@ import pytest
 
 from routecoach import AgentSpec, nets
 from routecoach.env import RouteEnv
+from reference import max_gradient_error
 
 
 def random_params(rng, in_dim=6, out_dim=3):
@@ -11,35 +12,6 @@ def random_params(rng, in_dim=6, out_dim=3):
     params.weights[-1][...] = rng.normal(scale=0.3, size=params.weights[-1].shape)
     params.biases[-1][...] = rng.normal(scale=0.1, size=params.biases[-1].shape)
     return params
-
-
-def numeric_grad(fn, params, coords, h=1e-5):
-    """Central finite differences of scalar fn at the given coordinates."""
-    grads = {}
-    for kind, layer, index in coords:
-        arr = getattr(params, kind)[layer]
-        orig = arr[index]
-        arr[index] = orig + h
-        up = fn(params)
-        arr[index] = orig - h
-        down = fn(params)
-        arr[index] = orig
-        grads[(kind, layer, index)] = (up - down) / (2 * h)
-    return grads
-
-
-def sample_coords(rng, params, per_layer=4):
-    coords = []
-    for kind in ("weights", "biases"):
-        for layer, arr in enumerate(getattr(params, kind)):
-            for _ in range(per_layer):
-                index = tuple(rng.integers(s) for s in arr.shape)
-                coords.append((kind, layer, index))
-    return coords
-
-
-def relative_error(a, b):
-    return abs(a - b) / max(1e-8, abs(a) + abs(b))
 
 
 def test_uniform_policy_at_zero_final_layer(rng):
@@ -118,10 +90,7 @@ def test_mlp_backward_matches_finite_differences(rng):
         up = rng.normal(size=(4, 3))
         analytic = nets.mlp_backward(params, x, up)
         fn = lambda p: float((nets.mlp_forward(p, x) * up).sum())
-        for kind, layer, index in sample_coords(rng, params, per_layer=3):
-            num = numeric_grad(fn, params, [(kind, layer, index)])[(kind, layer, index)]
-            ana = getattr(analytic, kind)[layer][index]
-            assert relative_error(ana, num) < 1e-4
+        assert max_gradient_error(rng, params, fn, analytic, per_layer=3) < 1e-4
 
 
 def test_policy_backward_matches_finite_differences(rng):
@@ -138,10 +107,7 @@ def test_policy_backward_matches_finite_differences(rng):
             logp, _, ent = nets.policy_forward_batch(p, x, masks)
             return float((np.where(masks, logp, 0.0) * dlogp).sum() + (dent * ent).sum())
 
-        for kind, layer, index in sample_coords(rng, params, per_layer=3):
-            num = numeric_grad(fn, params, [(kind, layer, index)])[(kind, layer, index)]
-            ana = getattr(analytic, kind)[layer][index]
-            assert relative_error(ana, num) < 1e-4
+        assert max_gradient_error(rng, params, fn, analytic, per_layer=3) < 1e-4
 
 
 def reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
