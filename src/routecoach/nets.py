@@ -109,13 +109,6 @@ class MlpTape(NamedTuple):
     out: np.ndarray  # (N, out)
 
 
-class MlpStack(NamedTuple):
-    """Several networks' layers stacked along a new first axis."""
-
-    weights: tuple[np.ndarray, ...]  # (A, in, out) per layer
-    biases: tuple[np.ndarray, ...]   # (A, out) per layer
-
-
 class PolicyTape(NamedTuple):
     """A policy forward pass over a batch, kept for the backward."""
 
@@ -218,25 +211,25 @@ def mlp_backward(params: MlpParams, x: np.ndarray, upstream: np.ndarray) -> MlpP
 # -- masked categorical policy ----------------------------------------------
 
 def masked_log_softmax(logits: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log_probs, probs, entropy) of a softmax restricted to mask-true slots.
+    """(log_probs, probs, entropy) of a softmax over the last axis, restricted to mask-true slots.
 
-    Masked slots get probability exactly 0 and log-probability -inf; they
-    never influence the normalization, so a logit change there cannot
-    change the output.
+    ``masks`` broadcasts against ``logits``.  Masked slots get probability
+    exactly 0 and log-probability -inf; they never influence the
+    normalization, so a logit change there cannot change the output.
     """
     logits = np.atleast_2d(np.asarray(logits, dtype=float))
     masks = np.atleast_2d(np.asarray(masks, dtype=bool))
-    if not masks.any(axis=1).all():
+    if not masks.any(axis=-1).all():
         raise NetError("all-false action mask")
     neg_inf = np.where(masks, logits, -np.inf)
-    zmax = neg_inf.max(axis=1, keepdims=True)
+    zmax = neg_inf.max(axis=-1, keepdims=True)
     shifted = np.where(masks, logits - zmax, -np.inf)
     exp = np.where(masks, np.exp(np.where(masks, shifted, 0.0)), 0.0)
-    total = exp.sum(axis=1, keepdims=True)
+    total = exp.sum(axis=-1, keepdims=True)
     probs = exp / total
     log_probs = np.where(masks, shifted - np.log(total), -np.inf)
     plogp = np.where(probs > 0, probs * np.where(masks, log_probs, 0.0), 0.0)
-    entropy = -plogp.sum(axis=1)
+    entropy = -plogp.sum(axis=-1)
     return log_probs, probs, entropy
 
 
@@ -246,21 +239,10 @@ def policy_forward(params: MlpParams, obs: np.ndarray, mask: np.ndarray) -> Poli
     return PolicyOutput(log_probs=log_probs[0], probs=probs[0], entropy=float(entropy[0]))
 
 
-def stack_params(params: Sequence[MlpParams]) -> MlpStack:
-    """The networks' layers stacked, network ``i`` at index ``i``: a copy, not views."""
-    data = np.stack([p.data for p in params])
-    layers, offset = [], 0
-    for a in params[0].weights + params[0].biases:
-        layers.append(data[:, offset:offset + a.size].reshape(len(params), *a.shape))
-        offset += a.size
-    half = len(layers) // 2
-    return MlpStack(tuple(layers[:half]), tuple(layers[half:]))
-
-
 def policy_table_forward(
-    stack: MlpStack, obs: np.ndarray, masks: np.ndarray
+    policies: Sequence[MlpParams], obs: np.ndarray, masks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(log_probs, probs), each (A, n, m): network ``a`` of the stack on every row of ``obs[a]``.
+    """(log_probs, probs), each (A, n, m): network ``a`` of ``policies`` on every row of ``obs[a]``.
 
     ``obs`` is (A, n, in), a table of n observations per network, and
     ``masks`` (n, m) the action mask of each row, shared by the networks.
@@ -269,22 +251,20 @@ def policy_table_forward(
     values are bit for bit the same.  Rows whose mask is all false (dead
     ends) get -inf and 0 instead of raising.
     """
-    (w0, w1, w2), (b0, b1, b2) = stack
-    h = np.matmul(obs[:, :, None, :], w0[:, None])
-    h += b0[:, None, None, :]
-    np.tanh(h, out=h)
-    h = np.matmul(h, w1[:, None])
-    h += b1[:, None, None, :]
-    np.tanh(h, out=h)
-    logits = np.matmul(h, w2[:, None])[:, :, 0, :]
-    logits += b2[:, None, :]
-    shape = logits.shape
-    logits, masks = logits.reshape(-1, shape[2]), np.tile(masks, (shape[0], 1))
+    logits = np.empty((len(policies), *masks.shape))
+    for net, x, out in zip(policies, obs, logits):
+        h = x[:, None, :]
+        for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
+            h = np.matmul(h, w)
+            h += b
+            if layer < len(HIDDEN):
+                np.tanh(h, out=h)
+        out[...] = h[:, 0, :]
     live = masks.any(axis=1)
     log_probs, probs = np.full(logits.shape, -np.inf), np.zeros(logits.shape)
     if live.any():
-        log_probs[live], probs[live], _ = masked_log_softmax(logits[live], masks[live])
-    return log_probs.reshape(shape), probs.reshape(shape)
+        log_probs[:, live], probs[:, live], _ = masked_log_softmax(logits[:, live], masks[live])
+    return log_probs, probs
 
 
 def policy_forward_batch(

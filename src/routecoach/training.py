@@ -315,14 +315,14 @@ def draw(cdf_row: Sequence[float], rng: np.random.Generator) -> int:
 def policy_table(env: RouteEnv, policies: Sequence[nets.MlpParams]) -> tuple[np.ndarray, np.ndarray]:
     """(log_probs, probs), each (A, n, m): agent ``a``'s action distribution at every junction of ``env``.
 
-    An observation depends only on the junction, so one agent-stacked forward
-    over ``env``'s observation tables gives every distribution an episode can
+    An observation depends only on the junction, so one forward per agent over
+    its observation table in ``env`` gives every distribution an episode can
     ask for.  The table holds for as long as the policies' parameters do.  One policy per
     agent: another count raises ``ValueError``.
     """
     if len(policies) != env.n_agents:
         raise ValueError(f"{len(policies)} policies for an environment of {env.n_agents} agents")
-    return nets.policy_table_forward(nets.stack_params(policies), env.obs_tables, env.mask_table)
+    return nets.policy_table_forward(policies, env.obs_tables, env.mask_table)
 
 
 def rollout(

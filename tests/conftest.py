@@ -1,4 +1,6 @@
+import ctypes
 import os
+from pathlib import Path
 
 # one BLAS thread for the suite, as for the library (see routecoach/__init__.py),
 # set before numpy is first imported
@@ -9,6 +11,26 @@ import numpy as np
 import pytest
 
 from routecoach import AgentSpec, grid_graph, hilly_graph, line_graph
+
+
+def openblas_core() -> str:
+    """The OpenBLAS kernel set numpy's bundled library chose, or ``unknown``.
+
+    The pinned digests hold only with the SkylakeX kernels (see the README).
+    """
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def pytest_report_header(config):
+    return f"openblas core: {openblas_core()}"
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from routecoach import AgentSpec, nets
+from routecoach import AgentSpec, generate_agent_specs, grid_graph, nets, policy_table
 from routecoach.env import RouteEnv
 from reference import max_gradient_error
 
@@ -234,7 +236,7 @@ def test_stacked_policy_forward_matches_per_agent_bit_for_bit(request):
         policies = [random_params(rng, env.obs_dim, env.n_actions) for _ in specs]
         obs = np.stack([env.agent_tables(i)[0] for i in range(len(specs))])
         masks = env.mask_table
-        log_probs, probs = nets.policy_table_forward(nets.stack_params(policies), obs, masks)
+        log_probs, probs = nets.policy_table_forward(policies, obs, masks)
         assert log_probs.shape == probs.shape == (len(specs), graph.node_count, env.n_actions)
         for i, policy in enumerate(policies):
             for j in graph.nodes:
@@ -249,12 +251,17 @@ def test_stacked_policy_forward_matches_per_agent_bit_for_bit(request):
             assert probs[0, 0].tolist() == [1.0]
 
 
-def test_stack_params_copies_each_network():
-    rng = np.random.default_rng(5)
-    policies = [random_params(rng) for _ in range(3)]
-    stack = nets.stack_params(policies)
-    for i, policy in enumerate(policies):
-        for stacked, own in zip(stack.weights + stack.biases, policy.weights + policy.biases):
-            np.testing.assert_array_equal(stacked[i], own)
-    policies[1].data[:] = 0.0
-    assert np.any(stack.weights[0][1] != 0.0)
+def test_policy_table_allocates_no_stacked_copy():
+    """The table forward runs each agent on its own parameters: no copy of every policy, no (A, n, 128) activations."""
+    graph = grid_graph(10)
+    env = RouteEnv(graph, generate_agent_specs(graph, 12, seed=0))
+    rng = np.random.default_rng(8)
+    policies = [random_params(rng, env.obs_dim, env.n_actions) for _ in range(env.n_agents)]
+    env.obs_tables  # built on first use; only the table is measured
+    tracemalloc.start()
+    try:
+        policy_table(env, policies)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

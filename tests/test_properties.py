@@ -123,7 +123,7 @@ def test_policy_table_rows_match_single_forwards(agents, rows, actions, in_dim, 
     obs = rng.normal(scale=3.0, size=(agents, rows, in_dim))
     obs[rng.random(obs.shape) < 0.2] = -10.0  # the score of a missing slot
     masks = rng.random((rows, actions)) < live  # rows with no valid action are dead ends
-    log_probs, probs = nets.policy_table_forward(nets.stack_params(policies), obs, masks)
+    log_probs, probs = nets.policy_table_forward(policies, obs, masks)
     assert log_probs.shape == probs.shape == (agents, rows, actions)
     for a, policy in enumerate(policies):
         for j in range(rows):
