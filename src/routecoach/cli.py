@@ -39,6 +39,7 @@ from .training import (
     generate_agent_specs,
     load_checkpoint,
     policy_table,
+    read_json_object,
     rollout,
 )
 
@@ -56,18 +57,6 @@ class ConfigError(ValueError):
 
 
 # -- config plumbing ---------------------------------------------------------------
-
-def _read_json_object(p: Path, what: str) -> dict:
-    if not p.exists():
-        raise ConfigError(f"{what} not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {p} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{what} {p} must hold a JSON object")
-    return doc
-
 
 def _apply_sets(doc: dict, assignments: Sequence[str]) -> dict:
     for item in assignments:
@@ -108,7 +97,7 @@ def _specs_from_doc(doc: dict, graph: RoadGraph, config: TrainConfig) -> tuple[A
 
 def _resolve(args, extra_flags: dict | None = None) -> dict:
     path = getattr(args, "config", None)
-    doc = {} if path is None else _read_json_object(Path(path), "config file")
+    doc = {} if path is None else read_json_object(Path(path), "config file", error=ConfigError)
     _apply_sets(doc, getattr(args, "set", None) or [])
     for key, value in (extra_flags or {}).items():
         if value is not None:
@@ -135,7 +124,7 @@ def _load_graph_file(path: str | None) -> tuple[RoadGraph, Path, str]:
         raise ConfigError(f"graph file not found: {p}")
     text = p.read_text()
     try:
-        return load_graph(text), p, text
+        return load_graph(text), p, hashlib.sha256(text.encode()).hexdigest()
     except GraphError as exc:
         raise ConfigError(f"graph file {p}: {exc}") from exc
 
@@ -149,7 +138,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
         writer.writerows(rows)
 
 
-def write_manifest(out: Path, config: TrainConfig, graph_path: Path, graph_text: str,
+def write_manifest(out: Path, config: TrainConfig, graph_path: Path, graph_sha256: str,
                    specs: Sequence[AgentSpec], command: str) -> dict:
     manifest = {
         "command": command,
@@ -157,7 +146,7 @@ def write_manifest(out: Path, config: TrainConfig, graph_path: Path, graph_text:
         "config": config.to_dict(),
         "config_hash": config_hash(config),
         "graph_file": str(graph_path.resolve()),
-        "graph_sha256": hashlib.sha256(graph_text.encode()).hexdigest(),
+        "graph_sha256": graph_sha256,
         "agents": [[s.start, s.dest, s.depart_time] for s in specs],
         "seeds": [config.seed],
         "out_dir": str(out.resolve()),
@@ -175,11 +164,11 @@ def _train_run(doc: dict, graph_file: tuple[RoadGraph, Path, str], out: Path, co
     ``manifest.json`` is written before training starts; ``Trainer.train`` adds
     ``metrics.csv``, ``timing.csv`` and the checkpoints.
     """
-    graph, graph_path, graph_text = graph_file
+    graph, graph_path, graph_sha256 = graph_file
     config = _config_from_doc(doc)
     specs = _specs_from_doc(doc, graph, config)
     trainer = Trainer(config, graph, specs)
-    write_manifest(out, config, graph_path, graph_text, specs, command)
+    write_manifest(out, config, graph_path, graph_sha256, specs, command)
     trainer.train(out_dir=out)
     return trainer
 
@@ -214,19 +203,16 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     run = Path(args.run)
     manifest_path = run / "manifest.json"
-    manifest = _read_json_object(manifest_path, "run manifest")
-    missing = [k for k in ("config", "config_hash", "graph_file", "graph_sha256", "agents")
-               if k not in manifest]
-    if missing:
-        raise ConfigError(f"run manifest {manifest_path} lacks {', '.join(missing)}")
+    manifest = read_json_object(manifest_path, "run manifest",
+                                ("config", "config_hash", "graph_file", "graph_sha256", "agents"), ConfigError)
     if not isinstance(manifest["config"], dict):
         raise ConfigError(f"run manifest {manifest_path}: 'config' must be a JSON object")
     config = _config_from_doc(manifest["config"])
     episodes = config.eval_episodes if args.episodes is None else args.episodes
     if episodes < 1:
         raise ConfigError(f"--episodes must be at least 1, got {episodes}")
-    graph, graph_path, graph_text = _load_graph_file(manifest["graph_file"])
-    if hashlib.sha256(graph_text.encode()).hexdigest() != manifest["graph_sha256"]:
+    graph, graph_path, graph_sha256 = _load_graph_file(manifest["graph_file"])
+    if graph_sha256 != manifest["graph_sha256"]:
         raise ConfigError(f"graph file {graph_path} changed since training (sha256 differs from the manifest)")
     specs = _specs_from_doc(manifest, graph, config)
     try:
@@ -307,7 +293,7 @@ def demo_quality_report(
         tokens, flags, demo_rewards, dtw_values = [], [], [], []
         for _p in range(prompts_per_phase):
             tau_a = rollout(trainer.env, table, rngs)
-            executable, token_count, tau_e, dtw = trainer.demonstrate(tau_a)
+            executable, _, token_count, tau_e, dtw = trainer.demonstrate(tau_a)
             tokens.append(token_count)
             flags.extend(executable.valid())
             demo_rewards.extend(tau_e[i].episode_reward for i in range(len(specs)))
@@ -418,12 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, out_required=True):
+    def add_common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config entry")
         p.add_argument("--graph", help="graph JSON file")
-        p.add_argument("--out", required=out_required, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("train", help="run one training configuration")
     add_common(p)

@@ -195,8 +195,8 @@ def prepare_executable(
     """Turn raw proposals into an executable set, substituting bad routes.
 
     An agent without a valid proposal is a fallback agent: it gets its
-    shortest path (``"oracle"``) or sits out (``"skip"``), and still
-    counts as invalid in ``ExecutableSet.valid()``.
+    shortest path (``"oracle"``, ``ValueError`` if it has none) or sits out
+    (``"skip"``), and still counts as invalid in ``ExecutableSet.valid()``.
     """
     if fallback not in INVALID_ROUTE_FALLBACKS:
         raise ValueError(f"unknown fallback policy {fallback!r}")
@@ -208,12 +208,7 @@ def prepare_executable(
             routes[spec.agent_id] = tuple(waypoints)
             continue
         fallback_agents.add(spec.agent_id)
-        if fallback == "oracle":
-            sp = graph.shortest_path(spec.start, spec.dest)
-            assert sp is not None  # guaranteed by spec validation
-            routes[spec.agent_id] = tuple(sp[1])
-        else:
-            routes[spec.agent_id] = ()
+        routes[spec.agent_id] = _oracle_route(graph, spec) if fallback == "oracle" else ()
     return ExecutableSet(routes, frozenset(fallback_agents))
 
 
@@ -244,15 +239,17 @@ def validity_rate(valid_flags: Sequence[bool]) -> float:
 
 # -- offline experts ---------------------------------------------------------------
 
+def _oracle_route(graph: RoadGraph, spec: AgentSpec) -> tuple[int, ...]:
+    """The agent's shortest path; ``ValueError`` when its destination is unreachable."""
+    sp = graph.shortest_path(spec.start, spec.dest)
+    if sp is None:
+        raise ValueError(f"agent {spec.agent_id}: destination unreachable")
+    return tuple(sp[1])
+
+
 def oracle_expert(graph: RoadGraph, specs: Sequence[AgentSpec]) -> ExecutableSet:
     """Shortest-path routes for every agent; always valid."""
-    routes = {}
-    for spec in specs:
-        sp = graph.shortest_path(spec.start, spec.dest)
-        if sp is None:
-            raise ValueError(f"agent {spec.agent_id}: destination unreachable")
-        routes[spec.agent_id] = tuple(sp[1])
-    return ExecutableSet(routes)
+    return ExecutableSet({spec.agent_id: _oracle_route(graph, spec) for spec in specs})
 
 
 def logit_expert(

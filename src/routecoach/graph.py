@@ -54,6 +54,13 @@ class RoadGraph:
             if (e.src, e.dst) in seen:
                 raise GraphError(f"duplicate edge {e.src}->{e.dst}")
             seen.add((e.src, e.dst))
+        xs, ys = zip(*self.nodes.values()) if self.nodes else ((0.0,), (0.0,))
+        # the summed length bounds every path; rewards, value losses and DTW square these scales
+        scales = {"summed edge length": sum(e.length for e in self.edges),
+                  "x span": max(xs) - min(xs), "y span": max(ys) - min(ys)}
+        for name, q in scales.items():
+            if not isfinite(q * q):
+                raise GraphError(f"graph too large: its {name} {q:g} squares past the largest float")
         adjacency: dict[int, list[Edge]] = {j: [] for j in self.nodes}
         for e in self.edges:
             adjacency[e.src].append(e)
@@ -147,10 +154,10 @@ class RoadGraph:
 
     @cached_property
     def diameter(self) -> float:
-        """Largest finite shortest-path distance over all ordered pairs."""
+        """Largest finite shortest-path distance over all ordered pairs; it adds no map to the cache."""
         best = 0.0
         for dest in self.nodes:
-            for d in self.distances_to(dest).values():
+            for d in (self._dist_cache.get(dest) or self._distances(dest, self._predecessors)).values():
                 if d != INF and d > best:
                     best = d
         return best

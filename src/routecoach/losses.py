@@ -40,10 +40,10 @@ def advantages(returns: np.ndarray, values: np.ndarray) -> np.ndarray:
     return returns - values
 
 
-def standardize(x: np.ndarray, eps: float = STD_EPS) -> np.ndarray:
-    """Shift/scale to zero mean and unit standard deviation."""
+def standardize(x: np.ndarray) -> np.ndarray:
+    """Shift/scale to zero mean and unit standard deviation (``STD_EPS`` keeps a constant ``x`` finite)."""
     x = np.asarray(x, dtype=float)
-    return (x - x.mean()) / (x.std() + eps)
+    return (x - x.mean()) / (x.std() + STD_EPS)
 
 
 def squared_errors(values: np.ndarray, returns: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 
 HIDDEN = (128, 128)
 CHECKPOINT_VERSION = 1
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 class NetError(ValueError):
@@ -338,9 +339,6 @@ def adam_step(
     grads: MlpParams,
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> tuple[MlpParams, AdamState]:
     """One bias-corrected Adam update, in place; fails fast on non-finite gradients.
 
@@ -349,24 +347,24 @@ def adam_step(
     textbook per-array update, ``m = beta1*m + (1-beta1)*g``,
     ``v = beta2*v + (1-beta2)*g*g`` and
     ``p = p - lr*m_hat / (sqrt(v_hat) + eps)`` with ``m_hat = m/(1-beta1^t)``
-    and ``v_hat = v/(1-beta2^t)``, so the results are bit for bit the same.
+    and ``v_hat = v/(1-beta2^t)`` (the ``ADAM_*`` constants), so the results are bit for bit the same.
     """
     g = grads.data
     if not np.isfinite(g).all():
         raise NetError("non-finite gradient")
     t = state.t + 1
     p, m, v = params.data, state.m.data, state.v.data
-    step = np.multiply(g, 1 - beta1)
-    np.multiply(m, beta1, out=m)
+    step = np.multiply(g, 1 - ADAM_BETA1)
+    np.multiply(m, ADAM_BETA1, out=m)
     np.add(m, step, out=m)
-    np.multiply(g, 1 - beta2, out=step)
+    np.multiply(g, 1 - ADAM_BETA2, out=step)
     np.multiply(step, g, out=step)
-    np.multiply(v, beta2, out=v)
+    np.multiply(v, ADAM_BETA2, out=v)
     np.add(v, step, out=v)
-    denom = np.divide(v, 1 - beta2 ** t)
+    denom = np.divide(v, 1 - ADAM_BETA2 ** t)
     np.sqrt(denom, out=denom)
-    np.add(denom, eps, out=denom)
-    np.divide(m, 1 - beta1 ** t, out=step)
+    np.add(denom, ADAM_EPS, out=denom)
+    np.divide(m, 1 - ADAM_BETA1 ** t, out=step)
     np.multiply(step, lr, out=step)
     np.divide(step, denom, out=step)
     np.subtract(p, step, out=p)

@@ -67,6 +67,31 @@ class TrainingError(RuntimeError):
     pass
 
 
+def _check_type(name: str, value, annotation: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is of a type that ``annotation`` admits (see ``FIELD_TYPES``)."""
+    types, what = FIELD_TYPES[annotation]
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def read_json_object(path: Path, what: str, required: Sequence[str] = (),
+                     error: type[Exception] = TrainingError) -> dict:
+    """The JSON object in the file ``path``; ``error``, naming it ``what``, if the file is missing,
+    is not valid JSON, does not hold an object, or lacks a key of ``required``."""
+    if not path.exists():
+        raise error(f"{what} not found: {path}")
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{what} {path} must hold a JSON object")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise error(f"{what} {path} lacks {', '.join(missing)}")
+    return doc
+
+
 def _nanmean(values) -> float:
     finite = [v for v in values if np.isfinite(v)]
     return float(np.mean(finite)) if finite else float("nan")
@@ -101,9 +126,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            types, what = FIELD_TYPES[f.type]
-            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-                raise ValueError(f"{f.name} must be {what}, got {value!r}")
+            _check_type(f.name, value, f.type)
             if f.type == "float" and not abs(value) <= float_info.max:  # NaN, +-inf, or an int no float holds
                 raise ValueError(f"{f.name} must be finite, got {value}")
         for name in ("n_agents", "epochs", "steps_per_episode", "update_epochs", "demo_interval", "eval_episodes"):
@@ -520,39 +543,39 @@ class Trainer:
 
     def _propose_routes(self) -> tuple[dg.ExecutableSet, float, int]:
         """(executable set, validity rate, token count) from the provider."""
-        provider = self.config.expert_provider
+        provider, tokens = self.config.expert_provider, 0
         if provider == "llm":
             try:
                 executable, tokens = dg.propose_from_text(
                     self.completer, build_prompt(self.prompt_state), self.graph, self.specs,
                     self.config.invalid_route_fallback)
-                return executable, dg.validity_rate(executable.valid()), tokens
             except LlmError:
                 if self.config.provider_fallback == "none":
                     raise
                 provider = self.config.provider_fallback
         if provider == "oracle":
-            return dg.oracle_expert(self.graph, self.specs), 100.0, 0
-        if provider == "logit":
-            routes = dg.logit_expert(self.graph, self.specs, self.config.logit_temperature, self.demo_rng)
-            return routes, 100.0, 0
-        raise TrainingError(f"no demonstrations available from provider {provider!r}")
+            executable = dg.oracle_expert(self.graph, self.specs)
+        elif provider == "logit":
+            executable = dg.logit_expert(self.graph, self.specs, self.config.logit_temperature, self.demo_rng)
+        elif provider != "llm":
+            raise TrainingError(f"no demonstrations available from provider {provider!r}")
+        return executable, dg.validity_rate(executable.valid()), tokens
 
     def demonstrate(
         self, tau_a: Sequence[Trajectory],
-    ) -> tuple[dg.ExecutableSet, int, dict[int, Trajectory], list[float]]:
+    ) -> tuple[dg.ExecutableSet, float, int, dict[int, Trajectory], list[float]]:
         """One demonstration round against the agents' trajectories ``tau_a``.
 
         Proposes routes, replays them in ``self.env``, and measures each
-        agent's DTW distance to its demonstration.  Returns
-        (executable set, token count, expert trajectories, DTW per agent).
+        agent's DTW distance to its demonstration.  Returns (executable set,
+        validity rate, token count, expert trajectories, DTW per agent).
         """
-        executable, _validity, tokens = self._propose_routes()
+        executable, validity, tokens = self._propose_routes()
         tau_e = dg.replay(self.env, executable)
         dtw = [dtw_distance(traj_to_feature_seq(tau_a[i], self.graph),
                             traj_to_feature_seq(tau_e[i], self.graph))
                for i in range(len(self.learners))]
-        return executable, tokens, tau_e, dtw
+        return executable, validity, tokens, tau_e, dtw
 
     def refine(self, tau_a: Sequence[Trajectory], tau_e: dict[int, Trajectory],
                dtw: Sequence[float]) -> None:
@@ -567,8 +590,7 @@ class Trainer:
         )
 
     def _regenerate_demos(self, k: int, tau_a: list[Trajectory]) -> None:
-        executable, _tokens, tau_e, dtw = self.demonstrate(tau_a)
-        self._validity = dg.validity_rate(executable.valid())
+        _, self._validity, _, tau_e, dtw = self.demonstrate(tau_a)
         kind = self.config.mode_kind
         for i, learner in enumerate(self.learners):
             learner.last_expert = tau_e[i]
@@ -693,22 +715,20 @@ def load_checkpoint(directory: str | Path, config_hash: str,
     """The networks ``save_checkpoint`` wrote under ``directory``, one dict by name per agent, and its manifest.
 
     Raises ``TrainingError`` when there is no checkpoint, when its manifest
-    is not a JSON object with ``config_hash`` and ``n_agents`` equal to
-    the given ones, or when a network file is missing or unreadable.
+    is not a JSON object with a string ``config_hash`` and an integer
+    ``n_agents`` equal to the given ones, or when a network file is missing
+    or unreadable.
     """
     directory = Path(directory)
     path = directory / "checkpoint_manifest.json"
     if not path.exists():
         raise TrainingError(f"no checkpoint under {directory}")
+    manifest = read_json_object(path, "checkpoint manifest", ("config_hash", "n_agents"))
     try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise TrainingError(f"checkpoint manifest {path} is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise TrainingError(f"checkpoint manifest {path} must hold a JSON object")
-    missing = [k for k in ("config_hash", "n_agents") if k not in manifest]
-    if missing:
-        raise TrainingError(f"checkpoint manifest under {directory} lacks {', '.join(missing)}")
+        _check_type("config_hash", manifest["config_hash"], "str")
+        _check_type("n_agents", manifest["n_agents"], "int")
+    except ValueError as exc:
+        raise TrainingError(f"checkpoint manifest {path}: {exc}") from exc
     if manifest["config_hash"] != config_hash:
         raise TrainingError("checkpoint was produced by a different configuration than the manifest")
     if manifest["n_agents"] != n_agents:

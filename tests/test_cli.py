@@ -53,6 +53,12 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def two_junctions(scale):
+    """A graph file document: two junctions ``scale`` apart, joined both ways by edges of length ``scale``."""
+    return {"nodes": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": scale, "y": scale}],
+            "edges": [{"from": 0, "to": 1, "length": scale}, {"from": 1, "to": 0, "length": scale}]}
+
+
 class TestTrain:
     def test_writes_expected_artifacts(self, tmp_path, base_config):
         out = tmp_path / "run"
@@ -183,6 +189,8 @@ class TestTrain:
         {"nodes": [{"id": 0, "x": 0, "y": 0}], "edges": None},
         {"nodes": 5, "edges": []},
         {"nodes": [{"id": 0, "x": 0, "y": 0}, {"id": 1.7, "x": 1, "y": 0}], "edges": []},
+        two_junctions(1e200),  # the summed length squares past the largest float
+        two_junctions(1e308),
     ])
     def test_graph_file_of_other_json_types_exits_2_without_run_dir(self, tmp_path, capsys, graph):
         path = tmp_path / "graph.json"
@@ -191,6 +199,15 @@ class TestTrain:
         assert main(["train", "--graph", str(path), "--out", str(out), "--set", "n_agents=1"]) == 2
         assert f"error: graph file {path}: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_graph_of_large_scale_with_finite_squares_trains(self, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(two_junctions(1e150)))
+        out = tmp_path / "run"
+        assert main(["train", "--graph", str(path), "--out", str(out), "--set", "n_agents=1",
+                     "--set", "epochs=3", "--set", "steps_per_episode=5"]) == 0
+        rows = read_csv(out / "metrics.csv")
+        assert len(rows) == 4 and all(np.isfinite(float(v)) for row in rows[1:] for v in row)
 
     @pytest.mark.parametrize("command", [["train"], ["sweep-agents", "--counts", "1"], ["demo-report"]])
     def test_graph_without_a_task_exits_2_without_out_dir(self, tmp_path, capsys, command):
@@ -239,6 +256,10 @@ CHECKPOINT_FAULTS = {
     "npz-truncated": ("agent000_value_a.npz", lambda p: p.write_bytes(p.read_bytes()[:200]), "BadZipFile"),
     "npz-empty": ("agent001_value_e.npz", lambda p: p.write_bytes(b""), "EOFError"),
     "npz-version-2": ("agent000_policy.npz", _version_2, "unsupported checkpoint version 2"),
+    "manifest-agent-count-a-float": ("checkpoint_manifest.json", lambda p: _edit_json(p, lambda doc: doc.update(
+        n_agents=2.0)), "n_agents must be an integer, got 2.0"),
+    "manifest-config-hash-not-a-string": ("checkpoint_manifest.json", lambda p: _edit_json(p, lambda doc: doc.update(
+        config_hash=5)), "config_hash must be a string, got 5"),
 }
 
 
@@ -333,6 +354,16 @@ class TestEvaluate:
         _edit_json(out / "checkpoints" / "checkpoint_manifest.json", lambda doc: doc.update(n_agents=count))
         assert main(["evaluate", "--run", str(out)]) == 2
         assert f"error: checkpoint holds {count} agents but the run manifest lists 2" in capsys.readouterr().err
+        assert not (out / "eval.csv").exists()
+
+    @pytest.mark.parametrize("count", [True, 1.0])
+    def test_checkpoint_agent_count_of_another_type_exits_2(self, tmp_path, base_config, capsys, count):
+        # both equal 1 in Python, so a one-agent run shows that the type is checked
+        out = tmp_path / "run"
+        main(["train", "--config", base_config, "--out", str(out), "--set", "n_agents=1", "--set", "agents=[[0, 8]]"])
+        _edit_json(out / "checkpoints" / "checkpoint_manifest.json", lambda doc: doc.update(n_agents=count))
+        assert main(["evaluate", "--run", str(out)]) == 2
+        assert f"n_agents must be an integer, got {count!r}" in capsys.readouterr().err
         assert not (out / "eval.csv").exists()
 
     @pytest.mark.parametrize("fault", list(CHECKPOINT_FAULTS))
@@ -672,6 +703,12 @@ class TestMakeGraph:
         path = tmp_path / "g.json"
         assert main(["make-graph", "--n", "3", "--edge-length", length, "--out", str(path)]) == 2
         assert "error: cannot build the grid map: junction 0 has non-finite coordinates" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_edge_length_whose_square_overflows_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        assert main(["make-graph", "--n", "3", "--edge-length", "1e200", "--out", str(path)]) == 2
+        assert "error: cannot build the grid map: graph too large: its summed edge length" in capsys.readouterr().err
         assert not path.exists()
 
     def test_grid_too_small_exits_2(self, tmp_path, capsys):

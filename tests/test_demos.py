@@ -138,8 +138,11 @@ class TestExperts:
 
     def test_oracle_unreachable(self):
         g = line_graph((1.0,))
-        with pytest.raises(ValueError, match="unreachable"):
+        with pytest.raises(ValueError, match="agent 0: destination unreachable"):
             dg.oracle_expert(g, (AgentSpec(0, 1, 0),))
+        # the oracle fallback of a route that is not valid raises the same error
+        with pytest.raises(ValueError, match="agent 0: destination unreachable"):
+            dg.prepare_executable(g, (AgentSpec(0, 1, 0),), dg.ParsedRoutes(waypoints={}))
 
     def test_logit_single_route(self, line):
         rng = np.random.default_rng(0)

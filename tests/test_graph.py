@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import pytest
 
@@ -61,6 +62,18 @@ def test_non_finite_coordinates_named(xy):
     with pytest.raises(GraphError, match="junction 1 has non-finite coordinates"):
         load_graph(json.dumps(doc))
     with pytest.raises(GraphError, match="junction 1 has non-finite coordinates"):
+        RoadGraph({0: (0.0, 0.0), 1: xy}, [Edge(0, 1, 1.0)])
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e308])
+def test_scale_whose_square_overflows_rejected(scale):
+    with pytest.raises(GraphError, match="graph too large: its summed edge length"):
+        RoadGraph({0: (0.0, 0.0), 1: (scale, scale)}, [Edge(0, 1, scale), Edge(1, 0, scale)])
+
+
+@pytest.mark.parametrize("xy", [(1e200, 0.0), (0.0, -1e200), (1e308, 1.0)])
+def test_coordinate_span_whose_square_overflows_rejected(xy):
+    with pytest.raises(GraphError, match="graph too large: its [xy] span"):
         RoadGraph({0: (0.0, 0.0), 1: xy}, [Edge(0, 1, 1.0)])
 
 
@@ -191,6 +204,19 @@ def test_diameter(grid5, hilly):
         if hilly.shortest_path(a, b) is not None
     ]
     assert hilly.diameter == pytest.approx(max(pairwise))
+
+
+def test_diameter_caches_no_distance_map():
+    graph = grid_graph(10)
+    dist = graph.distances_to(42)
+    tracemalloc.start()
+    try:
+        graph.diameter
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert left < 0.1 * 2**20  # caching every destination's map would leave 0.68 MiB
+    assert graph.distances_to(42) is dist
 
 
 def test_k_shortest_paths_loopless_sorted(grid5):
