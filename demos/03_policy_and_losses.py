@@ -23,10 +23,10 @@ params.weights[-1][...] = rng.normal(scale=0.3, size=params.weights[-1].shape)
 x = rng.normal(size=(5, 10))
 up = rng.normal(size=(5, 4))
 # the backward training runs: a forward that keeps its activations, then the
-# upstream on each layer, then the parameter gradients of the batch
+# parameter gradients of one segment of rows (here the whole batch), which
+# overwrites that segment's hidden activations on the tape
 tape = nets.mlp_forward_tape(params, x)
-deltas = nets.mlp_deltas([params], [slice(None)], tape, up)
-analytic = nets.mlp_grads(tape, deltas, slice(None), params.like(np.empty_like(params.data)))
+analytic = nets.mlp_grads(params, tape, up, slice(None), params.like(np.empty_like(params.data)))
 h = 1e-5
 w = params.weights[0]
 w[3, 7] += h

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from functools import cached_property
 from heapq import heappop, heappush
-from math import isfinite
+from math import hypot, isfinite
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -55,9 +55,10 @@ class RoadGraph:
                 raise GraphError(f"duplicate edge {e.src}->{e.dst}")
             seen.add((e.src, e.dst))
         xs, ys = zip(*self.nodes.values()) if self.nodes else ((0.0,), (0.0,))
-        # the summed length bounds every path; rewards, value losses and DTW square these scales
-        scales = {"summed edge length": sum(e.length for e in self.edges),
-                  "x span": max(xs) - min(xs), "y span": max(ys) - min(ys)}
+        # the summed length bounds every path; rewards, value losses and DTW (dx*dx + dy*dy) square these
+        dx, dy = max(xs) - min(xs), max(ys) - min(ys)
+        scales = {"summed edge length": sum(e.length for e in self.edges), "x span": dx, "y span": dy,
+                  "diagonal": hypot(dx, dy)}
         for name, q in scales.items():
             if not isfinite(q * q):
                 raise GraphError(f"graph too large: its {name} {q:g} squares past the largest float")

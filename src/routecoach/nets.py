@@ -102,7 +102,7 @@ class PolicyOutput:
 
 
 class MlpTape(NamedTuple):
-    """Inputs and activations of one batched forward pass, for the backward."""
+    """Inputs and activations of one batched forward pass, for the backward (which overwrites ``h1`` and ``h2``)."""
 
     x: np.ndarray    # (N, in)
     h1: np.ndarray   # (N, 128)
@@ -143,13 +143,15 @@ def init_adam(params: MlpParams) -> AdamState:
 # -- forward / backward ----------------------------------------------------
 #
 # Each backward is a forward that keeps its activations (``*_forward_tape``)
-# followed by a backward that takes them (``mlp_deltas`` then ``mlp_grads``,
-# with ``policy_upstream`` in front for the policy), so a caller that already
-# ran the forward on the current parameters can skip running it again.
+# followed by a backward over them (``mlp_grads``, with ``policy_upstream`` in
+# front for the policy), so a caller that already ran the forward on the
+# current parameters can skip running it again.
 #
-# A tape can hold segments, network ``layers[s]`` on rows ``rows[s]``.  Elementwise work
-# runs once over all rows and each matrix product per segment, as a pass over the segment
-# alone runs it, so each segment gets that pass's bits (BLAS picks kernels by row count).
+# A tape can hold segments, network ``layers[s]`` on rows ``rows[s]``.  Each matrix product
+# runs per segment, as a pass over the segment alone runs it, so each segment gets that
+# pass's bits (BLAS picks kernels by row count); elementwise work gives the same bits on
+# any split of the rows.  The backward runs one segment at a time, in that segment's rows
+# of the tape, so it needs no all-rows arrays beside the tape.
 
 def mlp_forward_tape(params: MlpParams | Sequence[MlpParams], x: np.ndarray,
                      rows: Sequence[slice] | None = None) -> MlpTape:
@@ -175,25 +177,23 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return out[0] if x.ndim == 1 else out
 
 
-def mlp_deltas(layers: Sequence[MlpParams], rows: Sequence[slice], tape: MlpTape,
-               upstream: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Upstream on each layer's pre-activation, output layer first, over every segment."""
-    deltas, dtanh = [upstream], np.empty_like(tape.h1)
-    for layer, h in ((2, tape.h2), (1, tape.h1)):
-        dz = np.empty_like(h)
-        for net, r in zip(layers, rows):
-            np.matmul(deltas[-1][r], net.weights[layer].T, out=dz[r])
-        dz *= np.subtract(1.0, np.multiply(h, h, out=dtanh), out=dtanh)
-        deltas.append(dz)
-    return tuple(deltas)
+def mlp_grads(net: MlpParams, tape: MlpTape, upstream: np.ndarray, rows: slice, grads: MlpParams) -> MlpParams:
+    """Writes the gradients of ``sum(upstream * outputs)`` over the segment ``rows`` into ``grads``; returns it.
 
-
-def mlp_grads(tape: MlpTape, deltas: Sequence[np.ndarray], rows: slice, grads: MlpParams) -> MlpParams:
-    """Writes the parameter gradients of the segment ``rows`` into ``grads`` and returns it."""
-    for inputs, delta, dw, db in zip((tape.h2, tape.h1, tape.x), deltas,
-                                     reversed(grads.weights), reversed(grads.biases)):
-        np.matmul(inputs[rows].T, delta[rows], out=dw)
-        np.add.reduce(delta[rows], axis=0, out=db)  # np.sum's ufunc, without its Python wrapper
+    The segment's rows of ``tape.h1`` and ``tape.h2`` are overwritten with the upstream on
+    the pre-activations they fed (nothing reads them again); ``tape.x``, which the value
+    and policy tapes share, is only read.
+    """
+    delta = upstream[rows]
+    for layer, inputs in ((2, tape.h2), (1, tape.h1), (0, tape.x)):
+        h = inputs[rows]
+        np.matmul(h.T, delta, out=grads.weights[layer])
+        np.add.reduce(delta, axis=0, out=grads.biases[layer])  # np.sum's ufunc, without its Python wrapper
+        if layer:
+            dtanh = np.multiply(h, h)
+            np.subtract(1.0, dtanh, out=dtanh)
+            delta = np.matmul(delta, net.weights[layer].T, out=h)
+            delta *= dtanh
     return grads
 
 
@@ -205,8 +205,7 @@ def mlp_backward(params: MlpParams, x: np.ndarray, upstream: np.ndarray) -> MlpP
         raise NetError("empty batch")
     if upstream.shape != (len(tape.x), params.out_dim):
         raise NetError(f"upstream shape {upstream.shape} does not match batch/out dims")
-    deltas = mlp_deltas([params], [slice(None)], tape, upstream)
-    return mlp_grads(tape, deltas, slice(None), params.like(np.empty_like(params.data)))
+    return mlp_grads(params, tape, upstream, slice(None), params.like(np.empty_like(params.data)))
 
 
 # -- masked categorical policy ----------------------------------------------

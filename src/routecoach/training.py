@@ -445,7 +445,7 @@ def update_agent(
                 # of a demonstrated route to look disadvantageous
                 adv[rows[own]] = L.standardize(adv[rows[own]])
         errors = L.squared_errors(v, returns)
-        deltas = nets.mlp_deltas(values, rows, value_tape, (2.0 * (v - returns) / n).reshape(-1, 1))
+        dv = (2.0 * (v - returns) / n).reshape(-1, 1)
         for s, (i, batch, value, adam) in enumerate(zip(owners, batches, values, adams)):
             # a plain ufunc reduction over a segment: the bits of ``np.mean``, without its wrapper
             loss = float(np.add.reduce(errors[rows[s]])) / lengths[s]
@@ -453,10 +453,10 @@ def update_agent(
                 raise TrainingError(f"agent {tau_a[i].agent_id}: non-finite "
                                     f"{('own', 'expert')[batch]} value loss at epoch {k}")
             stats[i][("loss_value_a", "loss_value_e")[batch]] = loss
-            nets.adam_step(value, nets.mlp_grads(value_tape, deltas, rows[s], value_grads), adam, lr)
+            nets.adam_step(value, nets.mlp_grads(value, value_tape, dv, rows[s], value_grads), adam, lr)
         # each network's steps leave the pass's other arrays untouched, so the value heads go
         # first and their rows-by-128 arrays are freed before the policies' are made
-        del value_tape, deltas
+        del value_tape
 
         policy_tape = nets.policy_forward_tape(policies, x, masks, rows)
         logp_new = policy_tape.log_probs[taken]
@@ -470,7 +470,6 @@ def update_agent(
         dlogp = np.zeros_like(policy_tape.log_probs)
         dlogp[taken] = weight * (dterms / n)
         upstream = nets.policy_upstream(policy_tape, dlogp, dentropy)
-        deltas = nets.mlp_deltas(policies, rows, policy_tape.mlp, upstream)
         for i, own in agents.items():
             objs = [float(np.add.reduce(terms[rows[s]])) / lengths[s] for s in own]
             entropy = float(np.add.reduce(policy_tape.entropy[rows[own[0]]])) / lengths[own[0]]
@@ -478,13 +477,14 @@ def update_agent(
             total = L.total_policy_objective(mixed, entropy, beta)
             if not np.isfinite(total):
                 raise TrainingError(f"agent {tau_a[i].agent_id}: non-finite policy objective at epoch {k}")
-            g = [nets.mlp_grads(policy_tape.mlp, deltas, rows[s], b).data for s, b in zip(own, policy_grads)]
+            g = [nets.mlp_grads(policies[s], policy_tape.mlp, upstream, rows[s], b).data
+                 for s, b in zip(own, policy_grads)]
             if len(g) > 1:
                 np.add(g[0], g[1], out=g[0])
             np.negative(g[0], out=g[0])
             nets.adam_step(learners[i].policy, policy_grads[0], learners[i].adam_policy, lr)
             stats[i]["loss_policy"] = -total
-        del policy_tape, upstream, deltas
+        del policy_tape, upstream
     return stats
 
 

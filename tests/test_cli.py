@@ -53,10 +53,12 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-def two_junctions(scale):
-    """A graph file document: two junctions ``scale`` apart, joined both ways by edges of length ``scale``."""
+def two_junctions(scale, length=None):
+    """A graph file document: junctions at (0, 0) and (scale, scale), joined both ways by edges
+    of length ``length``, ``scale`` by default."""
+    length = scale if length is None else length
     return {"nodes": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": scale, "y": scale}],
-            "edges": [{"from": 0, "to": 1, "length": scale}, {"from": 1, "to": 0, "length": scale}]}
+            "edges": [{"from": 0, "to": 1, "length": length}, {"from": 1, "to": 0, "length": length}]}
 
 
 class TestTrain:
@@ -191,6 +193,7 @@ class TestTrain:
         {"nodes": [{"id": 0, "x": 0, "y": 0}, {"id": 1.7, "x": 1, "y": 0}], "edges": []},
         two_junctions(1e200),  # the summed length squares past the largest float
         two_junctions(1e308),
+        two_junctions(1.3e154, length=1),  # each span squares finitely, their sum (DTW's cost) does not
     ])
     def test_graph_file_of_other_json_types_exits_2_without_run_dir(self, tmp_path, capsys, graph):
         path = tmp_path / "graph.json"

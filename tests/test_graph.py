@@ -2,10 +2,12 @@ import itertools
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from routecoach.graph import INF, Edge, GraphError, RoadGraph, load_graph
 from routecoach.fixtures import grid_graph, hilly_graph, write_graph
+from routecoach.trajectory import dtw_distance
 
 
 def brute_force_paths(graph, a, b, max_len=12):
@@ -75,6 +77,16 @@ def test_scale_whose_square_overflows_rejected(scale):
 def test_coordinate_span_whose_square_overflows_rejected(xy):
     with pytest.raises(GraphError, match="graph too large: its [xy] span"):
         RoadGraph({0: (0.0, 0.0), 1: xy}, [Edge(0, 1, 1.0)])
+
+
+def test_diagonal_whose_square_overflows_rejected():
+    # each span squares to a finite 1.69e308, but DTW's local cost adds the two squares
+    with pytest.raises(GraphError, match="graph too large: its diagonal"):
+        RoadGraph({0: (0.0, 0.0), 1: (1.3e154, 1.3e154)}, [Edge(0, 1, 1.0)])
+    graph = RoadGraph({0: (0.0, 0.0), 1: (9e153, 9e153)}, [Edge(0, 1, 1.0)])
+    with np.errstate(over="raise"):
+        distance = dtw_distance([graph.nodes[0]], [graph.nodes[1]] * 2)
+    assert distance == pytest.approx(2.5456e154, rel=1e-4)
 
 
 def test_bad_json_and_sparse_ids():

@@ -5,7 +5,9 @@ import pytest
 
 from routecoach import AgentSpec, generate_agent_specs, grid_graph, nets, policy_table
 from routecoach.env import RouteEnv
+from routecoach.training import TrainConfig, Trainer, update_agent
 from reference import max_gradient_error
+from test_pinned_outputs import _hand_trajectory
 
 
 def random_params(rng, in_dim=6, out_dim=3):
@@ -93,6 +95,21 @@ def test_mlp_backward_matches_finite_differences(rng):
         analytic = nets.mlp_backward(params, x, up)
         fn = lambda p: float((nets.mlp_forward(p, x) * up).sum())
         assert max_gradient_error(rng, params, fn, analytic, per_layer=3) < 1e-4
+
+
+def test_segment_backward_sums_to_batch_backward_and_only_reads_inputs(rng):
+    """``mlp_grads`` one segment at a time on one tape: the gradients sum to ``mlp_backward``'s."""
+    params = random_params(rng)
+    x = rng.normal(size=(11, 6))
+    up = rng.normal(size=(11, 3))
+    rows = [slice(0, 1), slice(1, 5), slice(5, 11)]
+    tape = nets.mlp_forward_tape([params] * len(rows), x, rows)
+    inputs = tape.x.copy()
+    total = np.zeros_like(params.data)
+    for r in rows:
+        total += nets.mlp_grads(params, tape, up, r, params.like(np.empty_like(params.data))).data
+    np.testing.assert_array_equal(tape.x, inputs)  # the value and policy tapes share ``x``
+    np.testing.assert_allclose(total, nets.mlp_backward(params, x, up).data, atol=1e-12)
 
 
 def test_policy_backward_matches_finite_differences(rng):
@@ -265,3 +282,20 @@ def test_policy_table_allocates_no_stacked_copy():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_update_round_allocates_no_all_rows_deltas():
+    """The update's backward writes over the tape's own rows: no rows-by-128 delta arrays beside the tape."""
+    graph = grid_graph(10)
+    config = TrainConfig(n_agents=12, steps_per_episode=50, seed=0)
+    trainer = Trainer(config, graph, generate_agent_specs(graph, 12, seed=0))
+    rng = np.random.default_rng(5)
+    tau_a = [_hand_trajectory(trainer.env, i, 50, rng, terminated=False) for i in range(12)]
+    tracemalloc.start()
+    try:
+        update_agent(trainer.learners, tau_a, [None] * 12, 1, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 600 rows, 0.59 MiB per rows-by-128 array: two or more all-rows delta arrays pass the bound
+    assert peak < 2.75 * 2**20

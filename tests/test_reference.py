@@ -11,7 +11,7 @@ import pytest
 
 SHARED = {
     "step", "move_rewards", "run_episode", "rollout", "policy_table", "policy_table_forward", "stack_params",
-    "choice_cdf", "draw", "replay", "execute_demos", "update_agent", "mlp_deltas", "mlp_grads",
+    "choice_cdf", "draw", "replay", "execute_demos", "update_agent", "mlp_grads",
     "policy_forward_tape", "policy_upstream", "surrogate_terms", "squared_errors",
 }
 
