@@ -17,7 +17,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -173,18 +173,23 @@ def _train_run(doc: dict, graph_file: tuple[RoadGraph, Path, str], out: Path, co
     return trainer
 
 
+T = TypeVar("T")
+
+
 def _train_runs(groups: dict[str, list[dict]], graph_file: tuple[RoadGraph, Path, str], out: Path,
-                command: str) -> Iterator[tuple[str, list[Trainer]]]:
-    """Train each group's resolved docs into ``out/<group>/seed<k>/``, yielding each group's trainers.
+                command: str, take: Callable[[Trainer], T]) -> Iterator[tuple[str, list[T]]]:
+    """Train each group's resolved docs into ``out/<group>/seed<k>/``, yielding ``take`` of each run by group.
 
     Every config and task set is resolved before the first run writes, so
-    that a bad one exits with nothing written.
+    that a bad one exits with nothing written.  A run's trainer is dropped
+    once ``take`` has read it, so one trainer is alive at a time.
     """
     for docs in groups.values():
         for doc in docs:
             _specs_from_doc(doc, graph_file[0], _config_from_doc(doc))
     for group, docs in groups.items():
-        yield group, [_train_run(doc, graph_file, out / group / f"seed{doc['seed']}", command) for doc in docs]
+        yield group, [take(_train_run(doc, graph_file, out / group / f"seed{doc['seed']}", command))
+                      for doc in docs]
 
 
 def cmd_train(args) -> int:
@@ -234,14 +239,15 @@ def cmd_sweep_agents(args) -> int:
     groups = {f"n{count}": [{**doc, "n_agents": count, "seed": seed} for seed in args.seeds]
               for count in args.counts}
     rows = []
-    for _, trainers in _train_runs(groups, _load_graph_file(doc.get("graph")), out, "sweep-agents"):
-        count = trainers[0].config.n_agents
-        episode_rewards = np.concatenate([t.evaluate().episode_rewards for t in trainers])
+    runs = _train_runs(groups, _load_graph_file(doc.get("graph")), out, "sweep-agents",
+                       lambda t: (t.evaluate().episode_rewards, [m.seconds for m in t.metrics]))
+    for count, (_, results) in zip(args.counts, runs):
+        episode_rewards = np.concatenate([rewards for rewards, _ in results])
         rows.append((
             count,
             repr(float(np.mean(episode_rewards))),
             repr(float(np.std(episode_rewards))),
-            f"{np.mean([m.seconds for t in trainers for m in t.metrics]):.6f}",
+            f"{np.mean([s for _, seconds in results for s in seconds]):.6f}",
         ))
         print(f"agents={count}: reward mean {rows[-1][1]} sigma {rows[-1][2]} "
               f"({rows[-1][3]} s/epoch)")
@@ -255,8 +261,9 @@ def cmd_ablation(args) -> int:
     groups = {column: [{**doc, "mode": mode, "seed": seed} for seed in args.seeds]
               for column, mode in ABLATION_VARIANTS}
     curves: dict[str, np.ndarray] = {}
-    for column, trainers in _train_runs(groups, _load_graph_file(doc.get("graph")), out, "ablation"):
-        curves[column] = np.mean([[m.mean_reward_a for m in t.metrics] for t in trainers], axis=0)
+    for column, runs in _train_runs(groups, _load_graph_file(doc.get("graph")), out, "ablation",
+                                    lambda t: [m.mean_reward_a for m in t.metrics]):
+        curves[column] = np.mean(runs, axis=0)
         print(f"{column}: final mean reward {curves[column][-1]:.3f}")
     _write_csv(out / "ablation.csv", ("epoch", *curves),
                ((epoch, *(repr(float(r)) for r in rewards))

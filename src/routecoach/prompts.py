@@ -1,14 +1,15 @@
 """Prompt construction and iterative refinement for route-proposing models.
 
 The prompt is a deterministic serialization of the task, the map, the
-agent assignments and the required output format, followed by an
-append-only list of refinement records.  Adding a record never rewrites
-earlier content, so successive prompts share a byte-identical prefix.
+agent assignments and the required output format, followed by one
+feedback section per refinement round.  A state keeps only the rendered
+text and the round count: refining appends a round's section to the text
+and never rewrites earlier content, so successive prompts share a
+byte-identical prefix and ``build_prompt`` renders nothing after the header.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from .env import AgentSpec
@@ -29,35 +30,17 @@ OUTPUT_CONTRACT = (
 
 
 @dataclass(frozen=True)
-class RefinementRecord:
-    phase: int
-    agent_routes: tuple[tuple[int, tuple[int, ...], float], ...]   # (agent, route, reward)
-    expert_routes: tuple[tuple[int, tuple[int, ...], float], ...]
-    dtw: tuple[tuple[int, float], ...]
-
-    @cached_property
-    def text(self) -> str:
-        """This record's section of the prompt, rendered once."""
-        lines = [f"--- Feedback round {self.phase} ---"]
-        for agent_id, route, reward in self.agent_routes:
-            lines.append(f"  agent {agent_id} policy route {list(route)} reward {reward:.3f}")
-        for agent_id, route, reward in self.expert_routes:
-            lines.append(f"  agent {agent_id} expert route {list(route)} reward {reward:.3f}")
-        for agent_id, d in self.dtw:
-            lines.append(f"  agent {agent_id} trajectory DTW distance {d:.3f}")
-        lines.append(
-            "  Improve any invalid or low-reward routes; keep routes that "
-            "already reach their destination cheaply."
-        )
-        return "\n".join(lines)
-
-
-@dataclass(frozen=True)
 class PromptState:
+    """The prompt as one append-only text and the number of feedback rounds in it.
+
+    ``text`` is empty until the first ``build_prompt`` renders the header into
+    it; ``refine_prompt`` returns a state whose text is this one's plus a round.
+    """
     graph: RoadGraph
     specs: tuple[AgentSpec, ...]
     task: str = DEFAULT_TASK
-    records: tuple[RefinementRecord, ...] = ()
+    rounds: int = 0
+    text: str = field(default="", repr=False)
 
 
 def count_tokens(text: str) -> int:
@@ -65,7 +48,7 @@ def count_tokens(text: str) -> int:
     return len(text.split())
 
 
-def build_prompt(state: PromptState) -> str:
+def _header(state: PromptState) -> str:
     lines = [state.task, "", "Junctions (id: x, y):"]
     for j, (x, y) in sorted(state.graph.nodes.items()):
         lines.append(f"  {j}: ({x:g}, {y:g})")
@@ -82,8 +65,14 @@ def build_prompt(state: PromptState) -> str:
         lines.append(f"  {spec.agent_id}: {spec.start} -> {spec.dest}, departs at {spec.depart_time}")
     lines.append("")
     lines.append(OUTPUT_CONTRACT)
-    # each record follows a blank line
-    return "\n\n".join(["\n".join(lines), *(record.text for record in state.records)])
+    return "\n".join(lines)
+
+
+def build_prompt(state: PromptState) -> str:
+    """The prompt's text, the stored object itself; the header is rendered on the first call."""
+    if not state.text:
+        object.__setattr__(state, "text", _header(state))  # a cache fill, as a cached_property would do
+    return state.text
 
 
 def refine_prompt(
@@ -92,16 +81,18 @@ def refine_prompt(
     expert_summary: Mapping[int, tuple[Sequence[int], float]],
     dtw_per_agent: Mapping[int, float],
 ) -> PromptState:
-    """Append one phase-stamped feedback record; earlier records are kept."""
-    record = RefinementRecord(
-        phase=len(state.records) + 1,
-        agent_routes=tuple((a, tuple(route), float(r)) for a, (route, r) in sorted(agent_summary.items())),
-        expert_routes=tuple((a, tuple(route), float(r)) for a, (route, r) in sorted(expert_summary.items())),
-        dtw=tuple((a, float(d)) for a, d in sorted(dtw_per_agent.items())),
+    """Append one numbered feedback round after a blank line; earlier text is kept."""
+    rounds = state.rounds + 1
+    lines = [f"--- Feedback round {rounds} ---"]
+    for agent_id, (route, reward) in sorted(agent_summary.items()):
+        lines.append(f"  agent {agent_id} policy route {list(route)} reward {float(reward):.3f}")
+    for agent_id, (route, reward) in sorted(expert_summary.items()):
+        lines.append(f"  agent {agent_id} expert route {list(route)} reward {float(reward):.3f}")
+    for agent_id, d in sorted(dtw_per_agent.items()):
+        lines.append(f"  agent {agent_id} trajectory DTW distance {float(d):.3f}")
+    lines.append(
+        "  Improve any invalid or low-reward routes; keep routes that "
+        "already reach their destination cheaply."
     )
-    return PromptState(
-        graph=state.graph,
-        specs=state.specs,
-        task=state.task,
-        records=state.records + (record,),
-    )
+    section = "\n".join(lines)
+    return replace(state, rounds=rounds, text=f"{state.text or _header(state)}\n\n{section}")

@@ -217,10 +217,10 @@ def efficacy_runs():
     return runs
 
 
-def reach_epoch(eval_curve: np.ndarray, target: float, sustain: int = SUSTAIN):
-    """First epoch from which the evaluation holds >= target for `sustain` epochs."""
+def reach_epoch(curve: np.ndarray, target: float, sustain: int = SUSTAIN):
+    """First epoch from which the curve (evaluation or sampled reward) holds >= target for `sustain` epochs."""
     run = 0
-    for i, value in enumerate(eval_curve):
+    for i, value in enumerate(curve):
         run = run + 1 if value >= target else 0
         if run >= sustain:
             return i + 2 - sustain
@@ -238,11 +238,15 @@ def test_a6_learning_efficacy(efficacy_runs):
     part_ii = np.median(dyn_filled) <= 0.7 * np.median(ippo_filled)
     runtime_ok = efficacy_runs["seconds"] < 15 * 60
     ok = part_i and part_ii and runtime_ok
+    # reported, not asserted: the same rule on the sampled training reward (ROADMAP item 11)
+    sampled = {mode: [reach_epoch(efficacy_runs[(mode, s)]["train"], target) for s in SEEDS]
+               for mode in ("ippo", "dynamic")}
     report("A6", ok,
            f"target {target:.2f}; epochs-to-reach ippo {ippo} (median {np.median(ippo_filled)}), "
            f"guided {dyn} (median {np.median(dyn_filled)}); "
            f"(i) {reached}/5 seeds, (ii) ratio {np.median(dyn_filled) / np.median(ippo_filled):.2f} "
-           f"<= 0.7; runs took {efficacy_runs['seconds']:.0f}s")
+           f"<= 0.7; sampled-reward epochs-to-reach ippo {sampled['ippo']}, guided {sampled['dynamic']}; "
+           f"runs took {efficacy_runs['seconds']:.0f}s")
     assert part_i, f"plain PPO reached the target in only {reached}/5 seeds"
     assert part_ii, "dynamic mixing was not 0.7x faster in the median"
     assert runtime_ok

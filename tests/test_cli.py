@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -421,6 +422,22 @@ class TestSweep:
         assert "warning: duplicate values in '0,0' ignored" in capsys.readouterr().err
         assert train_calls == [(1, 0)]
         assert len(read_csv(out / "sweep.csv")) == 2
+
+    def test_one_trainer_alive_at_a_time(self, tmp_path, graph_file, monkeypatch):
+        """Each run's numbers are taken when it ends, and its trainer is gone before the next is built."""
+        refs, alive = [], []
+        init = Trainer.__init__
+
+        def tracked(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            refs.append(weakref.ref(self))
+            alive.append(sum(ref() is not None for ref in refs))
+
+        monkeypatch.setattr(Trainer, "__init__", tracked)
+        assert main(["sweep-agents", "--graph", graph_file, "--out", str(tmp_path / "sweep"),
+                     "--counts", "2,3", "--seeds", "0,1",
+                     "--set", "epochs=2", "--set", "steps_per_episode=20"]) == 0
+        assert alive == [1, 1, 1, 1]
 
     @pytest.mark.parametrize("flags", [["--counts", ","], ["--counts", "1", "--seeds", ","]])
     def test_empty_list_exits_2_without_out_dir(self, tmp_path, graph_file, capsys, flags):

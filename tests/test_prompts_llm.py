@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -34,7 +35,8 @@ class TestPrompts:
         assert "Feedback round" not in text
 
     def test_deterministic(self, state):
-        assert build_prompt(state) == build_prompt(state)
+        assert build_prompt(state) == build_prompt(PromptState(graph=state.graph, specs=state.specs))
+        assert build_prompt(state) is build_prompt(state)  # the stored text, rendered once
 
     def test_refinement_appends_prefix_preserving(self, state):
         base = build_prompt(state)
@@ -53,8 +55,9 @@ class TestPrompts:
         s1 = refine_prompt(state, {0: ([0], 0.0)}, {0: ([0], 0.0)}, {0: 1.0})
         s2 = refine_prompt(s1, {0: ([0], 0.0)}, {0: ([0], 0.0)}, {0: 1.0})
         text = build_prompt(s2)
-        assert "Feedback round 1" in text and "Feedback round 2" in text
-        assert s2.records[0].phase == 1 and s2.records[1].phase == 2
+        headers = [line for line in text.splitlines() if line.startswith("--- Feedback round")]
+        assert headers == ["--- Feedback round 1 ---", "--- Feedback round 2 ---"]
+        assert s2.rounds == 2
 
     def test_token_count_grows_across_phases(self, state):
         tokens = [count_tokens(build_prompt(state))]
@@ -65,8 +68,8 @@ class TestPrompts:
         assert tokens == sorted(tokens) and tokens[-1] > tokens[0]
 
 
-def render_all_lines(state):
-    """The prompt rendered line by line, every record included, at every call."""
+def render_all_lines(state, rounds):
+    """The prompt rendered line by line from the ``refine_prompt`` arguments of each round, at every call."""
     lines = [state.task, "", "Junctions (id: x, y):"]
     for j, (x, y) in sorted(state.graph.nodes.items()):
         lines.append(f"  {j}: ({x:g}, {y:g})")
@@ -83,15 +86,15 @@ def render_all_lines(state):
         lines.append(f"  {spec.agent_id}: {spec.start} -> {spec.dest}, departs at {spec.depart_time}")
     lines.append("")
     lines.append(OUTPUT_CONTRACT)
-    for record in state.records:
+    for phase, (agent_summary, expert_summary, dtw) in enumerate(rounds, start=1):
         lines.append("")
-        lines.append(f"--- Feedback round {record.phase} ---")
-        for agent_id, route, reward in record.agent_routes:
-            lines.append(f"  agent {agent_id} policy route {list(route)} reward {reward:.3f}")
-        for agent_id, route, reward in record.expert_routes:
-            lines.append(f"  agent {agent_id} expert route {list(route)} reward {reward:.3f}")
-        for agent_id, d in record.dtw:
-            lines.append(f"  agent {agent_id} trajectory DTW distance {d:.3f}")
+        lines.append(f"--- Feedback round {phase} ---")
+        for agent_id, (route, reward) in sorted(agent_summary.items()):
+            lines.append(f"  agent {agent_id} policy route {list(route)} reward {float(reward):.3f}")
+        for agent_id, (route, reward) in sorted(expert_summary.items()):
+            lines.append(f"  agent {agent_id} expert route {list(route)} reward {float(reward):.3f}")
+        for agent_id, d in sorted(dtw.items()):
+            lines.append(f"  agent {agent_id} trajectory DTW distance {float(d):.3f}")
         lines.append(
             "  Improve any invalid or low-reward routes; keep routes that "
             "already reach their destination cheaply."
@@ -106,16 +109,44 @@ def test_prompt_bytes_match_line_by_line_renderer(state):
         return {a: (rng.integers(0, 9, size=rng.integers(0, 6)).tolist(), rng.normal(scale=20.0))
                 for a in (0, 1) if rng.random() < 0.8}
 
-    s = state
-    assert build_prompt(s).encode() == render_all_lines(s).encode()
+    s, rounds = state, []
+    assert build_prompt(s).encode() == render_all_lines(s, rounds).encode()
     for _ in range(6):
-        s = refine_prompt(s, summary(), summary(), {a: rng.random() * 9 for a in (0, 1)})
-        assert build_prompt(s).encode() == render_all_lines(s).encode()
-    assert build_prompt(s) == build_prompt(s)  # the second call reads the rendered records
-    # a state built with records= renders them too
-    direct = PromptState(graph=s.graph, specs=s.specs, task="Route.", records=s.records[2:])
-    assert build_prompt(direct).encode() == render_all_lines(direct).encode()
-    assert len(s.records) >= 5
+        rounds.append((summary(), summary(), {a: rng.random() * 9 for a in (0, 1)}))
+        s = refine_prompt(s, *rounds[-1])
+        assert build_prompt(s).encode() == render_all_lines(s, rounds).encode()
+    assert build_prompt(s) is build_prompt(s)  # the second call returns the stored text
+    assert s.rounds == 6
+    # a state with its own task, refined with the last rounds only, renders them from round 1
+    direct = PromptState(graph=s.graph, specs=s.specs, task="Route.")
+    for args in rounds[2:]:
+        direct = refine_prompt(direct, *args)
+    assert build_prompt(direct).encode() == render_all_lines(direct, rounds[2:]).encode()
+
+
+def test_sixty_rounds_hold_about_one_prompt_text():
+    """After 60 rounds on a grid-10, 12-agent task set, the state holds its text and little else."""
+    graph = grid_graph(10)
+    specs = tuple(AgentSpec(a, a, 99 - a) for a in range(12))
+    rng = np.random.default_rng(0)
+
+    def summary():
+        return {a: (rng.integers(0, 100, size=rng.integers(2, 30)).tolist(), rng.normal(scale=20.0))
+                for a in range(12)}
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        s = PromptState(graph=graph, specs=specs)
+        for _ in range(60):
+            build_prompt(s)  # as a trainer does before each round
+            s = refine_prompt(s, summary(), summary(), {a: rng.random() * 50 for a in range(12)})
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    text = build_prompt(s)
+    assert len(text) > 100_000
+    assert held < 1.25 * len(text), f"{held} bytes held for a {len(text)}-char prompt"
 
 
 def _response(payload, status=200):
