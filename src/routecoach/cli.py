@@ -158,15 +158,20 @@ def write_manifest(out: Path, config: TrainConfig, graph_path: Path, graph_sha25
 
 # -- subcommands ------------------------------------------------------------------------
 
-def _train_run(doc: dict, graph_file: tuple[RoadGraph, Path, str], out: Path, command: str) -> Trainer:
-    """Train the resolved config ``doc`` into the run directory ``out`` and return the trainer.
+def _resolve_run(doc: dict, graph: RoadGraph) -> tuple[TrainConfig, tuple[AgentSpec, ...]]:
+    """The config and task set of the resolved doc ``doc``; ``ConfigError`` if either is bad."""
+    config = _config_from_doc(doc)
+    return config, _specs_from_doc(doc, graph, config)
+
+
+def _train_run(config: TrainConfig, specs: tuple[AgentSpec, ...], graph_file: tuple[RoadGraph, Path, str],
+               out: Path, command: str) -> Trainer:
+    """Train ``config`` on the task set ``specs`` into the run directory ``out`` and return the trainer.
 
     ``manifest.json`` is written before training starts; ``Trainer.train`` adds
     ``metrics.csv``, ``timing.csv`` and the checkpoints.
     """
     graph, graph_path, graph_sha256 = graph_file
-    config = _config_from_doc(doc)
-    specs = _specs_from_doc(doc, graph, config)
     trainer = Trainer(config, graph, specs)
     write_manifest(out, config, graph_path, graph_sha256, specs, command)
     trainer.train(out_dir=out)
@@ -180,16 +185,14 @@ def _train_runs(groups: dict[str, list[dict]], graph_file: tuple[RoadGraph, Path
                 command: str, take: Callable[[Trainer], T]) -> Iterator[tuple[str, list[T]]]:
     """Train each group's resolved docs into ``out/<group>/seed<k>/``, yielding ``take`` of each run by group.
 
-    Every config and task set is resolved before the first run writes, so
-    that a bad one exits with nothing written.  A run's trainer is dropped
+    Every config and task set is resolved once, before the first run writes,
+    so that a bad one exits with nothing written.  A run's trainer is dropped
     once ``take`` has read it, so one trainer is alive at a time.
     """
-    for docs in groups.values():
-        for doc in docs:
-            _specs_from_doc(doc, graph_file[0], _config_from_doc(doc))
-    for group, docs in groups.items():
-        yield group, [take(_train_run(doc, graph_file, out / group / f"seed{doc['seed']}", command))
-                      for doc in docs]
+    runs = {group: [_resolve_run(doc, graph_file[0]) for doc in docs] for group, docs in groups.items()}
+    for group, resolved in runs.items():
+        yield group, [take(_train_run(config, specs, graph_file, out / group / f"seed{config.seed}", command))
+                      for config, specs in resolved]
 
 
 def cmd_train(args) -> int:
@@ -199,7 +202,8 @@ def cmd_train(args) -> int:
         "mock_dir": args.mock_dir, "graph": args.graph,
     })
     out = Path(args.out)
-    trainer = _train_run(doc, _load_graph_file(doc.get("graph")), out, "train")
+    graph_file = _load_graph_file(doc.get("graph"))
+    trainer = _train_run(*_resolve_run(doc, graph_file[0]), graph_file, out, "train")
     print(f"trained {trainer.config.epochs} epochs; final mean reward "
           f"{trainer.metrics[-1].mean_reward_a:.3f}; outputs in {out}")
     return 0
@@ -240,18 +244,12 @@ def cmd_sweep_agents(args) -> int:
               for count in args.counts}
     rows = []
     runs = _train_runs(groups, _load_graph_file(doc.get("graph")), out, "sweep-agents",
-                       lambda t: (t.evaluate().episode_rewards, [m.seconds for m in t.metrics]))
+                       lambda t: t.evaluate().episode_rewards)
     for count, (_, results) in zip(args.counts, runs):
-        episode_rewards = np.concatenate([rewards for rewards, _ in results])
-        rows.append((
-            count,
-            repr(float(np.mean(episode_rewards))),
-            repr(float(np.std(episode_rewards))),
-            f"{np.mean([s for _, seconds in results for s in seconds]):.6f}",
-        ))
-        print(f"agents={count}: reward mean {rows[-1][1]} sigma {rows[-1][2]} "
-              f"({rows[-1][3]} s/epoch)")
-    _write_csv(out / "sweep.csv", ("n_agents", "reward_mean", "reward_std", "seconds_per_epoch"), rows)
+        episode_rewards = np.concatenate(results)
+        rows.append((count, repr(float(np.mean(episode_rewards))), repr(float(np.std(episode_rewards)))))
+        print(f"agents={count}: reward mean {rows[-1][1]} sigma {rows[-1][2]}")
+    _write_csv(out / "sweep.csv", ("n_agents", "reward_mean", "reward_std"), rows)
     return 0
 
 
@@ -361,10 +359,13 @@ def cmd_plot_data(args) -> int:
             rewards = []
             for row in reader:
                 try:
-                    rewards.append(float(row["mean_reward_a"]))
-                except (TypeError, ValueError) as exc:
+                    reward = float(row["mean_reward_a"])
+                except (TypeError, ValueError):
+                    reward = np.nan
+                if not np.isfinite(reward):  # one NaN would carry through every later moving average
                     raise ConfigError(f"{p} line {reader.line_num}: mean_reward_a is "
-                                      f"{row['mean_reward_a']!r}, not a number") from exc
+                                      f"{row['mean_reward_a']!r}, not a finite number")
+                rewards.append(reward)
         if not rewards:
             raise ConfigError(f"{p} has no rows")
         curves.append(np.array(rewards))

@@ -89,16 +89,27 @@ def _literal_pairs(fragment: str) -> list[tuple]:
 
 
 def _extract_mapping(text: str) -> list[tuple] | None:
-    """The (key, value) pairs of the first balanced ``{...}`` in ``text``, in order."""
+    """The (key, value) pairs of the first balanced ``{...}`` in ``text``, in order.
+
+    Braces inside a quoted string, single or double, do not count; a backslash
+    escapes the character after it there.
+    """
     cleaned = _FENCE_RE.sub("", text)
     start = cleaned.find("{")
     if start < 0:
         return None
-    depth = 0
+    depth, quote, escaped = 0, "", False
     for i in range(start, len(cleaned)):
-        if cleaned[i] == "{":
+        char = cleaned[i]
+        if quote:
+            if char == quote and not escaped:
+                quote = ""
+            escaped = not escaped and char == "\\"
+        elif char in "\"'":
+            quote = char
+        elif char == "{":
             depth += 1
-        elif cleaned[i] == "}":
+        elif char == "}":
             depth -= 1
             if depth == 0:
                 fragment = cleaned[start : i + 1]

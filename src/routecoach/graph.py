@@ -67,10 +67,10 @@ class RoadGraph:
             adjacency[e.src].append(e)
         self._adjacency = {j: tuple(sorted(out, key=lambda e: e.dst)) for j, out in adjacency.items()}
         self.max_out_degree = max((len(out) for out in self._adjacency.values()), default=0)
-        self._successors = {j: [(e.dst, e.length) for e in out] for j, out in self._adjacency.items()}
-        self._predecessors: dict[int, list[tuple[int, float]]] = {j: [] for j in self.nodes}
+        # every edge turned around, for distances_to; plain tuples, which build faster than Edges
+        self._reversed: dict[int, list[tuple[int, int, float]]] = {j: [] for j in self.nodes}
         for e in self.edges:
-            self._predecessors[e.dst].append((e.src, e.length))
+            self._reversed[e.dst].append((e.dst, e.src, e.length))
         self._dist_cache: dict[int, dict[int, float]] = {}
         self._path_cache: dict[tuple[int, int], tuple[float, tuple[int, ...]] | None] = {}
         self._k_paths_cache: dict[tuple[int, int, int], tuple[tuple[float, tuple[int, ...]], ...]] = {}
@@ -124,7 +124,7 @@ class RoadGraph:
         """Shortest-path distance from ``src`` to every junction (inf if unreachable)."""
         if src not in self.nodes:
             raise GraphError(f"unknown junction {src}")
-        return self._distances(src, self._successors)
+        return self._distances(src, self._adjacency)
 
     def distances_to(self, dest: int) -> dict[int, float]:
         """Shortest-path distance from every junction to ``dest``.
@@ -134,11 +134,11 @@ class RoadGraph:
         if dest not in self._dist_cache:
             if dest not in self.nodes:
                 raise GraphError(f"unknown junction {dest}")
-            self._dist_cache[dest] = self._distances(dest, self._predecessors)
+            self._dist_cache[dest] = self._distances(dest, self._reversed)
         return self._dist_cache[dest]
 
-    def _distances(self, source: int, neighbours: dict[int, list[tuple[int, float]]]) -> dict[int, float]:
-        """Dijkstra from ``source`` over ``(junction, length)`` neighbour lists."""
+    def _distances(self, source: int, edges: dict[int, Iterable[tuple[int, int, float]]]) -> dict[int, float]:
+        """Dijkstra from ``source`` over each junction's ``(junction, next junction, length)`` edges."""
         dist = {j: INF for j in self.nodes}
         dist[source] = 0.0
         frontier = [(0.0, source)]
@@ -146,7 +146,7 @@ class RoadGraph:
             d, node = heappop(frontier)
             if d > dist[node]:
                 continue
-            for nxt, length in neighbours[node]:
+            for _, nxt, length in edges[node]:
                 nd = d + length
                 if nd < dist[nxt]:
                     dist[nxt] = nd
@@ -158,7 +158,7 @@ class RoadGraph:
         """Largest finite shortest-path distance over all ordered pairs; it adds no map to the cache."""
         best = 0.0
         for dest in self.nodes:
-            for d in (self._dist_cache.get(dest) or self._distances(dest, self._predecessors)).values():
+            for d in (self._dist_cache.get(dest) or self._distances(dest, self._reversed)).values():
                 if d != INF and d > best:
                     best = d
         return best

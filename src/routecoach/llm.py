@@ -45,8 +45,8 @@ class EndpointConfig:
         return cls(
             base_url=base_url,
             api_key=os.environ.get(ENV_API_KEY, ""),
-            model=os.environ.get(ENV_MODEL, "gpt-3.5-turbo"),
-            timeout=float(os.environ.get(ENV_TIMEOUT, "30")),
+            model=os.environ.get(ENV_MODEL, cls.model),
+            timeout=float(os.environ.get(ENV_TIMEOUT, cls.timeout)),
         )
 
 

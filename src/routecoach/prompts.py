@@ -95,4 +95,4 @@ def refine_prompt(
         "already reach their destination cheaply."
     )
     section = "\n".join(lines)
-    return replace(state, rounds=rounds, text=f"{state.text or _header(state)}\n\n{section}")
+    return replace(state, rounds=rounds, text=f"{build_prompt(state)}\n\n{section}")

@@ -346,9 +346,10 @@ def test_a9_scalability_smoke(tmp_path):
                  "--counts", "5,10,15,20", "--seeds", "0",
                  "--set", "epochs=10", "--set", "steps_per_episode=50"])
     assert code == 0
-    with open(out / "sweep.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    seconds = {int(r["n_agents"]): float(r["seconds_per_epoch"]) for r in rows}
+    seconds = {}
+    for n in (5, 10, 15, 20):
+        with open(out / f"n{n}" / "seed0" / "timing.csv", newline="") as fh:
+            seconds[n] = float(np.mean([float(r["seconds"]) for r in csv.DictReader(fh)]))
     base_per_agent = seconds[5] / 5
     ratios = {n: seconds[n] / (base_per_agent * n) for n in (10, 15, 20)}
     ok = all(r <= 3.0 for r in ratios.values())

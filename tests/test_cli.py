@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from routecoach import AgentSpec, grid_graph, write_graph
+from routecoach import AgentSpec, cli, grid_graph, write_graph
 from routecoach.cli import demo_quality_report, main, moving_average
 from routecoach.llm import LlmError
 from routecoach.training import TrainConfig, Trainer
@@ -408,12 +408,34 @@ class TestSweep:
         assert code == 0
         assert "duplicate" in capsys.readouterr().err
         rows = read_csv(out / "sweep.csv")
-        assert rows[0] == ["n_agents", "reward_mean", "reward_std", "seconds_per_epoch"]
+        assert rows[0] == ["n_agents", "reward_mean", "reward_std"]
         assert [r[0] for r in rows[1:]] == ["1", "2"]
         assert sorted(p.name for p in out.iterdir()) == ["n1", "n2", "sweep.csv"]
         manifest = json.loads((out / "n2" / "seed0" / "manifest.json").read_text())
         assert manifest["command"] == "sweep-agents" and manifest["config"]["n_agents"] == 2
         assert main(["evaluate", "--run", str(out / "n2" / "seed0")]) == 0
+
+    def test_two_identical_runs_write_the_same_bytes(self, tmp_path, graph_file):
+        """``sweep.csv`` holds no wall clock; each run's ``timing.csv`` has it."""
+        for out in ("a", "b"):
+            assert main(["sweep-agents", "--graph", graph_file, "--out", str(tmp_path / out),
+                         "--counts", "1,2", "--set", "epochs=2", "--set", "steps_per_episode=20"]) == 0
+        assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
+        assert read_csv(tmp_path / "a" / "n2" / "seed0" / "timing.csv")[0] == ["epoch", "seconds"]
+
+    def test_each_run_draws_its_tasks_once(self, tmp_path, graph_file, monkeypatch):
+        calls = []
+        generate = cli.generate_agent_specs
+
+        def counted(graph, n_agents, seed):
+            calls.append((n_agents, seed))
+            return generate(graph, n_agents, seed)
+
+        monkeypatch.setattr(cli, "generate_agent_specs", counted)
+        assert main(["sweep-agents", "--graph", graph_file, "--out", str(tmp_path / "sweep"),
+                     "--counts", "1,2", "--seeds", "0,1",
+                     "--set", "epochs=1", "--set", "steps_per_episode=20"]) == 0
+        assert calls == [(1, 0), (1, 1), (2, 0), (2, 1)]
 
     def test_repeated_seed_trains_once(self, tmp_path, graph_file, capsys, train_calls):
         out = tmp_path / "sweep"
@@ -679,13 +701,14 @@ class TestPlotData:
         bad.write_text("a,b\n1,2\n")
         assert main(["plot-data", str(bad), "--out", str(tmp_path / "p")]) == 2
 
-    @pytest.mark.parametrize("row, shown", [("1,abc", "'abc'"), ("1", "None")])
+    @pytest.mark.parametrize("row, shown", [("1,abc", "'abc'"), ("1", "None"), ("1,nan", "'nan'"),
+                                            ("1,inf", "'inf'"), ("1,-Infinity", "'-Infinity'")])
     def test_reward_not_a_number_exits_2(self, tmp_path, capsys, row, shown):
         bad = tmp_path / "metrics.csv"
         bad.write_text(f"epoch,mean_reward_a\n0,1.5\n{row}\n")
         plot = tmp_path / "plot"
         assert main(["plot-data", str(bad), "--out", str(plot)]) == 2
-        assert f"error: {bad} line 3: mean_reward_a is {shown}, not a number" in capsys.readouterr().err
+        assert f"error: {bad} line 3: mean_reward_a is {shown}, not a finite number" in capsys.readouterr().err
         assert not plot.exists()
 
     @pytest.mark.parametrize("files", [["empty"], ["full", "empty"]], ids=["alone", "one-of-several"])

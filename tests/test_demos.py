@@ -25,6 +25,13 @@ class TestParse:
         parsed = dg.parse_instructions("```json\n{0: [0, 1, 2]}\n```", 1, line)
         assert parsed.waypoints == {0: [0, 1, 2]}
 
+    @pytest.mark.parametrize("text", ['{"0": [0, 1, 2], "note": "a { b"}', '{"0": [0, 1, 2], "note": "a } b"}',
+                                      '{"note": "a \\" } b", "0": [0, 1, 2]}', "{'note': 'it\\'s } {', '0': [0, 1, 2]}"])
+    def test_braces_inside_strings_do_not_count(self, line, text):
+        parsed = dg.parse_instructions(text, 1, line)
+        assert parsed.waypoints == {0: [0, 1, 2]}
+        assert parsed.errors == ["unparsable agent id 'note'"]
+
     def test_prose_without_mapping(self, line):
         parsed = dg.parse_instructions("I cannot answer that.", 1, line)
         assert parsed.waypoints == {}

@@ -105,7 +105,7 @@ def _run(name, tmp_path) -> str:
 
 
 def _cli_aggregate(name, tmp_path) -> str:
-    """``ablation.csv``, or the deterministic columns of ``sweep.csv``, on generated tasks."""
+    """``ablation.csv``, or the rows of ``sweep.csv`` as JSON, on generated tasks."""
     graph = str(write_graph(grid_graph(3), tmp_path / "grid3.json"))
     out = tmp_path / "out"
     args = ["--graph", graph, "--out", str(out), "--seeds", "0,1", "--set", "epochs=3",
@@ -115,7 +115,7 @@ def _cli_aggregate(name, tmp_path) -> str:
         return _digest(out / "ablation.csv")
     assert main(["sweep-agents", *args, "--counts", "1,2"]) == 0
     with open(out / "sweep.csv", newline="") as fh:
-        rows = [row[:3] for row in csv.reader(fh)]  # seconds_per_epoch is wall clock
+        rows = [row[:3] for row in csv.reader(fh)]  # the columns the pin was recorded over
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 

@@ -216,6 +216,10 @@ class TestHttpCompleter:
         monkeypatch.setenv("ROUTECOACH_LLM_TIMEOUT", "7.5")
         cfg = EndpointConfig.from_env()
         assert (cfg.base_url, cfg.api_key, cfg.model, cfg.timeout) == ("http://x/v1", "secret", "m2", 7.5)
+        monkeypatch.delenv("ROUTECOACH_LLM_MODEL")
+        monkeypatch.delenv("ROUTECOACH_LLM_TIMEOUT")
+        cfg = EndpointConfig.from_env()
+        assert (cfg.model, cfg.timeout) == ("gpt-3.5-turbo", 30.0)
 
 
 class TestCompleterFor:
