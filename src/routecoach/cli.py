@@ -217,6 +217,10 @@ def cmd_evaluate(args) -> int:
     if not isinstance(manifest["config"], dict):
         raise ConfigError(f"run manifest {manifest_path}: 'config' must be a JSON object")
     config = _config_from_doc(manifest["config"])
+    digest = config_hash(config)
+    if digest != manifest["config_hash"]:
+        raise ConfigError(f"run manifest {manifest_path}: config hashes to {digest}, "
+                          f"not to the recorded config_hash {manifest['config_hash']!r}")
     episodes = config.eval_episodes if args.episodes is None else args.episodes
     if episodes < 1:
         raise ConfigError(f"--episodes must be at least 1, got {episodes}")
@@ -225,7 +229,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"graph file {graph_path} changed since training (sha256 differs from the manifest)")
     specs = _specs_from_doc(manifest, graph, config)
     try:
-        params, _ = load_checkpoint(run / "checkpoints", manifest["config_hash"], len(specs))
+        params, _ = load_checkpoint(run / "checkpoints", digest, len(specs))
     except TrainingError as exc:
         raise ConfigError(str(exc)) from exc
     result = evaluate([p["policy"] for p in params], env_from_config(graph, specs, config), episodes)

@@ -89,36 +89,42 @@ def _literal_pairs(fragment: str) -> list[tuple]:
 
 
 def _extract_mapping(text: str) -> list[tuple] | None:
-    """The (key, value) pairs of the first balanced ``{...}`` in ``text``, in order.
+    """The (key, value) pairs of the first balanced top-level ``{...}`` in ``text`` that parses, in order.
 
     Braces inside a quoted string, single or double, do not count; a backslash
-    escapes the character after it there.
+    escapes the character after it there.  Quotes open strings only inside a
+    fragment, so an apostrophe in the prose between fragments does not.  A
+    fragment nested too deep for the parsers is unparsable; a ``{`` that never
+    closes ends the search.
     """
     cleaned = _FENCE_RE.sub("", text)
     start = cleaned.find("{")
-    if start < 0:
-        return None
-    depth, quote, escaped = 0, "", False
-    for i in range(start, len(cleaned)):
-        char = cleaned[i]
-        if quote:
-            if char == quote and not escaped:
-                quote = ""
-            escaped = not escaped and char == "\\"
-        elif char in "\"'":
-            quote = char
-        elif char == "{":
-            depth += 1
-        elif char == "}":
-            depth -= 1
-            if depth == 0:
-                fragment = cleaned[start : i + 1]
-                for parse in (_json_pairs, _literal_pairs):
-                    try:
-                        return parse(fragment)
-                    except (ValueError, SyntaxError, TypeError):  # TypeError: an unhashable key
-                        continue
-                return None
+    while start >= 0:
+        depth, quote, escaped = 0, "", False
+        for end in range(start, len(cleaned)):
+            char = cleaned[end]
+            if quote:
+                if char == quote and not escaped:
+                    quote = ""
+                escaped = not escaped and char == "\\"
+            elif char in "\"'":
+                quote = char
+            elif char == "{":
+                depth += 1
+            elif char == "}":
+                depth -= 1
+                if depth == 0:
+                    break
+        else:
+            return None
+        fragment = cleaned[start : end + 1]
+        for parse in (_json_pairs, _literal_pairs):
+            try:
+                return parse(fragment)
+            # TypeError: an unhashable key; the parsers report nesting too deep as RecursionError or MemoryError
+            except (ValueError, SyntaxError, TypeError, RecursionError, MemoryError):
+                continue
+        start = cleaned.find("{", end + 1)
     return None
 
 
@@ -174,26 +180,32 @@ def parse_instructions(text: str, n_agents: int, graph: RoadGraph) -> ParsedRout
 
 # -- validation / compilation ----------------------------------------------------
 
+def _route_slots(graph: RoadGraph, spec: AgentSpec, waypoints: Sequence[int]) -> list[int] | None:
+    """The outgoing-edge index of each consecutive junction pair; None unless
+    the waypoints run start -> dest along existing directed edges."""
+    if len(waypoints) < 2 or waypoints[0] != spec.start or waypoints[-1] != spec.dest:
+        return None
+    slots = []
+    for u, v in zip(waypoints, waypoints[1:]):
+        if u not in graph.nodes:
+            return None
+        slot = next((i for i, e in enumerate(graph.out_edges(u)) if e.dst == v), None)
+        if slot is None:
+            return None
+        slots.append(slot)
+    return slots
+
+
 def validate_route(graph: RoadGraph, spec: AgentSpec, waypoints: Sequence[int]) -> bool:
     """True iff the waypoints run start -> dest along existing directed edges."""
-    if len(waypoints) < 2:
-        return False
-    if waypoints[0] != spec.start or waypoints[-1] != spec.dest:
-        return False
-    for u, v in zip(waypoints, waypoints[1:]):
-        if u not in graph.nodes or graph.edge_between(u, v) is None:
-            return False
-    return True
+    return _route_slots(graph, spec, waypoints) is not None
 
 
 def compile_to_actions(graph: RoadGraph, spec: AgentSpec, waypoints: Sequence[int]) -> list[int]:
     """Map each consecutive junction pair to its outgoing-edge index."""
-    if not validate_route(graph, spec, waypoints):
+    actions = _route_slots(graph, spec, waypoints)
+    if actions is None:
         raise ValueError(f"agent {spec.agent_id}: waypoints {list(waypoints)} do not form a valid route")
-    actions = []
-    for u, v in zip(waypoints, waypoints[1:]):
-        out = graph.out_edges(u)
-        actions.append(next(i for i, e in enumerate(out) if e.dst == v))
     return actions
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,6 +33,11 @@ from .graph import INF, RoadGraph
 
 UNREACHABLE_SCORE = -10.0
 PAD_ID = -1.0
+# the episode length and reward terms of the module docstring, unless a caller sets them
+STEP_LIMIT = 200
+TIME_PENALTY = 0.1
+SHAPING_COEF = 1.0
+ARRIVAL_BONUS = 10.0
 
 
 class EnvError(ValueError):
@@ -94,10 +99,10 @@ class RouteEnv:
         graph: RoadGraph,
         specs: Sequence[AgentSpec],
         *,
-        step_limit: int = 200,
-        time_penalty: float = 0.1,
-        shaping_coef: float = 1.0,
-        arrival_bonus: float = 10.0,
+        step_limit: int = STEP_LIMIT,
+        time_penalty: float = TIME_PENALTY,
+        shaping_coef: float = SHAPING_COEF,
+        arrival_bonus: float = ARRIVAL_BONUS,
         congestion: bool = False,
     ):
         self.graph = graph
@@ -193,23 +198,24 @@ class RouteEnv:
         """
         return self._tables.successors
 
-    # -- state machinery ---------------------------------------------------
-
-    def reset(self, sit_out: Collection[int] = ()) -> EnvState:
-        """The initial state; agents in ``sit_out`` start done.
-
-        An id in ``sit_out`` outside ``[0, n_agents)`` raises ``EnvError``.
-        """
+    def sitting_out(self, sit_out: Iterable[int]) -> np.ndarray:
+        """(n_agents,) bool, True for the agents in ``sit_out``; an id outside ``[0, n_agents)`` raises ``EnvError``."""
         sit_out = list(sit_out)
         for i in sit_out:
             if not 0 <= i < self.n_agents:
                 raise EnvError(f"cannot sit out agent {i}: ids run from 0 to {self.n_agents - 1}")
-        done = np.zeros(self.n_agents, dtype=bool)
-        done[sit_out] = True
+        flags = np.zeros(self.n_agents, dtype=bool)
+        flags[sit_out] = True
+        return flags
+
+    # -- state machinery ---------------------------------------------------
+
+    def reset(self, sit_out: Iterable[int] = ()) -> EnvState:
+        """The initial state; the agents of ``sitting_out(sit_out)`` start done."""
         return EnvState(
             step=0,
             positions=_read_only(np.array([spec.start for spec in self.specs], dtype=np.int64)),
-            done=_read_only(done),
+            done=_read_only(self.sitting_out(sit_out)),
             arrived=_read_only(np.zeros(self.n_agents, dtype=bool)),
         )
 

@@ -8,6 +8,7 @@ that needs "model output" fully offline and deterministic.
 """
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -42,11 +43,18 @@ class EndpointConfig:
         base_url = os.environ.get(ENV_BASE_URL, "").strip()
         if not base_url:
             raise LlmError(f"{ENV_BASE_URL} is not set; configure the endpoint or use the mock")
+        timeout = os.environ.get(ENV_TIMEOUT, str(cls.timeout))
+        try:
+            seconds = float(timeout)
+        except ValueError:
+            seconds = math.nan
+        if not 0 < seconds < math.inf:
+            raise LlmError(f"{ENV_TIMEOUT} must be a positive, finite number of seconds, got {timeout!r}")
         return cls(
             base_url=base_url,
             api_key=os.environ.get(ENV_API_KEY, ""),
             model=os.environ.get(ENV_MODEL, cls.model),
-            timeout=float(os.environ.get(ENV_TIMEOUT, cls.timeout)),
+            timeout=seconds,
         )
 
 
@@ -83,13 +91,18 @@ class HttpChatCompleter:
                 response = requests.post(url, json=payload, headers=headers, timeout=self.config.timeout)
                 response.raise_for_status()
                 doc = response.json()
-                text = doc["choices"][0]["message"]["content"]
-                usage = doc.get("usage") or {}
-                tokens = usage.get("total_tokens")
-                if tokens is None:
+                try:
+                    text = doc["choices"][0]["message"]["content"]
+                except (KeyError, IndexError, TypeError):  # not the wire format's nesting of objects and lists
+                    text = None
+                if not isinstance(text, str):
+                    raise ValueError("malformed completion body: no string at choices[0].message.content")
+                usage = doc.get("usage")
+                tokens = usage.get("total_tokens") if isinstance(usage, dict) else None
+                if type(tokens) is not int or tokens < 0:  # missing or unusable: count the text instead
                     tokens = count_tokens(prompt) + count_tokens(text)
-                return CompletionResult(text=text, token_count=int(tokens))
-            except (requests.RequestException, KeyError, ValueError) as exc:
+                return CompletionResult(text=text, token_count=tokens)
+            except (requests.RequestException, ValueError) as exc:
                 last_error = exc
                 if attempt < MAX_ATTEMPTS - 1:
                     self._sleep(BACKOFF_BASE_SECONDS * 2**attempt)

@@ -37,7 +37,7 @@ import numpy as np
 from . import demos as dg
 from . import losses as L
 from . import nets
-from .env import AgentSpec, RouteEnv
+from .env import ARRIVAL_BONUS, SHAPING_COEF, STEP_LIMIT, TIME_PENALTY, AgentSpec, RouteEnv
 from .graph import INF, RoadGraph
 from .llm import ChatCompleter, EndpointConfig, HttpChatCompleter, LlmError, MockChatCompleter
 from .prompts import PromptState, build_prompt, refine_prompt
@@ -101,7 +101,7 @@ def _nanmean(values) -> float:
 class TrainConfig:
     n_agents: int = 10
     epochs: int = 500
-    steps_per_episode: int = 200
+    steps_per_episode: int = STEP_LIMIT
     gamma: float = 0.99
     clip_epsilon: float = 0.2
     entropy_beta: float = 0.01
@@ -114,9 +114,9 @@ class TrainConfig:
     invalid_route_fallback: str = "oracle"
     logit_temperature: float = 1.0
     seed: int = 0
-    time_penalty: float = 0.1
-    shaping_coef: float = 1.0
-    arrival_bonus: float = 10.0
+    time_penalty: float = TIME_PENALTY
+    shaping_coef: float = SHAPING_COEF
+    arrival_bonus: float = ARRIVAL_BONUS
     congestion: bool = False
     checkpoint_every: int = 0
     eval_episodes: int = 20

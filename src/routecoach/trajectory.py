@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Collection
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -80,7 +80,7 @@ def run_episode(
     env: RouteEnv,
     choose: Chooser,
     *,
-    sit_out: Collection[int] = (),
+    sit_out: Iterable[int] = (),
 ) -> list[Trajectory]:
     """Play one episode from the initial state; one trajectory per agent.
 
@@ -90,12 +90,13 @@ def run_episode(
     its observation and mask there are that row of its ``env.agent_tables``,
     and the action may depend on nothing else.  A masked action raises
     ``EnvError``, as ``env.step`` does.  Agents in ``sit_out`` (ids in
-    ``[0, n_agents)``) never act or count as traffic, and keep a
-    single-point trajectory.  After the walks, every move is scored by one
-    ``env.move_rewards`` call, so the trajectories are those of stepping
-    all agents together with ``env.step``.  They carry no log-probabilities.
+    ``[0, n_agents)``, checked by ``env.sitting_out``) never act or count as
+    traffic, and keep a single-point trajectory.  After the walks, every
+    move is scored by one ``env.move_rewards`` call, so the trajectories are
+    those of stepping all agents together with ``env.step``.  They carry no
+    log-probabilities.
     """
-    sitting_out = env.reset(sit_out).done
+    sitting_out = env.sitting_out(sit_out)
     successors, limit = env.successors, env.step_limit
     paths, ends = [], []
     steps, movers, src, chosen = [], [], [], []

@@ -9,7 +9,7 @@ import pytest
 from routecoach import AgentSpec, cli, grid_graph, write_graph
 from routecoach.cli import demo_quality_report, main, moving_average
 from routecoach.llm import LlmError
-from routecoach.training import TrainConfig, Trainer
+from routecoach.training import TrainConfig, Trainer, config_hash
 
 
 @pytest.fixture()
@@ -283,6 +283,19 @@ class TestEvaluate:
         manifest["config_hash"] = "0" * 64
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert main(["evaluate", "--run", str(out)]) == 2
+
+    def test_config_edited_after_training_rejected(self, tmp_path, base_config, capsys):
+        out = tmp_path / "run"
+        main(["train", "--config", base_config, "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        trained = manifest["config_hash"]
+        manifest["config"].update(time_penalty=5.0, steps_per_episode=1)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["evaluate", "--run", str(out)]) == 2
+        edited = config_hash(TrainConfig.from_dict(manifest["config"]))
+        err = capsys.readouterr().err
+        assert edited in err and trained in err
+        assert not (out / "eval.csv").exists()
 
     @pytest.mark.parametrize("episodes", ["0", "-3"])
     def test_episodes_below_one_exit_2(self, tmp_path, base_config, capsys, episodes):

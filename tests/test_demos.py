@@ -62,6 +62,29 @@ class TestParse:
         parsed = dg.parse_instructions("{[1]: [0, 1]}", 2, grid3)
         assert parsed.waypoints == {} and "no parsable" in parsed.errors[0]
 
+    @pytest.mark.parametrize("text", ['Format: {agent id: route}. Answer: {"0": [0, 1, 2]}',
+                                      'Here\'s the format: {agent id: route}. It\'s this: {"0": [0, 1, 2]}'])
+    def test_a_later_brace_group_is_tried(self, line, text):
+        parsed = dg.parse_instructions(text, 1, line)
+        assert parsed.waypoints == {0: [0, 1, 2]}
+        assert parsed.errors == []
+
+    def test_an_unclosed_brace_ends_the_search(self, line):
+        parsed = dg.parse_instructions('Format: {agent id: route. Answer: {"0": [0, 1, 2]', 1, line)
+        assert parsed.waypoints == {} and "no parsable" in parsed.errors[0]
+
+    @pytest.mark.parametrize("text", [
+        '{"0": ' + "[" * 5000 + "]" * 5000 + "}",  # json: RecursionError
+        "{'0': " + "[" * 5000 + "]" * 5000 + "}",  # Python: too many nested parentheses
+        "{0: " + "-" * 5000 + "1}",  # Python: RecursionError
+        "{0: " + "-" * 20000 + "1}",  # Python: MemoryError, the parser's stack overflow
+    ], ids=["json-lists", "python-lists", "python-minus-5000", "python-minus-20000"])
+    def test_nesting_too_deep_is_unparsable(self, line, text):
+        parsed = dg.parse_instructions(text, 1, line)
+        assert parsed.waypoints == {} and "no parsable" in parsed.errors[0]
+        later = dg.parse_instructions(text + ' or {"0": [0, 1, 2]}', 1, line)
+        assert later.waypoints == {0: [0, 1, 2]}
+
     @pytest.mark.parametrize("text", ["{1: [0, 1], '1': [0, 3]}", "{'1': [0, 1], ' 1': [0, 3], 1: [0, 1]}",
                                       '{"1": [0, 1], "1": [0, 3]}', "{1: [0, 1], 1: [0, 3]}"])
     def test_repeated_agent_gets_no_waypoints(self, grid3, text):

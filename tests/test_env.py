@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from routecoach import AgentSpec, grid_graph, line_graph
 from routecoach.env import EnvError, EnvState, RouteEnv
 from routecoach.graph import INF, Edge, RoadGraph
+from routecoach.training import TrainConfig, env_from_config
 from routecoach.trajectory import run_episode
 from reference import reference_observation
 
@@ -173,12 +176,48 @@ def test_reset_returns_only_the_state(grid5, monkeypatch):
 
 @pytest.mark.parametrize("agent", [-1, 2])
 def test_sit_out_outside_the_agent_ids_raises(grid5, agent):
-    """-1 would sit out the last agent by numpy indexing, and 2 is past the end."""
+    """-1 would sit out the last agent by numpy indexing, and 2 is past the end.
+
+    ``reset`` and ``run_episode`` share one check, so each raises the same
+    message, for a list or an iterator of ids alike.
+    """
     env = RouteEnv(grid5, (AgentSpec(0, 0, 24), AgentSpec(1, 24, 0)))
     with pytest.raises(EnvError, match=f"cannot sit out agent {agent}"):
         env.reset(sit_out=[agent])
     with pytest.raises(EnvError, match=f"cannot sit out agent {agent}"):
         run_episode(env, lambda i, junction: 0, sit_out=[0, agent])
+    message = re.escape(f"cannot sit out agent {agent}: ids run from 0 to 1")
+    for sit_out in ([agent], iter([0, agent])):
+        with pytest.raises(EnvError, match=f"^{message}$"):
+            run_episode(env, lambda i, junction: 0, sit_out=sit_out)
+    with pytest.raises(EnvError, match=f"^{message}$"):
+        env.reset(sit_out=iter([agent]))
+
+
+def test_sit_out_iterator_sits_agents_out(grid5):
+    env = RouteEnv(grid5, (AgentSpec(0, 0, 24), AgentSpec(1, 24, 0)))
+    assert env.reset(sit_out=iter([1])).done.tolist() == [False, True]
+    trajectories = run_episode(env, lambda i, junction: 0, sit_out=iter([1]))
+    assert len(trajectories[0]) > 0 and trajectories[1].junction_path.tolist() == [24]
+
+
+def test_defaults_match_the_train_config_defaults(grid5):
+    """A ``RouteEnv`` built without settings scores walks as one built from a default ``TrainConfig``."""
+    specs = (AgentSpec(0, 0, 24), AgentSpec(1, 24, 0, depart_time=1), AgentSpec(2, 12, 24))
+    plain, configured = RouteEnv(grid5, specs), env_from_config(grid5, specs, TrainConfig())
+    assert plain.step_limit == configured.step_limit == TrainConfig().steps_per_episode
+
+    def choose(i: int, junction: int) -> int:  # agents 0 and 1 head for their destinations, agent 2 wanders
+        if i == 2:
+            return 0
+        obs, mask = plain.agent_tables(i)
+        return int(np.argmax(np.where(mask[junction], obs[junction, 2::2], -np.inf)))
+
+    walks = [run_episode(env, choose) for env in (plain, configured)]
+    for a, b in zip(*walks):
+        assert a.junction_path.tolist() == b.junction_path.tolist()
+        assert a.rewards.tolist() == b.rewards.tolist()
+    assert [(t.arrived, len(t)) for t in walks[0]] == [(True, 8), (True, 8), (False, 200)]
 
 
 def test_reset_observation_count_grid(grid5):

@@ -11,6 +11,7 @@ from routecoach.llm import (
     CompletionResult,
     EndpointConfig,
     HttpChatCompleter,
+    MAX_ATTEMPTS,
     LlmError,
     MockChatCompleter,
 )
@@ -205,6 +206,36 @@ class TestHttpCompleter:
             completer = HttpChatCompleter(self.CONFIG, sleep=lambda s: None)
             with pytest.raises(LlmError):
                 completer.complete("p")
+
+    @pytest.mark.parametrize("payload", [
+        {"choices": []},
+        [{"message": {"content": "a b"}}],
+        {"choices": [{"message": {"content": None}}]},
+        {"choices": [{"message": {"content": None}}], "usage": {"total_tokens": 3}},
+    ], ids=["no-choices", "a-list", "null-content", "null-content-with-usage"])
+    def test_malformed_body_counts_as_failure(self, payload):
+        with mock.patch.object(requests, "post", return_value=_response(payload)) as post:
+            completer = HttpChatCompleter(self.CONFIG, sleep=lambda s: None)
+            with pytest.raises(LlmError, match="malformed completion body"):
+                completer.complete("p")
+        assert post.call_count == MAX_ATTEMPTS
+
+    @pytest.mark.parametrize("usage", [{"total_tokens": 1.5e400}, {"total_tokens": -1}, {"total_tokens": 4.0},
+                                       {"total_tokens": "42"}, {"total_tokens": True}, [42]],
+                             ids=["overflow", "negative", "a-float", "a-string", "a-bool", "usage-a-list"])
+    def test_whitespace_tokens_when_usage_unusable(self, usage):
+        payload = {"choices": [{"message": {"content": "a b c"}}], "usage": usage}
+        with mock.patch.object(requests, "post", return_value=_response(payload)):
+            result = HttpChatCompleter(self.CONFIG).complete("one two")
+        assert result == CompletionResult(text="a b c", token_count=5)
+
+    @pytest.mark.parametrize("timeout", ["abc", "", "nan", "inf", "-1", "0"])
+    def test_bad_timeout_raises(self, monkeypatch, timeout):
+        monkeypatch.setenv("ROUTECOACH_LLM_BASE_URL", "http://x/v1")
+        monkeypatch.setenv("ROUTECOACH_LLM_TIMEOUT", timeout)
+        with pytest.raises(LlmError, match=f"ROUTECOACH_LLM_TIMEOUT must be a positive, finite number of "
+                                           f"seconds, got '{timeout}'"):
+            EndpointConfig.from_env()
 
     def test_config_from_env(self, monkeypatch):
         monkeypatch.delenv("ROUTECOACH_LLM_BASE_URL", raising=False)
