@@ -88,8 +88,16 @@ def _literal_pairs(fragment: str) -> list[tuple]:
     return [(ast.literal_eval(k), ast.literal_eval(v)) for k, v in zip(node.keys, node.values)]
 
 
+def _agent_id(key) -> int | None:
+    """The agent a mapping key names: an ``int`` or a decimal string, never a bool; None for any other key."""
+    if type(key) is int or (isinstance(key, str) and key.strip().isdecimal()):
+        return int(key)
+    return None
+
+
 def _extract_mapping(text: str) -> list[tuple] | None:
-    """The (key, value) pairs of the first balanced top-level ``{...}`` in ``text`` that parses, in order.
+    """The (key, value) pairs, in order, of the first balanced top-level ``{...}`` in ``text`` that
+    parses and has a key naming an agent (see ``_agent_id``), else of the first that parses.
 
     Braces inside a quoted string, single or double, do not count; a backslash
     escapes the character after it there.  Quotes open strings only inside a
@@ -98,6 +106,7 @@ def _extract_mapping(text: str) -> list[tuple] | None:
     closes ends the search.
     """
     cleaned = _FENCE_RE.sub("", text)
+    first = None
     start = cleaned.find("{")
     while start >= 0:
         depth, quote, escaped = 0, "", False
@@ -116,16 +125,21 @@ def _extract_mapping(text: str) -> list[tuple] | None:
                 if depth == 0:
                     break
         else:
-            return None
+            break
         fragment = cleaned[start : end + 1]
         for parse in (_json_pairs, _literal_pairs):
             try:
-                return parse(fragment)
+                pairs = parse(fragment)
             # TypeError: an unhashable key; the parsers report nesting too deep as RecursionError or MemoryError
             except (ValueError, SyntaxError, TypeError, RecursionError, MemoryError):
                 continue
+            if any(_agent_id(key) is not None for key, _ in pairs):
+                return pairs
+            if first is None:
+                first = pairs
+            break
         start = cleaned.find("{", end + 1)
-    return None
+    return first
 
 
 def parse_instructions(text: str, n_agents: int, graph: RoadGraph) -> ParsedRoutes:
@@ -145,9 +159,8 @@ def parse_instructions(text: str, n_agents: int, graph: RoadGraph) -> ParsedRout
         return result
     seen = set()
     for key, value in mapping:
-        if type(key) is int or (isinstance(key, str) and key.strip().isdecimal()):  # no bools
-            agent_id = int(key)
-        else:
+        agent_id = _agent_id(key)
+        if agent_id is None:
             result.errors.append(f"unparsable agent id {key!r}")
             continue
         if agent_id in seen:
@@ -187,9 +200,7 @@ def _route_slots(graph: RoadGraph, spec: AgentSpec, waypoints: Sequence[int]) ->
         return None
     slots = []
     for u, v in zip(waypoints, waypoints[1:]):
-        if u not in graph.nodes:
-            return None
-        slot = next((i for i, e in enumerate(graph.out_edges(u)) if e.dst == v), None)
+        slot = graph.slot(u, v)
         if slot is None:
             return None
         slots.append(slot)

@@ -33,11 +33,13 @@ from .graph import INF, RoadGraph
 
 UNREACHABLE_SCORE = -10.0
 PAD_ID = -1.0
-# the episode length and reward terms of the module docstring, unless a caller sets them
+# the episode length and reward terms of the module docstring, unless a caller sets them; with
+# CONGESTION on, move_rewards scales a move's time penalty by the moves over its edge that step
 STEP_LIMIT = 200
 TIME_PENALTY = 0.1
 SHAPING_COEF = 1.0
 ARRIVAL_BONUS = 10.0
+CONGESTION = False
 
 
 class EnvError(ValueError):
@@ -103,7 +105,7 @@ class RouteEnv:
         time_penalty: float = TIME_PENALTY,
         shaping_coef: float = SHAPING_COEF,
         arrival_bonus: float = ARRIVAL_BONUS,
-        congestion: bool = False,
+        congestion: bool = CONGESTION,
     ):
         self.graph = graph
         self.specs = tuple(specs)

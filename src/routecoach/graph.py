@@ -82,11 +82,28 @@ class RoadGraph:
     def out_edges(self, junction: int) -> tuple[Edge, ...]:
         return self._adjacency[junction]
 
+    def slot(self, src: int, dst: int) -> int | None:
+        """The index of edge ``src -> dst`` in ``out_edges(src)``; None when there is no such edge."""
+        try:
+            return self._slots[src][dst]
+        except (KeyError, TypeError):  # no such edge, or an id no junction has: unknown, or unhashable
+            return None
+
     def edge_between(self, src: int, dst: int) -> Edge | None:
-        for e in self._adjacency.get(src, ()):
-            if e.dst == dst:
-                return e
-        return None
+        i = self.slot(src, dst)
+        return None if i is None else self._adjacency[src][i]
+
+    @cached_property
+    def _slots(self) -> dict[int, dict[int, int]]:
+        """Each junction's {end junction: slot}, the inverse of its out-edge order; built on first use."""
+        return {j: {e.dst: i for i, e in enumerate(out)} for j, out in self._adjacency.items()}
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """The read-only ``(node_count, 2)`` junction coordinates, row ``j`` junction ``j``'s; built on first use."""
+        xy = np.array([self.nodes[j] for j in range(self.node_count)], dtype=float).reshape(-1, 2)
+        xy.flags.writeable = False
+        return xy
 
     @cached_property
     def out_arrays(self) -> tuple[np.ndarray, np.ndarray]:

@@ -23,12 +23,12 @@ def bootstrapped_returns(rewards: np.ndarray, gamma: float, tail_value: float) -
         raise ValueError("rewards must be a non-empty 1-d array")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    returns = np.empty_like(rewards)
+    returns = []
     acc = float(tail_value)
-    for t in range(rewards.size - 1, -1, -1):
-        acc = rewards[t] + gamma * acc
-        returns[t] = acc
-    return returns
+    for r in reversed(rewards.tolist()):
+        acc = r + gamma * acc
+        returns.append(acc)
+    return np.array(returns[::-1])
 
 
 def advantages(returns: np.ndarray, values: np.ndarray) -> np.ndarray:

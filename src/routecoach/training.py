@@ -37,7 +37,7 @@ import numpy as np
 from . import demos as dg
 from . import losses as L
 from . import nets
-from .env import ARRIVAL_BONUS, SHAPING_COEF, STEP_LIMIT, TIME_PENALTY, AgentSpec, RouteEnv
+from .env import ARRIVAL_BONUS, CONGESTION, SHAPING_COEF, STEP_LIMIT, TIME_PENALTY, AgentSpec, RouteEnv
 from .graph import INF, RoadGraph
 from .llm import ChatCompleter, EndpointConfig, HttpChatCompleter, LlmError, MockChatCompleter
 from .prompts import PromptState, build_prompt, refine_prompt
@@ -117,7 +117,7 @@ class TrainConfig:
     time_penalty: float = TIME_PENALTY
     shaping_coef: float = SHAPING_COEF
     arrival_bonus: float = ARRIVAL_BONUS
-    congestion: bool = False
+    congestion: bool = CONGESTION
     checkpoint_every: int = 0
     eval_episodes: int = 20
     mock_dir: str | None = None

@@ -131,13 +131,12 @@ def run_episode(
 
 
 def traj_to_feature_seq(traj: Trajectory, graph: RoadGraph) -> np.ndarray:
-    """Map the visited junctions to their planar coordinates, shape (L, 2)."""
-    coords = []
-    for j in traj.junction_path.tolist():
-        if j not in graph.nodes:
-            raise KeyError(f"junction {j} not in graph")
-        coords.append(graph.nodes[j])
-    return np.array(coords)
+    """Map the visited junctions to their planar coordinates, shape (L, 2): rows of ``graph.coords``."""
+    path = traj.junction_path
+    unknown = (path < 0) | (path >= graph.node_count)
+    if unknown.any():
+        raise KeyError(f"junction {path[unknown][0]} not in graph")
+    return graph.coords[path]
 
 
 def dtw_distance(seq_a: np.ndarray, seq_b: np.ndarray) -> float:
@@ -160,7 +159,9 @@ def dtw_distance(seq_a: np.ndarray, seq_b: np.ndarray) -> float:
         left = prev[0] + row[0]
         acc = [left]
         for c, up, diag in zip(row[1:], prev[1:], prev):
-            left = c + min(up, left, diag)
+            # min(up, left, diag), the first smallest, without a call per cell
+            low = left if left < up else up
+            left = c + (diag if diag < low else low)
             acc.append(left)
         prev = acc
     return prev[-1]

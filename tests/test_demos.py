@@ -63,7 +63,8 @@ class TestParse:
         assert parsed.waypoints == {} and "no parsable" in parsed.errors[0]
 
     @pytest.mark.parametrize("text", ['Format: {agent id: route}. Answer: {"0": [0, 1, 2]}',
-                                      'Here\'s the format: {agent id: route}. It\'s this: {"0": [0, 1, 2]}'])
+                                      'Here\'s the format: {agent id: route}. It\'s this: {"0": [0, 1, 2]}',
+                                      'Format: {"agent id": "route"}. Answer: {"0": [0, 1, 2]}'])
     def test_a_later_brace_group_is_tried(self, line, text):
         parsed = dg.parse_instructions(text, 1, line)
         assert parsed.waypoints == {0: [0, 1, 2]}

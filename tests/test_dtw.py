@@ -110,6 +110,9 @@ def test_feature_seq_unknown_junction():
     g = grid_graph(3)
     with pytest.raises(KeyError, match="99"):
         traj_to_feature_seq(_traj([0, 99]), g)
+    for junction in (9, -1):
+        with pytest.raises(KeyError, match=f"junction {junction} "):
+            traj_to_feature_seq(_traj([0, junction]), g)
 
 
 def test_trajectory_invariants():

@@ -144,6 +144,21 @@ def test_adjacency_ordered_by_destination(grid5, hilly):
             assert dsts == sorted(dsts)
 
 
+def test_slot_inverts_the_out_edge_order(grid5, hilly):
+    for g in (grid5, hilly):
+        for e in g.edges:
+            assert g.out_edges(e.src)[g.slot(e.src, e.dst)].dst == e.dst
+        assert g.slot(0, 0) is None
+        assert g.slot(g.node_count, 0) is None and g.slot(0, g.node_count) is None
+        assert g.slot([0], 1) is None and g.slot(0, [1]) is None
+    assert grid5.slot(0, 24) is None
+    links = {(e.src, e.dst) for e in hilly.edges}
+    one_way = [(u, v) for u, v in links if (v, u) not in links]
+    assert one_way
+    for u, v in one_way:
+        assert hilly.slot(v, u) is None
+
+
 def test_roundtrip_json(grid5):
     again = load_graph(grid5.to_json())
     assert again.nodes == grid5.nodes
