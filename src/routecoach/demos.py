@@ -19,7 +19,6 @@ import numpy as np
 
 from .env import AgentSpec, RouteEnv
 from .graph import RoadGraph
-from .llm import ChatCompleter
 from .trajectory import Trajectory, run_episode
 
 LOGIT_CANDIDATES = 8
@@ -244,23 +243,6 @@ def prepare_executable(
         fallback_agents.add(spec.agent_id)
         routes[spec.agent_id] = _oracle_route(graph, spec) if fallback == "oracle" else ()
     return ExecutableSet(routes, frozenset(fallback_agents))
-
-
-def propose_from_text(
-    completer: ChatCompleter,
-    prompt: str,
-    graph: RoadGraph,
-    specs: Sequence[AgentSpec],
-    fallback: str = "oracle",
-) -> tuple[ExecutableSet, int]:
-    """Ask a language model for routes and make its reply executable.
-
-    Returns the executable set and the completion's token count.
-    ``LlmError`` from the completer propagates.
-    """
-    reply = completer.complete(prompt)
-    parsed = parse_instructions(reply.text, len(specs), graph)
-    return prepare_executable(graph, specs, parsed, fallback=fallback), reply.token_count
 
 
 def validity_rate(valid_flags: Sequence[bool]) -> float:

@@ -24,6 +24,7 @@ ENV_TIMEOUT = "ROUTECOACH_LLM_TIMEOUT"
 
 MAX_ATTEMPTS = 3
 BACKOFF_BASE_SECONDS = 1.0
+TEMPERATURE = 0.2  # the sampling temperature of a request, unless configured
 
 
 class LlmError(RuntimeError):
@@ -36,7 +37,7 @@ class EndpointConfig:
     api_key: str = ""
     model: str = "gpt-3.5-turbo"
     timeout: float = 30.0
-    temperature: float = 0.2
+    temperature: float = TEMPERATURE
 
     @classmethod
     def from_env(cls) -> "EndpointConfig":
@@ -114,7 +115,8 @@ class MockChatCompleter:
 
     Once the scripts run out the last one repeats, so long runs stay
     deterministic without having to count regeneration events up front.
-    A refined prompt extends the last one, so only its new text is counted.
+    A refined prompt extends the last one (its prefix of the last one's length
+    has the same ``hash``), so only its new text is counted.
     """
 
     def __init__(self, directory: str | Path):
@@ -123,17 +125,17 @@ class MockChatCompleter:
         if not self._files:
             raise LlmError(f"mock directory {self.directory} has no .txt scripts")
         self._cursor = 0
-        self._last = "", 0  # the last prompt and its token count
+        self._last = 0, 0, 0  # the last prompt's length, token count and hash
 
     def complete(self, prompt: str) -> CompletionResult:
         path = self._files[min(self._cursor, len(self._files) - 1)]
         self._cursor += 1
         text = path.read_text()
-        last, tokens = self._last
-        if last and prompt.startswith(last):
+        size, tokens, digest = self._last
+        if 0 < size <= len(prompt) and hash(prompt[:size]) == digest:
             # count on from the last prompt's final character, whose chunk is counted unless it is whitespace
-            tokens += count_tokens(prompt[len(last) - 1:]) - (not last[-1].isspace())
+            tokens += count_tokens(prompt[size - 1:]) - (not prompt[size - 1].isspace())
         else:
             tokens = count_tokens(prompt)
-        self._last = prompt, tokens
+        self._last = len(prompt), tokens, hash(prompt)
         return CompletionResult(text=text, token_count=tokens + count_tokens(text))

@@ -155,12 +155,14 @@ def init_adam(params: MlpParams) -> AdamState:
 
 def mlp_forward_tape(params: MlpParams | Sequence[MlpParams], x: np.ndarray,
                      rows: Sequence[slice] | None = None) -> MlpTape:
-    """Forward pass over a batch (N, dim), keeping the activations; with ``rows``, one network per segment."""
+    """Forward pass over a batch (N, dim), keeping the activations; with ``rows``, one network per segment.
+
+    Stacked rows (N, 1, dim) run one matrix-vector product per row."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     layers, rows = ([params], [slice(None)]) if rows is None else (params, rows)
     acts = [x]
     for layer in range(len(HIDDEN) + 1):
-        z = np.empty((len(x), layers[0].weights[layer].shape[1]))
+        z = np.empty((*x.shape[:-1], layers[0].weights[layer].shape[1]))
         for net, r in zip(layers, rows):
             np.matmul(acts[-1][r], net.weights[layer], out=z[r])
             z[r] += net.biases[layer]
@@ -246,20 +248,14 @@ def policy_table_forward(
 
     ``obs`` is (A, n, in), a table of n observations per network, and
     ``masks`` (n, m) the action mask of each row, shared by the networks.
-    Each row is computed with the operations ``policy_forward`` applies to
-    that row alone (one matrix-vector product per layer and row), so the
-    values are bit for bit the same.  Rows whose mask is all false (dead
-    ends) get -inf and 0 instead of raising.
+    Each row is run as its own 1-row batch, ``(n, 1, in)``, so it gets the
+    operations ``policy_forward`` applies to that row alone and the values are
+    bit for bit the same.  Rows whose mask is all false (dead ends) get -inf
+    and 0 instead of raising.
     """
     logits = np.empty((len(policies), *masks.shape))
     for net, x, out in zip(policies, obs, logits):
-        h = x[:, None, :]
-        for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
-            h = np.matmul(h, w)
-            h += b
-            if layer < len(HIDDEN):
-                np.tanh(h, out=h)
-        out[...] = h[:, 0, :]
+        out[...] = mlp_forward_tape(net, x[:, None, :]).out[:, 0, :]
     live = masks.any(axis=1)
     log_probs, probs = np.full(logits.shape, -np.inf), np.zeros(logits.shape)
     if live.any():

@@ -48,16 +48,22 @@ def count_tokens(text: str) -> int:
     return len(text.split())
 
 
+def _number(x: float) -> str:
+    """``x`` as ``:g`` prints it when that reads back as ``x``, else its shortest exact form."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
+
+
 def _header(state: PromptState) -> str:
     lines = [state.task, "", "Junctions (id: x, y):"]
     for j, (x, y) in sorted(state.graph.nodes.items()):
-        lines.append(f"  {j}: ({x:g}, {y:g})")
+        lines.append(f"  {j}: ({_number(x)}, {_number(y)})")
     lines.append("")
     lines.append("Directed edges (from -> to, length):")
     for j in sorted(state.graph.nodes):
         out = state.graph.out_edges(j)
         if out:
-            targets = ", ".join(f"{e.dst} ({e.length:g})" for e in out)
+            targets = ", ".join(f"{e.dst} ({_number(e.length)})" for e in out)
             lines.append(f"  {j} -> {targets}")
     lines.append("")
     lines.append("Agents (id: start -> destination, departs at step):")

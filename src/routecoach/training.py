@@ -39,7 +39,7 @@ from . import losses as L
 from . import nets
 from .env import ARRIVAL_BONUS, CONGESTION, SHAPING_COEF, STEP_LIMIT, TIME_PENALTY, AgentSpec, RouteEnv
 from .graph import INF, RoadGraph
-from .llm import ChatCompleter, EndpointConfig, HttpChatCompleter, LlmError, MockChatCompleter
+from .llm import TEMPERATURE, ChatCompleter, EndpointConfig, HttpChatCompleter, LlmError, MockChatCompleter
 from .prompts import PromptState, build_prompt, refine_prompt
 from .trajectory import Trajectory, dtw_distance, run_episode, traj_to_feature_seq
 
@@ -121,7 +121,7 @@ class TrainConfig:
     checkpoint_every: int = 0
     eval_episodes: int = 20
     mock_dir: str | None = None
-    llm_temperature: float = 0.2
+    llm_temperature: float = TEMPERATURE
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -546,9 +546,10 @@ class Trainer:
         provider, tokens = self.config.expert_provider, 0
         if provider == "llm":
             try:
-                executable, tokens = dg.propose_from_text(
-                    self.completer, build_prompt(self.prompt_state), self.graph, self.specs,
-                    self.config.invalid_route_fallback)
+                reply = self.completer.complete(build_prompt(self.prompt_state))
+                parsed = dg.parse_instructions(reply.text, len(self.specs), self.graph)
+                executable = dg.prepare_executable(self.graph, self.specs, parsed, self.config.invalid_route_fallback)
+                tokens = reply.token_count
             except LlmError:
                 if self.config.provider_fallback == "none":
                     raise

@@ -13,6 +13,8 @@
   ``dtw_distance``.
 - ``returns_direct_sum`` sums the definition of the bootstrapped return term
   by term.
+- ``read_prompt`` reads the graph and the agents' tasks back from a
+  prompt's text alone.
 - ``max_gradient_error`` compares an analytic gradient with central finite
   differences (``numeric_grad``) at coordinates drawn by ``sample_coords``.
 
@@ -20,6 +22,7 @@ It uses none of the library's episode walk, move scoring, rollout, replay or
 fused update (``test_reference_independence`` checks the names), so a fault
 there shows up as a difference instead of being shared by the oracle.
 """
+import re
 from collections import Counter
 
 import numpy as np
@@ -27,8 +30,8 @@ import numpy as np
 from routecoach import demos as dg
 from routecoach import losses as L
 from routecoach import nets
-from routecoach.env import PAD_ID, UNREACHABLE_SCORE, EnvError, RouteEnv
-from routecoach.graph import INF
+from routecoach.env import PAD_ID, UNREACHABLE_SCORE, AgentSpec, EnvError, RouteEnv
+from routecoach.graph import INF, Edge, RoadGraph
 from routecoach.training import ALPHA_FLOOR, AgentLearner, agent_rng
 from routecoach.trajectory import Trajectory, dtw_distance, traj_to_feature_seq
 
@@ -163,6 +166,24 @@ def episode_record(trajectories) -> list[tuple]:
     """Each agent's id, path, actions, rewards, arrival, termination and log-probs, as Python values."""
     return [(t.agent_id, t.junction_path.tolist(), t.actions.tolist(), t.rewards.tolist(), t.arrived, t.terminated,
              None if t.logps is None else t.logps.tolist()) for t in trajectories]
+
+
+def read_prompt(text: str) -> tuple[RoadGraph, tuple[AgentSpec, ...]]:
+    """The graph (its edges in the order listed) and the agents' tasks that a prompt's header states."""
+    blocks = {block.split("\n")[0]: block.split("\n")[1:] for block in text.split("\n\n")}
+    nodes = {}
+    for line in blocks["Junctions (id: x, y):"]:
+        j, x, y = re.fullmatch(r"  (\d+): \((\S+), (\S+)\)", line).groups()
+        nodes[int(j)] = (float(x), float(y))
+    edges = []
+    for line in blocks["Directed edges (from -> to, length):"]:
+        src, targets = re.fullmatch(r"  (\d+) -> (.+)", line).groups()
+        for target in targets.split(", "):
+            dst, length = re.fullmatch(r"(\d+) \((\S+)\)", target).groups()
+            edges.append(Edge(int(src), int(dst), float(length)))
+    specs = tuple(AgentSpec(*map(int, re.fullmatch(r"  (\d+): (\d+) -> (\d+), departs at (\d+)", line).groups()))
+                  for line in blocks["Agents (id: start -> destination, departs at step):"])
+    return RoadGraph(nodes, edges), specs
 
 
 def edge_score(graph, edge, dest) -> float:

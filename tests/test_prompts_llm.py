@@ -5,8 +5,12 @@ from unittest import mock
 import numpy as np
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routecoach import AgentSpec, grid_graph
+from routecoach import demos as dg
+from routecoach.graph import INF, Edge, RoadGraph
 from routecoach.llm import (
     CompletionResult,
     EndpointConfig,
@@ -17,6 +21,7 @@ from routecoach.llm import (
 )
 from routecoach.prompts import OUTPUT_CONTRACT, PromptState, build_prompt, count_tokens, refine_prompt
 from routecoach.training import TrainConfig, completer_for
+from reference import read_prompt
 
 
 @pytest.fixture()
@@ -69,17 +74,22 @@ class TestPrompts:
         assert tokens == sorted(tokens) and tokens[-1] > tokens[0]
 
 
+def number(x):
+    """The prompt's number rule: ``:g`` when it reads back as ``x``, else ``repr``."""
+    return f"{x:g}" if float(f"{x:g}") == x else repr(float(x))
+
+
 def render_all_lines(state, rounds):
     """The prompt rendered line by line from the ``refine_prompt`` arguments of each round, at every call."""
     lines = [state.task, "", "Junctions (id: x, y):"]
     for j, (x, y) in sorted(state.graph.nodes.items()):
-        lines.append(f"  {j}: ({x:g}, {y:g})")
+        lines.append(f"  {j}: ({number(x)}, {number(y)})")
     lines.append("")
     lines.append("Directed edges (from -> to, length):")
     for j in sorted(state.graph.nodes):
         out = state.graph.out_edges(j)
         if out:
-            targets = ", ".join(f"{e.dst} ({e.length:g})" for e in out)
+            targets = ", ".join(f"{e.dst} ({number(e.length)})" for e in out)
             lines.append(f"  {j} -> {targets}")
     lines.append("")
     lines.append("Agents (id: start -> destination, departs at step):")
@@ -123,6 +133,53 @@ def test_prompt_bytes_match_line_by_line_renderer(state):
     for args in rounds[2:]:
         direct = refine_prompt(direct, *args)
     assert build_prompt(direct).encode() == render_all_lines(direct, rounds[2:]).encode()
+
+
+def assert_prompt_reads_back(graph, specs):
+    """Junctions, edges in listed order and tasks read back from the prompt, and the oracle routes the same."""
+    read_graph, read_specs = read_prompt(build_prompt(PromptState(graph=graph, specs=specs)))
+    assert read_graph.nodes == graph.nodes
+    assert read_graph.edges == tuple(e for j in sorted(graph.nodes) for e in graph.out_edges(j))
+    assert read_specs == specs
+    assert dg.oracle_expert(read_graph, read_specs).routes == dg.oracle_expert(graph, specs).routes
+
+
+NUMBERS = st.one_of(st.floats(-1e7, 1e7), st.integers(-10**7, 10**7).map(float),
+                    st.integers(-10**7, 10**7).map(lambda k: k / 1000))
+LENGTHS = st.one_of(st.floats(1e-3, 1e7), st.integers(1, 10**7).map(float), st.integers(1, 10**7).map(lambda k: k / 1000))
+
+
+@st.composite
+def prompt_tasks(draw):
+    """A graph of 2-6 junctions with random coordinates and lengths, and tasks between connected junctions."""
+    n = draw(st.integers(2, 6))
+    nodes = {j: (draw(NUMBERS), draw(NUMBERS)) for j in range(n)}
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+                          unique=True, max_size=n * (n - 1)))
+    graph = RoadGraph(nodes, [Edge(a, b, draw(LENGTHS)) for a, b in pairs])
+    tasks = [(a, b) for a in graph.nodes for b in graph.nodes if a != b and graph.distances_to(b)[a] < INF]
+    specs = tuple(AgentSpec(i, *draw(st.sampled_from(tasks)), depart_time=draw(st.integers(0, 9)))
+                  for i in range(draw(st.integers(0, 4) if tasks else st.just(0))))
+    return graph, specs
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(task=prompt_tasks())
+def test_prompt_reads_back_exactly(task):
+    assert_prompt_reads_back(*task)
+
+
+SQUARE = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.0, 1.0), 3: (1.0, 1.0)}
+
+
+@pytest.mark.parametrize("lengths", [
+    pytest.param((1234567.0, 1234567.0, 1234567.0, 1234568.0), id="lengths-that-print-alike"),
+    pytest.param((1234568.0, 1234567.0, 1234567.0, 1234567.0), id="printed-tie-flips-the-route"),
+])
+def test_close_lengths_read_back(lengths):
+    """Lengths of 0->1, 1->3, 0->2 and 2->3 that ``:g`` prints as one number, ``1.23457e+06``."""
+    graph = RoadGraph(SQUARE, [Edge(a, b, x) for (a, b), x in zip(((0, 1), (1, 3), (0, 2), (2, 3)), lengths)])
+    assert_prompt_reads_back(graph, (AgentSpec(0, 0, 3),))
 
 
 def test_sixty_rounds_hold_about_one_prompt_text():
@@ -290,6 +347,19 @@ class TestMockCompleter:
         for prompt in prompts:
             expected = count_tokens(prompt) + count_tokens("{'0': [0, 1]}")
             assert completer.complete(prompt).token_count == expected, repr(prompt)
+
+    def test_keeps_no_copy_of_the_prompt(self, tmp_path):
+        (tmp_path / "000.txt").write_text("ok")
+        completer = MockChatCompleter(tmp_path)
+        prompt = "route " * 100_000
+        tracemalloc.start()
+        try:
+            completer.complete(prompt)
+            assert completer.complete(prompt + "more").token_count == count_tokens(prompt + "more ok")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 10_000, f"{held} bytes held after a {len(prompt)}-char prompt"
 
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(LlmError, match="no .txt"):

@@ -224,3 +224,24 @@ def test_fused_update_equals_reference(agents, mode, data, seed):
         if len(tau_a[i]) > 0:
             primitive_update(alone[i], tau_a[i], tau_e[i], config)
         assert learner_bytes(together[i]) == learner_bytes(alone[i]), f"agent {i}"
+
+
+@PROPERTY
+@given(grid=st.integers(3, 5), agents=st.integers(2, 5), data=st.data(), seed=st.integers(0, 2**16),
+       mode=st.sampled_from(["dynamic", "ippo", "fixed-alpha:0.3", "fixed-alpha:1"]))
+def test_training_is_decentralized(grid, agents, data, seed, mode):
+    """Training the first m of n agents gives them what training all n gives them, every epoch and at the end.
+
+    Congestion is off, and the provider is the oracle (none under ``ippo``): the
+    logit provider draws every agent's route from one shared generator.
+    """
+    few = data.draw(st.integers(1, agents - 1), label="few")
+    config = dict(epochs=4, steps_per_episode=30, demo_interval=2, update_epochs=2, seed=seed, mode=mode,
+                  expert_provider="none" if mode == "ippo" else "oracle", congestion=False)
+    runs = [Trainer(TrainConfig(n_agents=n, **config), grid_graph(grid)) for n in (few, agents)]
+    for _ in range(config["epochs"]):
+        small, large = (run.run_epoch() for run in runs)
+        for field in ("reward_a", "alpha", "dtw"):
+            assert repr(getattr(small, field)) == repr(getattr(large, field)[:few]), field
+    for i in range(few):
+        assert learner_bytes(runs[0].learners[i]) == learner_bytes(runs[1].learners[i]), f"agent {i}"
