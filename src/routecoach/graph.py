@@ -200,27 +200,22 @@ class RoadGraph:
         seen = {paths[0][1]}
         while len(paths) < k:
             _, prev_path = paths[-1]
-            for i in range(len(prev_path) - 1):
-                spur_node = prev_path[i]
+            root_cost = 0.0
+            for i, spur_node in enumerate(prev_path[:-1]):
+                if i:  # the root gains the edge into the spur node
+                    root_cost += self.edge_between(prev_path[i - 1], spur_node).length
                 root = prev_path[: i + 1]
-                root_cost = 0.0
-                for u, v in zip(root, root[1:]):
-                    edge = self.edge_between(u, v)
-                    assert edge is not None
-                    root_cost += edge.length
-                banned_edges = set()
-                for cost, path in paths:
-                    if path[: i + 1] == root:
-                        banned_edges.add((path[i], path[i + 1]))
-                banned_nodes = set(root[:-1])
-                spur = self._restricted_shortest(spur_node, b, banned_nodes, banned_edges)
+                banned_edges = {(path[i], path[i + 1]) for _, path in paths if path[: i + 1] == root}
+                # the search starts at the root's cost, so a candidate's cost adds its
+                # edge lengths left to right from 0.0, as a first path's does
+                spur = self._restricted_shortest(spur_node, b, set(root[:-1]), banned_edges, root_cost)
                 if spur is None:
                     continue
-                spur_cost, spur_path = spur
+                cost, spur_path = spur
                 total = root[:-1] + spur_path
                 if total not in seen:
                     seen.add(total)
-                    heappush(candidates, (root_cost + spur_cost, total))
+                    heappush(candidates, (cost, total))
             if not candidates:
                 break
             paths.append(heappop(candidates))
@@ -232,8 +227,10 @@ class RoadGraph:
         b: int,
         banned_nodes: set[int],
         banned_edges: set[tuple[int, int]],
+        start: float = 0.0,
     ) -> tuple[float, tuple[int, ...]] | None:
-        frontier: list[tuple[float, tuple[int, ...]]] = [(0.0, (a,))]
+        """Cheapest path ``a -> b`` avoiding the banned junctions and edges, its cost counted from ``start``."""
+        frontier: list[tuple[float, tuple[int, ...]]] = [(start, (a,))]
         settled: set[int] = set()
         while frontier:
             dist, path = heappop(frontier)

@@ -28,7 +28,7 @@ class MlpParams:
     """Per-layer weights and biases, stored as views into one flat vector.
 
     ``data`` holds every weight matrix and then every bias vector, in layer
-    order and row-major, which is also the layout ``flat()`` returns.
+    order and row-major.
     ``weights`` and ``biases`` are tuples of views into ``data``, so writing
     into a layer writes the vector and an optimizer can update every layer
     with one operation on ``data``.  Also used as the gradient container.
@@ -79,18 +79,11 @@ class MlpParams:
     def out_dim(self) -> int:
         return self.weights[-1].shape[1]
 
-    def copy(self) -> "MlpParams":
-        return self.like(self.data.copy())
-
-    def flat(self) -> np.ndarray:
-        """A copy of ``data``: a snapshot that later updates do not touch."""
-        return self.data.copy()
-
 
 @dataclass
 class AdamState:
-    m: MlpParams
-    v: MlpParams
+    m: np.ndarray  # first and second moments, each laid out as the parameters' ``data``
+    v: np.ndarray
     t: int = 0
 
 
@@ -136,8 +129,7 @@ def init_mlp(rng: np.random.Generator, in_dim: int, out_dim: int) -> MlpParams:
 
 
 def init_adam(params: MlpParams) -> AdamState:
-    return AdamState(m=params.like(np.zeros_like(params.data)),
-                     v=params.like(np.zeros_like(params.data)), t=0)
+    return AdamState(m=np.zeros_like(params.data), v=np.zeros_like(params.data))
 
 
 # -- forward / backward ----------------------------------------------------
@@ -223,13 +215,13 @@ def masked_log_softmax(logits: np.ndarray, masks: np.ndarray) -> tuple[np.ndarra
     masks = np.atleast_2d(np.asarray(masks, dtype=bool))
     if not masks.any(axis=-1).all():
         raise NetError("all-false action mask")
-    neg_inf = np.where(masks, logits, -np.inf)
-    zmax = neg_inf.max(axis=-1, keepdims=True)
-    shifted = np.where(masks, logits - zmax, -np.inf)
-    exp = np.where(masks, np.exp(np.where(masks, shifted, 0.0)), 0.0)
-    total = exp.sum(axis=-1, keepdims=True)
-    probs = exp / total
-    log_probs = np.where(masks, shifted - np.log(total), -np.inf)
+    # masked once: from here on a masked slot's -inf stays -inf and exps to exactly 0
+    log_probs = np.where(masks, logits, -np.inf)
+    log_probs -= log_probs.max(axis=-1, keepdims=True)
+    probs = np.exp(log_probs)
+    total = probs.sum(axis=-1, keepdims=True)
+    probs /= total
+    log_probs -= np.log(total)
     plogp = np.where(probs > 0, probs * np.where(masks, log_probs, 0.0), 0.0)
     entropy = -plogp.sum(axis=-1)
     return log_probs, probs, entropy
@@ -348,7 +340,7 @@ def adam_step(
     if not np.isfinite(g).all():
         raise NetError("non-finite gradient")
     t = state.t + 1
-    p, m, v = params.data, state.m.data, state.v.data
+    p, m, v = params.data, state.m, state.v
     step = np.multiply(g, 1 - ADAM_BETA1)
     np.multiply(m, ADAM_BETA1, out=m)
     np.add(m, step, out=m)

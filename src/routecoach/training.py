@@ -51,6 +51,9 @@ METRICS_COLUMNS = (
 )
 
 PROVIDERS = ("llm", "oracle", "logit", "none")
+# each agent holds three networks (54,534 doubles on a grid: 10 inputs, 4 actions) and their
+# two Adam moments, 1.31 MB, so this many agents hold 5.4 GB before any rollout
+MAX_AGENTS = 4096
 # the values each annotation of a TrainConfig field admits; a bool is an int,
 # so it is admitted only where the annotation names bool
 FIELD_TYPES = {
@@ -132,6 +135,8 @@ class TrainConfig:
         for name in ("n_agents", "epochs", "steps_per_episode", "update_epochs", "demo_interval", "eval_episodes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.n_agents > MAX_AGENTS:
+            raise ValueError(f"n_agents must be <= {MAX_AGENTS}, got {self.n_agents}")
         for name in ("checkpoint_every", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -694,13 +699,18 @@ def _evaluate_table(env: RouteEnv, table: tuple[np.ndarray, np.ndarray], episode
 NETWORKS = ("policy", "value_a", "value_e")  # an AgentLearner's networks, one .npz each
 
 
+def network_file(directory: Path, agent: int, name: str) -> Path:
+    """The checkpoint file of agent ``agent``'s network ``name``."""
+    return directory / f"agent{agent:03d}_{name}.npz"
+
+
 def save_checkpoint(directory: str | Path, learners: Sequence[AgentLearner],
                     config: TrainConfig, epoch: int) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for i, learner in enumerate(learners):
         for name in NETWORKS:
-            nets.save_params(directory / f"agent{i:03d}_{name}.npz", getattr(learner, name))
+            nets.save_params(network_file(directory, i, name), getattr(learner, name))
     manifest = {
         "version": nets.CHECKPOINT_VERSION,
         "epoch": epoch,
@@ -736,7 +746,7 @@ def load_checkpoint(directory: str | Path, config_hash: str,
         raise TrainingError(f"checkpoint holds {manifest['n_agents']!r} agents "
                             f"but the run manifest lists {n_agents}")
     try:
-        return [{name: nets.load_params(directory / f"agent{i:03d}_{name}.npz") for name in NETWORKS}
+        return [{name: nets.load_params(network_file(directory, i, name)) for name in NETWORKS}
                 for i in range(n_agents)], manifest
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise TrainingError(f"cannot read the checkpoint under {directory}: {type(exc).__name__}: {exc}") from exc

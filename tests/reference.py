@@ -11,6 +11,8 @@
   slot from it; the environment's tables are checked against them.
 - ``dtw_bruteforce`` enumerates every warping path, the oracle for
   ``dtw_distance``.
+- ``masked_log_softmax_reference`` masks the logits before and after every
+  step, the oracle for ``nets.masked_log_softmax``, which masks them once.
 - ``returns_direct_sum`` sums the definition of the bootstrapped return term
   by term.
 - ``read_prompt`` reads the graph and the agents' tasks back from a
@@ -158,8 +160,8 @@ def primitive_build(cfg, graph, specs) -> list[AgentLearner]:
 def learner_bytes(ln: AgentLearner) -> bytes:
     """Every network's and Adam moment's bytes, and the Adam step counts."""
     adams = (ln.adam_policy, ln.adam_value_a, ln.adam_value_e)
-    arrays = [ln.policy, ln.value_a, ln.value_e] + [x for a in adams for x in (a.m, a.v)]
-    return b"".join(x.data.tobytes() for x in arrays) + repr([a.t for a in adams]).encode()
+    arrays = [ln.policy.data, ln.value_a.data, ln.value_e.data] + [x for a in adams for x in (a.m, a.v)]
+    return b"".join(x.tobytes() for x in arrays) + repr([a.t for a in adams]).encode()
 
 
 def episode_record(trajectories) -> list[tuple]:
@@ -245,6 +247,20 @@ def dtw_bruteforce(a, b):
         return c + best
 
     return rec(0, 0)
+
+
+def masked_log_softmax_reference(logits, masks):
+    """(log_probs, probs, entropy) with every step masked again, so no masked value can leak into a later one."""
+    logits = np.atleast_2d(np.asarray(logits, dtype=float))
+    masks = np.atleast_2d(np.asarray(masks, dtype=bool))
+    zmax = np.where(masks, logits, -np.inf).max(axis=-1, keepdims=True)
+    shifted = np.where(masks, logits - zmax, -np.inf)
+    exp = np.where(masks, np.exp(np.where(masks, shifted, 0.0)), 0.0)
+    total = exp.sum(axis=-1, keepdims=True)
+    probs = exp / total
+    log_probs = np.where(masks, shifted - np.log(total), -np.inf)
+    plogp = np.where(probs > 0, probs * np.where(masks, log_probs, 0.0), 0.0)
+    return log_probs, probs, -plogp.sum(axis=-1)
 
 
 def returns_direct_sum(rewards, gamma, tail_value):

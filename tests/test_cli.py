@@ -9,7 +9,7 @@ import pytest
 from routecoach import AgentSpec, cli, grid_graph, write_graph
 from routecoach.cli import demo_quality_report, main, moving_average
 from routecoach.llm import LlmError
-from routecoach.training import TrainConfig, Trainer, config_hash
+from routecoach.training import MAX_AGENTS, TrainConfig, Trainer, config_hash
 
 
 @pytest.fixture()
@@ -129,6 +129,7 @@ class TestTrain:
         ["--set", "mode=5"], ["--set", "gamma=true"], ["--set", "learning_rate=true"],
         ["--set", "logit_temperature=Infinity"], ["--provider", "llm", "--set", "mock_dir=5"],
         ["--set", "learning_rate=1" + "0" * 400],
+        pytest.param(["--set", f"n_agents={MAX_AGENTS + 1}"], id="n_agents_above_bound"),
     ])
     def test_out_of_range_value_exits_2_without_run_dir(self, tmp_path, base_config, capsys, flags):
         out = tmp_path / "run"

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routecoach.graph import INF, Edge, GraphError, RoadGraph, load_graph
 from routecoach.fixtures import grid_graph, hilly_graph, write_graph
@@ -266,6 +268,40 @@ def test_k_shortest_paths_exhaustive(hilly):
     assert [(c, p) for c, p in got] == enumerated[:5]
 
 
+def assert_yen_costs_exact(graph, k):
+    """Every pair's ``k`` paths cost their edge lengths added left to right from 0.0, bit for bit,
+    and those are the ``k`` cheapest costs of a full enumeration."""
+    for a, b in itertools.permutations(graph.nodes, 2):
+        got = graph.k_shortest_paths(a, b, k)
+        summed = []
+        for _, path in got:
+            cost = 0.0
+            for u, v in zip(path, path[1:]):
+                cost += graph.edge_between(u, v).length
+            summed.append(cost)
+        assert [c for c, _ in got] == summed
+        assert summed == sorted(c for c, _ in brute_force_paths(graph, a, b))[:k]
+
+
+def test_k_shortest_costs_exact_on_hilly(hilly):
+    assert_yen_costs_exact(hilly, 8)
+
+
+@st.composite
+def one_way_graphs(draw):
+    """Up to 6 junctions, each ordered pair an edge or not (so many are one-way), with non-integer lengths."""
+    n = draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and draw(st.booleans())]
+    lengths = st.floats(0.1, 10.0).filter(lambda x: not x.is_integer())
+    return RoadGraph({j: (float(j), 0.0) for j in range(n)}, [Edge(u, v, draw(lengths)) for u, v in pairs])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(one_way_graphs(), st.integers(1, 6))
+def test_k_shortest_costs_exact(graph, k):
+    assert_yen_costs_exact(graph, k)
+
+
 def test_k_shortest_unreachable():
     g = RoadGraph({0: (0, 0), 1: (1, 0)}, [Edge(0, 1, 1.0)])
     assert g.k_shortest_paths(1, 0, 4) == []
@@ -276,9 +312,9 @@ def test_route_queries_searched_once_and_not_shared(monkeypatch):
     searches = []
     search = RoadGraph._restricted_shortest
 
-    def counting(self, a, b, banned_nodes, banned_edges):
+    def counting(self, a, b, *rest):
         searches.append((a, b))
-        return search(self, a, b, banned_nodes, banned_edges)
+        return search(self, a, b, *rest)
 
     monkeypatch.setattr(RoadGraph, "_restricted_shortest", counting)
     cost, path = g.shortest_path(0, 15)

@@ -144,7 +144,7 @@ class TestAlphaWeight:
         # distance 189.91 at 1% progress weighs the agent loss at ~0.1497
         assert L.alpha_weight(1, 100, 189.91) == pytest.approx(0.1497, abs=1e-4)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.integers(1, 500), st.integers(1, 500), st.floats(0.0, 600.0))
     def test_always_in_unit_interval(self, k, K, d):
         if k > K:

@@ -2,11 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from routecoach import AgentSpec, generate_agent_specs, grid_graph, nets, policy_table
 from routecoach.env import RouteEnv
 from routecoach.training import TrainConfig, Trainer, update_agent
-from reference import max_gradient_error
+from reference import masked_log_softmax_reference, max_gradient_error
 from test_pinned_outputs import _hand_trajectory
 
 
@@ -58,6 +61,29 @@ def test_all_false_mask_rejected(rng):
     params = nets.init_mlp(rng, 4, 2)
     with pytest.raises(nets.NetError, match="mask"):
         nets.policy_forward(params, np.zeros(4), np.array([False, False]))
+
+
+@st.composite
+def softmax_inputs(draw):
+    """Logits up to +-1e3 (so some probabilities underflow to 0), plain or the table's ``(A, n, m)``,
+    and ``(n, m)`` masks with a valid slot in every row."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    agents = draw(st.sampled_from([(), (1,), (3,)]))
+    logits = draw(arrays(float, (*agents, n, m), elements=st.floats(-1e3, 1e3)))
+    masks = draw(arrays(bool, (n, m)))
+    masks[np.arange(n), draw(arrays(np.int64, n, elements=st.integers(0, m - 1)))] = True
+    return logits, masks
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(softmax_inputs())
+@example((np.array([[[1e3, -1e3, 5.0]], [[0.0, 2.0, -1e3]]]), np.array([[True, True, False]])))
+def test_masked_log_softmax_matches_reference_bytes(inputs):
+    """Masking once gives the bytes of masking at every step: log-probs, probs and entropy."""
+    got = nets.masked_log_softmax(*inputs)
+    want = masked_log_softmax_reference(*inputs)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_value_zero_at_init_and_deterministic(rng):
@@ -133,9 +159,9 @@ def reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e
     """Per-layer Adam that builds new arrays: the reference for ``adam_step``."""
     t = state.t + 1
     new = {}
+    m_layers, v_layers = params.like(state.m), params.like(state.v)  # the moments' per-layer views
     for kind in ("weights", "biases"):
-        layers = zip(getattr(params, kind), getattr(grads, kind),
-                     getattr(state.m, kind), getattr(state.v, kind))
+        layers = zip(getattr(params, kind), getattr(grads, kind), getattr(m_layers, kind), getattr(v_layers, kind))
         new[kind] = []
         for p, g, m, v in layers:
             m2 = beta1 * m + (1 - beta1) * g
@@ -144,43 +170,41 @@ def reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e
             v_hat = v2 / (1 - beta2 ** t)
             new[kind].append((p - lr * m_hat / (np.sqrt(v_hat) + eps), m2, v2))
     unzip = lambda i: nets.MlpParams([e[i] for e in new["weights"]], [e[i] for e in new["biases"]])
-    return unzip(0), nets.AdamState(m=unzip(1), v=unzip(2), t=t)
+    return unzip(0), nets.AdamState(m=unzip(1).data, v=unzip(2).data, t=t)
 
 
 def test_adam_matches_per_layer_reference(rng):
     params = random_params(rng, 9, 4)
     state = nets.init_adam(params)
-    ref_params, ref_state = params.copy(), nets.init_adam(params)
+    ref_params, ref_state = params.like(params.data.copy()), nets.init_adam(params)
     for _ in range(50):
         grads = params.like(rng.normal(size=params.data.shape) * rng.choice([1e-3, 1.0, 50.0]))
         updated, new_state = nets.adam_step(params, grads, state, lr=3e-3)
         assert updated is params and new_state is state
         ref_params, ref_state = reference_adam_step(ref_params, grads, ref_state, lr=3e-3)
         np.testing.assert_array_equal(params.data, ref_params.data)
-        np.testing.assert_array_equal(state.m.data, ref_state.m.data)
-        np.testing.assert_array_equal(state.v.data, ref_state.v.data)
+        np.testing.assert_array_equal(state.m, ref_state.m)
+        np.testing.assert_array_equal(state.v, ref_state.v)
         assert state.t == ref_state.t
 
 
 def test_adam_zero_grads_keep_params(rng):
     params = random_params(rng)
-    before = params.flat()
+    before = params.data.copy()
     state = nets.init_adam(params)
     zeros = nets.MlpParams([np.zeros_like(w) for w in params.weights],
                            [np.zeros_like(b) for b in params.biases])
     updated, state = nets.adam_step(params, zeros, state, lr=0.1)
-    np.testing.assert_array_equal(updated.flat(), before)
+    np.testing.assert_array_equal(updated.data, before)
 
 
-def test_layers_are_views_and_flat_is_a_copy(rng):
+def test_layers_are_views_into_data(rng):
     params = random_params(rng)
     for layer in params.weights + params.biases:
         assert np.shares_memory(layer, params.data)
-    snapshot = params.flat()
-    assert not np.shares_memory(snapshot, params.data)
+    first = params.data[0]
     params.weights[0][0, 0] += 1.0
-    assert params.data[0] == snapshot[0] + 1.0
-    assert not np.shares_memory(params.copy().data, params.data)
+    assert params.data[0] == first + 1.0
 
 
 def test_adam_first_step_magnitude():

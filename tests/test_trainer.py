@@ -13,6 +13,7 @@ from routecoach.llm import LlmError, MockChatCompleter
 from routecoach.prompts import build_prompt
 from routecoach.trajectory import Trajectory
 from routecoach.training import (
+    MAX_AGENTS,
     METRICS_COLUMNS,
     TrainConfig,
     Trainer,
@@ -115,6 +116,8 @@ class TestConfig:
         ("seed", np.int64(3), "seed must be an integer"),
         ("congestion", "no", "congestion must be true or false, got 'no'"),
         ("congestion", 1, "congestion must be true or false"),
+        pytest.param("n_agents", MAX_AGENTS + 1, f"n_agents must be <= {MAX_AGENTS}, got {MAX_AGENTS + 1}",
+                     id="n_agents_above_bound"),
     ])
     def test_values_that_crash_or_poison_a_run_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -284,11 +287,10 @@ class TestUpdateAgent:
     def test_ippo_mode_ignores_expert(self):
         trainer, cfg, tau_a, tau_e = self._learner_and_trajs(mode="ippo")
         learner = trainer.learners[0]
-        before = learner.value_e.copy()
+        before = learner.value_e.data.copy()
         stats, = update_agent([learner], [tau_a], [tau_e], 1, cfg)
         # expert value net untouched, expert loss not reported
-        for w0, w1 in zip(before.weights, learner.value_e.weights):
-            np.testing.assert_array_equal(w0, w1)
+        np.testing.assert_array_equal(learner.value_e.data, before)
         assert np.isnan(stats["loss_value_e"])
 
     def test_dtw_zero_weights_out_expert(self):
@@ -299,12 +301,12 @@ class TestUpdateAgent:
         trainer, cfg, tau_a, tau_e = self._learner_and_trajs()
         learner = trainer.learners[0]
         learner.alpha = 0.5
-        before = learner.policy.flat()
+        before = learner.policy.data.copy()
         stats, = update_agent([learner], [tau_a], [tau_e], 1, cfg)
         assert np.isfinite(stats["loss_policy"])
         assert np.isfinite(stats["loss_value_a"])
         assert np.isfinite(stats["loss_value_e"])
-        assert not np.array_equal(before, learner.policy.flat())
+        assert not np.array_equal(before, learner.policy.data)
 
 
     @pytest.mark.parametrize("batch", ["own", "expert"])
@@ -320,7 +322,7 @@ class TestUpdateAgent:
         else:
             tau_e = huge
         head = learner.value_a if batch == "own" else learner.value_e
-        before = head.flat()
+        before = head.data.copy()
         with np.errstate(over="ignore"), \
                 pytest.raises(TrainingError, match=f"non-finite {batch} value loss at epoch 1"):
             update_agent([learner], [tau_a], [tau_e], 1, cfg)
@@ -351,8 +353,8 @@ class TestUpdateTogether:
             learner.alpha = alpha
         stats = update_agent([learners[i] for i in agents], [tau_a[i] for i in agents],
                              [tau_e[i] for i in agents], 1, cfg)
-        state = [b"".join(a.data.tobytes() for a in (
-                     ln.policy, ln.value_a, ln.value_e, ln.adam_policy.m, ln.adam_policy.v,
+        state = [b"".join(a.tobytes() for a in (
+                     ln.policy.data, ln.value_a.data, ln.value_e.data, ln.adam_policy.m, ln.adam_policy.v,
                      ln.adam_value_a.m, ln.adam_value_a.v, ln.adam_value_e.m, ln.adam_value_e.v))
                  for ln in learners]
         return state, dict(zip(agents, map(repr, stats)))
@@ -520,7 +522,7 @@ class TestTrainerLoop:
         assert manifest["config_hash"] == config_hash(cfg)
         assert len(params) == 2
         for agent_params, learner in zip(params, trainer.learners):
-            np.testing.assert_array_equal(agent_params["policy"].flat(), learner.policy.flat())
+            np.testing.assert_array_equal(agent_params["policy"].data, learner.policy.data)
 
     @pytest.mark.parametrize("every, epochs, saved", [(2, 4, [2, 4]), (2, 5, [2, 4, 5]), (0, 3, [3]), (1, 2, [1, 2])])
     def test_each_checkpoint_written_once(self, tmp_path, grid3_setup, monkeypatch, every, epochs, saved):
@@ -541,9 +543,9 @@ class TestTrainerLoop:
 class TestIppoGoldenEquivalence:
     def _assert_trainer_matches_primitives(self, cfg, graph, specs):
         for learner, golden in zip(Trainer(cfg, graph, specs).train().learners, primitive_build(cfg, graph, specs)):
-            np.testing.assert_array_equal(learner.policy.flat(), golden.policy.flat())
-            np.testing.assert_array_equal(learner.value_a.flat(), golden.value_a.flat())
-            np.testing.assert_array_equal(learner.value_e.flat(), golden.value_e.flat())
+            np.testing.assert_array_equal(learner.policy.data, golden.policy.data)
+            np.testing.assert_array_equal(learner.value_a.data, golden.value_a.data)
+            np.testing.assert_array_equal(learner.value_e.data, golden.value_e.data)
 
     def test_matches_expert_free_build(self, grid3_setup):
         """IPPO through the full trainer equals a loop with no expert code."""
@@ -579,7 +581,7 @@ class TestPolicyTableCache:
     @staticmethod
     def _fresh(trainer):
         """Module ``evaluate`` and the next rollout, from copies of the learners' policies and rngs."""
-        policies = [ln.policy.copy() for ln in trainer.learners]
+        policies = [ln.policy.like(ln.policy.data.copy()) for ln in trainer.learners]
         rngs = [copy.deepcopy(ln.rng) for ln in trainer.learners]
         return (evaluate(policies, trainer.env, 1),
                 rollout(trainer.env, policy_table(trainer.env, policies), rngs))
