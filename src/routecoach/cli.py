@@ -227,12 +227,12 @@ def cmd_evaluate(args) -> int:
     graph, graph_path, graph_sha256 = _load_graph_file(manifest["graph_file"])
     if graph_sha256 != manifest["graph_sha256"]:
         raise ConfigError(f"graph file {graph_path} changed since training (sha256 differs from the manifest)")
-    specs = _specs_from_doc(manifest, graph, config)
+    env = env_from_config(graph, _specs_from_doc(manifest, graph, config), config)
     try:
-        params, _ = load_checkpoint(run / "checkpoints", digest, len(specs))
+        params, _ = load_checkpoint(run / "checkpoints", digest, env)
     except TrainingError as exc:
         raise ConfigError(str(exc)) from exc
-    result = evaluate([p["policy"] for p in params], env_from_config(graph, specs, config), episodes)
+    result = evaluate([p["policy"] for p in params], env, episodes)
     _write_csv((Path(args.out) if args.out else run) / "eval.csv", ("episode", "mean_reward"),
                ((ep, repr(float(r))) for ep, r in enumerate(result.episode_rewards)))
     print(f"evaluated {episodes} episodes: mean {result.mean:.3f}")

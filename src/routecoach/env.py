@@ -10,16 +10,19 @@ junction's out-degree are padded with score 0 and id -1 and masked out via
 the boolean action mask.
 
 An observation depends only on the junction and the destination, so on
-first use the environment tabulates, for each agent, the observation at
-every junction (``agent_tables``), read-only and shared by every episode.
+first use the environment tabulates, for each destination, the observation
+at every junction (``agent_tables``), read-only and shared by every episode
+and by the agents that head there.
 Agents interact only through the congestion term of the reward, so an
 episode is walked one agent at a time and scored afterwards
 (``trajectory.run_episode``, ``move_rewards``).
 
 Per-step reward is ``-time_penalty + shaping_coef * (dist(prev, dest) -
-dist(curr, dest)) + arrival_bonus * [arrived]``.  The shaping term is
-potential-based, so it telescopes to ``shaping_coef * dist(start, dest)``
-over any episode that reaches the destination.
+dist(curr, dest)) + arrival_bonus * [arrived]``, where a junction cut off
+from ``dest`` counts as the graph's diameter away, as far as the farthest
+junction that reaches it.  The shaping term is potential-based, so it
+telescopes to ``shaping_coef * dist(start, dest)`` over any episode that
+reaches the destination.
 """
 from __future__ import annotations
 
@@ -74,13 +77,11 @@ class EnvState:
 class _Tables:
     """Lookup tables of one environment, built on first use; ``obs`` and ``masks`` are read-only."""
 
-    obs: np.ndarray       # (n_agents, n_nodes, 2 + 2m): the observation at each junction, per agent
+    obs: np.ndarray       # (n_dests, n_nodes, 2 + 2m): the observation at each junction, per destination
     masks: np.ndarray     # (n_nodes, m): the valid slots of each junction
-    succ: np.ndarray      # (n_nodes, m): each slot's end junction, 0 on padded slots
     successors: list      # [junction][slot] -> end junction, without padded slots, as Python ints
-    degree: np.ndarray    # (n_nodes,) out-degree
     gain: np.ndarray      # (n_dests, n_nodes, m): dist(junction, dest) - dist(slot's end, dest)
-    dest_row: np.ndarray  # (n_agents,) each agent's destination's index in ``gain``
+    dest_row: np.ndarray  # (n_agents,) each agent's destination's index in ``obs`` and ``gain``
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -166,26 +167,19 @@ class RouteEnv:
         obs[:, :, 1] = (dests / denom)[:, None]
         obs[:, :, 2::2] = score
         obs[:, :, 3::2] = np.where(valid, dst / denom, PAD_ID)
-        with np.errstate(invalid="ignore"):  # inf - inf: both ends cut off from the destination
-            gain = dist[:, :, None] - remaining
-        degree = valid.sum(axis=1)
+        potential = np.where(dist == INF, diameter, dist)
         return _Tables(
-            obs=_read_only(obs[dest_row]), masks=_read_only(valid), succ=succ,
-            successors=[row[:d] for row, d in zip(dst.tolist(), degree.tolist())],
-            degree=degree, gain=gain, dest_row=dest_row)
+            obs=_read_only(obs), masks=_read_only(valid),
+            successors=[row[:d] for row, d in zip(dst.tolist(), valid.sum(axis=1).tolist())],
+            gain=potential[:, :, None] - potential[:, succ], dest_row=dest_row)
 
     def agent_tables(self, agent_id: int) -> tuple[np.ndarray, np.ndarray]:
         """(observation table, mask table) of a departed agent, rows by junction.
 
-        Read-only, and shared with every episode of this environment.
+        Read-only, and shared with every episode and with every agent of the same destination.
         """
         tables = self._tables
-        return tables.obs[agent_id], tables.masks
-
-    @property
-    def obs_tables(self) -> np.ndarray:
-        """(n_agents, n_nodes, 2 + 2m), read-only: every agent's observation table, stacked."""
-        return self._tables.obs
+        return tables.obs[tables.dest_row[agent_id]], tables.masks
 
     @property
     def mask_table(self) -> np.ndarray:
@@ -253,17 +247,17 @@ class RouteEnv:
         chosen = np.asarray(actions)[movers]
         if chosen.dtype == object:
             chosen = np.array([-1 if a is None else a for a in chosen], dtype=np.int64)
-        masked = (chosen < 0) | (chosen >= tables.degree[src])
+        masked = (chosen < 0) | (chosen >= tables.masks[src].sum(axis=1))
         if masked.any():
             i = movers[masked.argmax()]
             raise EnvError(f"agent {i}: action {actions[i]} is masked at junction {state.positions[i]}")
-        dst = tables.succ[src, chosen]
+        dst = self.graph.out_arrays[0][src, chosen]
         reward = self.move_rewards(np.full(len(movers), state.step), movers, src, chosen)
         arrive = dst == self._dests[movers]
 
         positions, done, arrived = state.positions.copy(), state.done.copy(), state.arrived.copy()
         positions[movers] = dst
-        done[movers] = arrive | (tables.degree[dst] == 0)  # a dead end: nothing further can happen
+        done[movers] = arrive | ~tables.masks[dst].any(axis=1)  # a dead end: nothing further can happen
         arrived[movers] = arrive
         rewards = np.zeros(self.n_agents)
         rewards[movers] = reward
@@ -285,13 +279,13 @@ class RouteEnv:
         """
         tables = self._tables
         if self.congestion:
-            edge = (steps * len(tables.succ) + src) * self.n_actions + chosen
+            edge = (steps * self.graph.node_count + src) * self.n_actions + chosen
             _, inverse, counts = np.unique(edge, return_inverse=True, return_counts=True)
             reward = -self.time_penalty * counts[inverse]
         else:
             reward = np.full(len(agents), -self.time_penalty)
         reward = reward + self.shaping_coef * tables.gain[tables.dest_row[agents], src, chosen]
-        arrive = tables.succ[src, chosen] == self._dests[agents]
+        arrive = self.graph.out_arrays[0][src, chosen] == self._dests[agents]
         return np.where(arrive, reward + self.arrival_bonus, reward)
 
     def episode_done(self, state: EnvState) -> bool:

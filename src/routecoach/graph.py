@@ -10,6 +10,7 @@ import json
 from functools import cached_property
 from heapq import heappop, heappush
 from math import hypot, isfinite
+from sys import float_info
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -275,7 +276,7 @@ def load_graph(text: str) -> RoadGraph:
     for entry in doc["nodes"]:
         if not (isinstance(entry, dict) and type(entry.get("id")) is int
                 and all(_is_number(entry.get(k)) for k in ("x", "y"))):
-            raise GraphError(f"bad node entry {entry!r}: 'id' must be an integer, 'x' and 'y' numbers")
+            raise GraphError(f"bad node entry {entry!r}: 'id' must be an integer, 'x' and 'y' numbers a float holds")
         if entry["id"] in nodes:
             raise GraphError(f"junction {entry['id']} listed more than once")
         nodes[entry["id"]] = (float(entry["x"]), float(entry["y"]))
@@ -283,11 +284,12 @@ def load_graph(text: str) -> RoadGraph:
     for entry in doc["edges"]:
         if not (isinstance(entry, dict) and all(type(entry.get(k)) is int for k in ("from", "to"))
                 and _is_number(entry.get("length"))):
-            raise GraphError(f"bad edge entry {entry!r}: 'from' and 'to' must be integers, 'length' a number")
+            raise GraphError(f"bad edge entry {entry!r}: 'from' and 'to' must be integers, "
+                             "'length' a number a float holds")
         edges.append(Edge(entry["from"], entry["to"], float(entry["length"])))
     return RoadGraph(nodes, edges)
 
 
 def _is_number(value) -> bool:
-    """A JSON number: an int or a float, and not a bool."""
-    return type(value) in (int, float)
+    """A JSON number that a float holds: a float, or an int (not a bool) no larger than the largest float."""
+    return type(value) is float or (type(value) is int and abs(value) <= float_info.max)

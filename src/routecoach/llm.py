@@ -130,7 +130,10 @@ class MockChatCompleter:
     def complete(self, prompt: str) -> CompletionResult:
         path = self._files[min(self._cursor, len(self._files) - 1)]
         self._cursor += 1
-        text = path.read_text()
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:  # fails as a failing endpoint does, so a run falls back
+            raise LlmError(f"cannot read mock script {path}: {exc}") from exc
         size, tokens, digest = self._last
         if 0 < size <= len(prompt) and hash(prompt[:size]) == digest:
             # count on from the last prompt's final character, whose chunk is counted unless it is whitespace

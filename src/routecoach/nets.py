@@ -57,23 +57,11 @@ class MlpParams:
         half = len(views) // 2
         self.data, self.weights, self.biases = data, tuple(views[:half]), tuple(views[half:])
 
-    @classmethod
-    def zeros(cls, weight_shapes: Sequence[tuple[int, int]]) -> "MlpParams":
-        """Zero parameters for layers with the given weight shapes."""
-        params = cls.__new__(cls)
-        shapes = [*weight_shapes, *((cols,) for _, cols in weight_shapes)]
-        params._bind(np.zeros(sum(math.prod(shape) for shape in shapes)), shapes)
-        return params
-
     def like(self, data: np.ndarray) -> "MlpParams":
         """Parameters with this one's layer shapes, as views into ``data``."""
         other = MlpParams.__new__(MlpParams)
         other._bind(data, [a.shape for a in self.weights + self.biases])
         return other
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights[0].shape[0]
 
     @property
     def out_dim(self) -> int:
@@ -113,10 +101,18 @@ class PolicyTape(NamedTuple):
     entropy: np.ndarray    # (N,)
 
 
+def zeros_mlp(in_dim: int, out_dim: int) -> MlpParams:
+    """Zero parameters of the one architecture, ``in_dim`` -> ``HIDDEN`` -> ``out_dim``."""
+    dims = (in_dim, *HIDDEN, out_dim)
+    shapes = [*zip(dims, dims[1:]), *((cols,) for cols in dims[1:])]  # the weights', then the biases'
+    params = MlpParams.__new__(MlpParams)
+    params._bind(np.zeros(sum(math.prod(shape) for shape in shapes)), shapes)
+    return params
+
+
 def init_mlp(rng: np.random.Generator, in_dim: int, out_dim: int) -> MlpParams:
     """Scaled-uniform hidden layers, zero final layer, zero biases."""
-    dims = (in_dim, *HIDDEN, out_dim)
-    params = MlpParams.zeros(list(zip(dims, dims[1:])))
+    params = zeros_mlp(in_dim, out_dim)
     for w in params.weights[:-1]:
         # rng.uniform(-limit, limit) drawn straight into the vector: numpy
         # computes low + (high - low) * u from the same doubles u, so the
@@ -234,11 +230,11 @@ def policy_forward(params: MlpParams, obs: np.ndarray, mask: np.ndarray) -> Poli
 
 
 def policy_table_forward(
-    policies: Sequence[MlpParams], obs: np.ndarray, masks: np.ndarray
+    policies: Sequence[MlpParams], obs: Sequence[np.ndarray], masks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(log_probs, probs), each (A, n, m): network ``a`` of ``policies`` on every row of ``obs[a]``.
 
-    ``obs`` is (A, n, in), a table of n observations per network, and
+    ``obs`` holds A tables (n, in) of n observations, one per network, and
     ``masks`` (n, m) the action mask of each row, shared by the networks.
     Each row is run as its own 1-row batch, ``(n, 1, in)``, so it gets the
     operations ``policy_forward`` applies to that row alone and the values are
@@ -377,15 +373,20 @@ def save_params(path: str | Path, params: MlpParams) -> None:
     np.savez(path, **arrays)
 
 
-def load_params(path: str | Path) -> MlpParams:
+def load_params(path: str | Path, in_dim: int, out_dim: int) -> MlpParams:
+    """The network ``save_params`` wrote to ``path``, read into the layout of ``zeros_mlp(in_dim, out_dim)``.
+
+    Raises ``NetError`` when the file's version or the shape of a ``w{i}``/``b{i}`` array differs from it.
+    """
+    params = zeros_mlp(in_dim, out_dim)
     with np.load(path) as data:
-        version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
-            raise NetError(f"unsupported checkpoint version {version}")
-        weights, biases = [], []
-        i = 0
-        while f"w{i}" in data:
-            weights.append(data[f"w{i}"].astype(float))
-            biases.append(data[f"b{i}"].astype(float))
-            i += 1
-    return MlpParams(weights, biases)
+        version = data["version"]
+        if version.shape != () or version != CHECKPOINT_VERSION:
+            raise NetError(f"unsupported checkpoint version {version.tolist()}")
+        for i, layer in enumerate(zip(params.weights, params.biases)):
+            for name, view in zip((f"w{i}", f"b{i}"), layer):
+                array = data[name]
+                if array.shape != view.shape:
+                    raise NetError(f"{name} has shape {array.shape}, where the network takes {view.shape}")
+                view[...] = array
+    return params

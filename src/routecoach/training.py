@@ -239,6 +239,14 @@ class AgentLearner:
     last_dtw: float = float("nan")
 
 
+NETWORKS = ("policy", "value_a", "value_e")  # an AgentLearner's networks, one .npz each
+
+
+def network_widths(env: RouteEnv) -> dict[str, int]:
+    """The output width in ``env`` of each network of ``NETWORKS``, by name: a logit per action slot, or one value."""
+    return {name: env.n_actions if name == "policy" else 1 for name in NETWORKS}
+
+
 @dataclass
 class EpochMetrics:
     epoch: int
@@ -350,7 +358,8 @@ def policy_table(env: RouteEnv, policies: Sequence[nets.MlpParams]) -> tuple[np.
     """
     if len(policies) != env.n_agents:
         raise ValueError(f"{len(policies)} policies for an environment of {env.n_agents} agents")
-    return nets.policy_table_forward(policies, env.obs_tables, env.mask_table)
+    obs = [env.agent_tables(i)[0] for i in range(env.n_agents)]
+    return nets.policy_table_forward(policies, obs, env.mask_table)
 
 
 def rollout(
@@ -532,17 +541,10 @@ class Trainer:
 
     def _init_learner(self, agent_id: int) -> AgentLearner:
         rng = agent_rng(self.config.seed, 0, agent_id)
-        obs_dim, n_actions = self.env.obs_dim, self.env.n_actions
-        policy = nets.init_mlp(rng, obs_dim, n_actions)
-        value_a = nets.init_mlp(rng, obs_dim, 1)
-        value_e = nets.init_mlp(rng, obs_dim, 1)
-        return AgentLearner(
-            policy=policy, value_a=value_a, value_e=value_e,
-            adam_policy=nets.init_adam(policy),
-            adam_value_a=nets.init_adam(value_a),
-            adam_value_e=nets.init_adam(value_e),
-            rng=agent_rng(self.config.seed, 1, agent_id),
-        )
+        networks = {name: nets.init_mlp(rng, self.env.obs_dim, width)  # drawn in NETWORKS order
+                    for name, width in network_widths(self.env).items()}
+        return AgentLearner(**networks, **{f"adam_{name}": nets.init_adam(p) for name, p in networks.items()},
+                            rng=agent_rng(self.config.seed, 1, agent_id))
 
     # -- demo generation ---------------------------------------------------
 
@@ -696,9 +698,6 @@ def _evaluate_table(env: RouteEnv, table: tuple[np.ndarray, np.ndarray], episode
 
 # -- checkpoints ------------------------------------------------------------------------
 
-NETWORKS = ("policy", "value_a", "value_e")  # an AgentLearner's networks, one .npz each
-
-
 def network_file(directory: Path, agent: int, name: str) -> Path:
     """The checkpoint file of agent ``agent``'s network ``name``."""
     return directory / f"agent{agent:03d}_{name}.npz"
@@ -722,13 +721,13 @@ def save_checkpoint(directory: str | Path, learners: Sequence[AgentLearner],
 
 
 def load_checkpoint(directory: str | Path, config_hash: str,
-                    n_agents: int) -> tuple[list[dict[str, nets.MlpParams]], dict]:
-    """The networks ``save_checkpoint`` wrote under ``directory``, one dict by name per agent, and its manifest.
+                    env: RouteEnv) -> tuple[list[dict[str, nets.MlpParams]], dict]:
+    """The networks ``save_checkpoint`` wrote under ``directory``, by name, per agent of ``env``; and its manifest.
 
     Raises ``TrainingError`` when there is no checkpoint, when its manifest
     is not a JSON object with a string ``config_hash`` and an integer
-    ``n_agents`` equal to the given ones, or when a network file is missing
-    or unreadable.
+    ``n_agents`` equal to ``config_hash`` and ``env.n_agents``, or when a network
+    file is missing, unreadable, or not of the layout ``env`` and ``network_widths`` give.
     """
     directory = Path(directory)
     path = directory / "checkpoint_manifest.json"
@@ -742,11 +741,16 @@ def load_checkpoint(directory: str | Path, config_hash: str,
         raise TrainingError(f"checkpoint manifest {path}: {exc}") from exc
     if manifest["config_hash"] != config_hash:
         raise TrainingError("checkpoint was produced by a different configuration than the manifest")
-    if manifest["n_agents"] != n_agents:
+    if manifest["n_agents"] != env.n_agents:
         raise TrainingError(f"checkpoint holds {manifest['n_agents']!r} agents "
-                            f"but the run manifest lists {n_agents}")
-    try:
-        return [{name: nets.load_params(network_file(directory, i, name)) for name in NETWORKS}
-                for i in range(n_agents)], manifest
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-        raise TrainingError(f"cannot read the checkpoint under {directory}: {type(exc).__name__}: {exc}") from exc
+                            f"but the run manifest lists {env.n_agents}")
+
+    def read(agent: int, name: str, width: int) -> nets.MlpParams:
+        path = network_file(directory, agent, name)
+        try:
+            return nets.load_params(path, env.obs_dim, width)
+        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+            raise TrainingError(f"cannot read the checkpoint file {path}: {type(exc).__name__}: {exc}") from exc
+
+    return [{name: read(i, name, width) for name, width in network_widths(env).items()}
+            for i in range(env.n_agents)], manifest

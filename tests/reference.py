@@ -43,11 +43,12 @@ def joint_episode(env: RouteEnv, pick, sit_out=()) -> list[Trajectory]:
 
     A move over edge ``j -> next`` toward ``dest`` earns ``-time_penalty * (moves over that edge
     this time step when congestion is on, else 1) + shaping_coef * (d(j) - d(next)) +
-    arrival_bonus * [next == dest]``, with ``d`` the distance to ``dest``.  Agents in
-    ``sit_out`` start done and keep a single-point trajectory.
+    arrival_bonus * [next == dest]``, with ``d`` the distance to ``dest``, or the graph's diameter at a
+    junction cut off from ``dest``.  Agents in ``sit_out`` start done and keep a single-point trajectory.
     """
     graph, specs = env.graph, env.specs
-    dist = [graph.distances_to(spec.dest) for spec in specs]
+    dist = [{j: graph.diameter if d == INF else d for j, d in graph.distances_to(spec.dest).items()}
+            for spec in specs]
     done, arrived = [i in sit_out for i in range(len(specs))], [False] * len(specs)
     paths, actions, rewards = [[spec.start] for spec in specs], [[] for _ in specs], [[] for _ in specs]
     for t in range(env.step_limit):

@@ -196,6 +196,8 @@ class TestTrain:
         two_junctions(1e200),  # the summed length squares past the largest float
         two_junctions(1e308),
         two_junctions(1.3e154, length=1),  # each span squares finitely, their sum (DTW's cost) does not
+        two_junctions(10**400, length=1),  # integers that no float holds
+        two_junctions(1, length=10**400),
     ])
     def test_graph_file_of_other_json_types_exits_2_without_run_dir(self, tmp_path, capsys, graph):
         path = tmp_path / "graph.json"
@@ -204,6 +206,20 @@ class TestTrain:
         assert main(["train", "--graph", str(path), "--out", str(out), "--set", "n_agents=1"]) == 2
         assert f"error: graph file {path}: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_graph_with_a_junction_cut_off_from_the_destination_trains(self, tmp_path):
+        """0 <-> 1 <-> 2 plus a one-way spur 0 -> 3: a move into 3 has a finite reward."""
+        doc = two_junctions(1)
+        doc["nodes"] += [{"id": 2, "x": 2, "y": 0}, {"id": 3, "x": 0, "y": 1}]
+        doc["edges"] += [{"from": 1, "to": 2, "length": 1}, {"from": 2, "to": 1, "length": 1},
+                         {"from": 0, "to": 3, "length": 1}]
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["train", "--graph", str(path), "--out", str(out), "--set", "n_agents=1",
+                     "--set", "agents=[[0, 2]]", "--epochs", "5", "--set", "steps_per_episode=10"]) == 0
+        rows = read_csv(out / "metrics.csv")
+        assert len(rows) == 6 and all(np.isfinite(float(v)) for row in rows[1:] for v in row)
 
     def test_graph_of_large_scale_with_finite_squares_trains(self, tmp_path):
         path = tmp_path / "graph.json"
@@ -246,10 +262,11 @@ def _edit_json(path, edit) -> None:
     path.write_text(json.dumps(doc))
 
 
-def _version_2(path) -> None:
+def _edit_npz(path, edit) -> None:
     with np.load(path) as data:
         arrays = dict(data)
-    np.savez(path, **{**arrays, "version": np.array(2)})
+    edit(arrays)
+    np.savez(path, **arrays)
 
 
 # how each checkpoint file is spoiled, and what the error names
@@ -260,11 +277,21 @@ CHECKPOINT_FAULTS = {
     "npz-missing": ("agent001_policy.npz", lambda p: p.unlink(), "FileNotFoundError"),
     "npz-truncated": ("agent000_value_a.npz", lambda p: p.write_bytes(p.read_bytes()[:200]), "BadZipFile"),
     "npz-empty": ("agent001_value_e.npz", lambda p: p.write_bytes(b""), "EOFError"),
-    "npz-version-2": ("agent000_policy.npz", _version_2, "unsupported checkpoint version 2"),
+    "npz-version-2": ("agent000_policy.npz", lambda p: _edit_npz(p, lambda a: a.update(version=np.array(2))),
+                      "unsupported checkpoint version 2"),
     "manifest-agent-count-a-float": ("checkpoint_manifest.json", lambda p: _edit_json(p, lambda doc: doc.update(
         n_agents=2.0)), "n_agents must be an integer, got 2.0"),
     "manifest-config-hash-not-a-string": ("checkpoint_manifest.json", lambda p: _edit_json(p, lambda doc: doc.update(
         config_hash=5)), "config_hash must be a string, got 5"),
+    "npz-value-head-as-policy": ("agent000_policy.npz",
+                                 lambda p: shutil.copyfile(p.with_name("agent000_value_a.npz"), p),
+                                 "w2 has shape (128, 1), where the network takes (128, 4)"),
+    "npz-w0-one-dimensional": ("agent001_value_a.npz", lambda p: _edit_npz(p, lambda a: a.update(w0=a["w0"].ravel())),
+                               "w0 has shape (1280,), where the network takes (10, 128)"),
+    "npz-version-a-list": ("agent000_value_e.npz", lambda p: _edit_npz(p, lambda a: a.update(version=np.array([1, 1]))),
+                           "unsupported checkpoint version [1, 1]"),
+    "npz-w0-of-eleven-rows": ("agent001_policy.npz", lambda p: _edit_npz(p, lambda a: a.update(
+        w0=np.vstack([a["w0"], a["w0"][:1]]))), "w0 has shape (11, 128), where the network takes (10, 128)"),
 }
 
 
@@ -392,7 +419,7 @@ class TestEvaluate:
         spoil(out / "checkpoints" / name)
         assert main(["evaluate", "--run", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and message in err and name in err
         assert not (out / "eval.csv").exists()
 
     @pytest.mark.parametrize("value", [5, ["grid3.json"]])
@@ -630,6 +657,18 @@ class TestDemoReport:
         assert "error: --provider mock needs --mock-dir" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unreadable_mock_script_exits_2(self, tmp_path, graph_file, capsys):
+        """demo-report has no fallback: a script it cannot read fails as a failing endpoint does."""
+        mock_dir = tmp_path / "mock"
+        mock_dir.mkdir()
+        (mock_dir / "000.txt").write_bytes(b"\xff")
+        out = tmp_path / "report"
+        code = main(["demo-report", "--graph", graph_file, "--out", str(out), "--phases", "1", "--prompts", "1",
+                     "--provider", "mock", "--mock-dir", str(mock_dir), "--set", "n_agents=2"])
+        assert code == 2
+        assert f"error: cannot read mock script {mock_dir / '000.txt'}" in capsys.readouterr().err
+        assert not (out / "demo_report.csv").exists()
+
     @pytest.mark.parametrize("mode", ["ippo", "logit-ppo"])
     def test_mode_overriding_provider_exits_2(self, tmp_path, graph_file, capsys, mode):
         mock_dir = tmp_path / "mock"
@@ -662,6 +701,13 @@ class TestLlmConfigErrors:
                      "--provider", "llm", "--set", "n_agents=2"])
         assert code == 2
         assert "error: ROUTECOACH_LLM_BASE_URL" in capsys.readouterr().err
+
+    def test_unreadable_mock_script_falls_back(self, tmp_path, base_config):
+        mock_dir = tmp_path / "mock"
+        mock_dir.mkdir()
+        (mock_dir / "000.txt").write_bytes(b"\xff")
+        assert main(["train", "--config", base_config, "--out", str(tmp_path / "run"),
+                     "--provider", "llm", "--mock-dir", str(mock_dir)]) == 0
 
     def test_empty_mock_dir_exits_2(self, tmp_path, base_config, capsys):
         mock_dir = tmp_path / "mock"

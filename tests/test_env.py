@@ -334,6 +334,25 @@ def test_congestion_multiplier():
     assert rewards[1] == pytest.approx(1.0 - 0.2)
 
 
+def test_moves_into_junctions_cut_off_from_the_destination_score_finitely():
+    """0 <-> 1 <-> 2 plus one-way spurs 0 -> 3 -> 4: a junction cut off from 2 counts as the diameter away."""
+    g = RoadGraph({j: (j, 0) for j in range(5)},
+                  [Edge(0, 1, 1.0), Edge(1, 0, 1.0), Edge(1, 2, 1.0), Edge(2, 1, 1.0), Edge(0, 3, 1.0), Edge(3, 4, 1.0)])
+    env = RouteEnv(g, (AgentSpec(0, 0, 2),))
+    src, slot = np.nonzero(env.mask_table)  # every valid move
+    rewards = env.move_rewards(np.zeros(len(src), dtype=int), np.zeros(len(src), dtype=int), src, slot)
+    assert np.isfinite(rewards).all()
+    reward = dict(zip(zip(src.tolist(), slot.tolist()), rewards.tolist()))
+    assert reward[0, 1] == pytest.approx(-0.1 + 2.0 - g.diameter)  # 0 -> 3
+    assert reward[3, 0] == pytest.approx(-0.1)  # 3 -> 4, both cut off
+
+
+def test_agents_of_one_destination_share_one_observation_table(grid5):
+    env = RouteEnv(grid5, (AgentSpec(0, 0, 24), AgentSpec(1, 4, 24), AgentSpec(2, 24, 0)))
+    assert np.shares_memory(env.agent_tables(0)[0], env.agent_tables(1)[0])
+    assert not np.shares_memory(env.agent_tables(0)[0], env.agent_tables(2)[0])
+
+
 def test_dead_end_terminates_without_arrival():
     # junction 1 has no outgoing edges and is not the destination
     g = RoadGraph({0: (0, 0), 1: (1, 0), 2: (2, 0)},

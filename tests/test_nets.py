@@ -246,7 +246,7 @@ def test_adam_rejects_nonfinite(rng):
 def test_checkpoint_roundtrip(tmp_path, rng):
     params = random_params(rng, 9, 3)
     nets.save_params(tmp_path / "net.npz", params)
-    loaded = nets.load_params(tmp_path / "net.npz")
+    loaded = nets.load_params(tmp_path / "net.npz", 9, 3)
     for a, b in zip(loaded.weights + loaded.biases, params.weights + params.biases):
         np.testing.assert_array_equal(a, b)
 
@@ -258,7 +258,7 @@ def test_checkpoint_version_checked(tmp_path, rng):
     data["version"] = np.array(99)
     np.savez(tmp_path / "bad.npz", **data)
     with pytest.raises(nets.NetError, match="version"):
-        nets.load_params(tmp_path / "bad.npz")
+        nets.load_params(tmp_path / "bad.npz", 6, 3)
 
 
 def test_stacked_policy_forward_matches_per_agent_bit_for_bit(request):
@@ -298,7 +298,7 @@ def test_policy_table_allocates_no_stacked_copy():
     env = RouteEnv(graph, generate_agent_specs(graph, 12, seed=0))
     rng = np.random.default_rng(8)
     policies = [random_params(rng, env.obs_dim, env.n_actions) for _ in range(env.n_agents)]
-    env.obs_tables  # built on first use; only the table is measured
+    env.agent_tables(0)  # builds the tables on first use; only the policy table is measured
     tracemalloc.start()
     try:
         policy_table(env, policies)

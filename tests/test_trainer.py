@@ -517,7 +517,7 @@ class TestTrainerLoop:
         cfg = small_config(epochs=4, checkpoint_every=2)
         trainer = Trainer(cfg, graph, specs)
         trainer.train(out_dir=tmp_path / "run")
-        params, manifest = load_checkpoint(tmp_path / "run" / "checkpoints", config_hash(cfg), 2)
+        params, manifest = load_checkpoint(tmp_path / "run" / "checkpoints", config_hash(cfg), trainer.env)
         assert manifest["epoch"] == 4
         assert manifest["config_hash"] == config_hash(cfg)
         assert len(params) == 2
@@ -535,9 +535,9 @@ class TestTrainerLoop:
             return save(directory, learners, config, epoch)
 
         monkeypatch.setattr(training, "save_checkpoint", counting_save)
-        Trainer(cfg, graph, specs).train(out_dir=tmp_path)
+        trainer = Trainer(cfg, graph, specs).train(out_dir=tmp_path)
         assert written == saved
-        assert load_checkpoint(tmp_path / "checkpoints", config_hash(cfg), 2)[1]["epoch"] == epochs
+        assert load_checkpoint(tmp_path / "checkpoints", config_hash(cfg), trainer.env)[1]["epoch"] == epochs
 
 
 class TestIppoGoldenEquivalence:
