@@ -70,29 +70,30 @@ def _apply_sets(doc: dict, assignments: Sequence[str]) -> dict:
     return doc
 
 
-def _specs_from_doc(doc: dict, graph: RoadGraph, config: TrainConfig) -> tuple[AgentSpec, ...]:
+def _env_from_doc(doc: dict, graph: RoadGraph, config: TrainConfig) -> RouteEnv:
+    """The run's environment, on the tasks ``doc`` lists or, when it lists none, on tasks drawn from the seed."""
     agents = doc.get("agents")
     if agents is None:
         try:
-            return generate_agent_specs(graph, config.n_agents, config.seed)
+            specs = generate_agent_specs(graph, config.n_agents, config.seed)
         except TrainingError as exc:
             raise ConfigError(str(exc)) from exc
-    if not isinstance(agents, list):
+    elif not isinstance(agents, list):
         raise ConfigError(f"'agents' must be a list of agent entries, got {agents!r}")
-    specs = []
-    for i, entry in enumerate(agents):
-        if not (isinstance(entry, list) and 2 <= len(entry) <= 3 and all(type(v) is int for v in entry)):
-            raise ConfigError(f"agent {i}: bad entry {entry!r}; expected [start, dest] "
-                              f"or [start, dest, depart_time] with integer entries")
-        start, dest, *rest = entry
-        specs.append(AgentSpec(agent_id=i, start=start, dest=dest, depart_time=rest[0] if rest else 0))
-    if len(specs) != config.n_agents:
-        raise ConfigError(f"config lists {len(specs)} agents but n_agents={config.n_agents}")
+    else:
+        for i, entry in enumerate(agents):
+            if not (isinstance(entry, list) and 2 <= len(entry) <= 3 and all(type(v) is int for v in entry)):
+                raise ConfigError(f"agent {i}: bad entry {entry!r}; expected [start, dest] "
+                                  f"or [start, dest, depart_time] with integer entries")
+        if len(agents) != config.n_agents:
+            raise ConfigError(f"config lists {len(agents)} agents but n_agents={config.n_agents}")
+        specs = [AgentSpec(i, *entry) for i, entry in enumerate(agents)]  # [start, dest(, depart_time)]
     try:
-        RouteEnv(graph, specs)  # a task the graph cannot hold is a configuration error
+        return env_from_config(graph, specs, config)
     except EnvError as exc:
         raise ConfigError(f"bad agents: {exc}") from exc
-    return tuple(specs)
+    except TrainingError as exc:
+        raise ConfigError(f"bad configuration: {exc}") from exc
 
 
 def _resolve(args, extra_flags: dict | None = None) -> dict:
@@ -161,7 +162,7 @@ def write_manifest(out: Path, config: TrainConfig, graph_path: Path, graph_sha25
 def _resolve_run(doc: dict, graph: RoadGraph) -> tuple[TrainConfig, tuple[AgentSpec, ...]]:
     """The config and task set of the resolved doc ``doc``; ``ConfigError`` if either is bad."""
     config = _config_from_doc(doc)
-    return config, _specs_from_doc(doc, graph, config)
+    return config, _env_from_doc(doc, graph, config).specs
 
 
 def _train_run(config: TrainConfig, specs: tuple[AgentSpec, ...], graph_file: tuple[RoadGraph, Path, str],
@@ -221,21 +222,20 @@ def cmd_evaluate(args) -> int:
     if digest != manifest["config_hash"]:
         raise ConfigError(f"run manifest {manifest_path}: config hashes to {digest}, "
                           f"not to the recorded config_hash {manifest['config_hash']!r}")
-    episodes = config.eval_episodes if args.episodes is None else args.episodes
-    if episodes < 1:
-        raise ConfigError(f"--episodes must be at least 1, got {episodes}")
+    if args.episodes is not None:
+        config = _config_from_doc({**manifest["config"], "eval_episodes": args.episodes})
     graph, graph_path, graph_sha256 = _load_graph_file(manifest["graph_file"])
     if graph_sha256 != manifest["graph_sha256"]:
         raise ConfigError(f"graph file {graph_path} changed since training (sha256 differs from the manifest)")
-    env = env_from_config(graph, _specs_from_doc(manifest, graph, config), config)
+    env = _env_from_doc(manifest, graph, config)
     try:
         params, _ = load_checkpoint(run / "checkpoints", digest, env)
     except TrainingError as exc:
         raise ConfigError(str(exc)) from exc
-    result = evaluate([p["policy"] for p in params], env, episodes)
+    result = evaluate([p["policy"] for p in params], env, config.eval_episodes)
     _write_csv((Path(args.out) if args.out else run) / "eval.csv", ("episode", "mean_reward"),
                ((ep, repr(float(r))) for ep, r in enumerate(result.episode_rewards)))
-    print(f"evaluated {episodes} episodes: mean {result.mean:.3f}")
+    print(f"evaluated {config.eval_episodes} episodes: mean {result.mean:.3f}")
     return 0
 
 
@@ -326,7 +326,7 @@ def cmd_demo_report(args) -> int:
     if config.expert_provider != doc["expert_provider"]:
         raise ConfigError(f"mode {config.mode!r} overrides --provider {args.provider}")
     graph, _, _ = _load_graph_file(doc.get("graph"))
-    specs = _specs_from_doc(doc, graph, config)
+    specs = _env_from_doc(doc, graph, config).specs
     records = demo_quality_report(graph, specs, config, completer_for(config), args.phases, args.prompts)
     _write_csv(Path(args.out) / "demo_report.csv", ("phase", "tokens", "validity_rate", "mean_reward", "mean_dtw"),
                ((phase, rec.token_count, repr(rec.validity_rate), repr(rec.mean_reward), repr(rec.mean_dtw))

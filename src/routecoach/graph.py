@@ -58,7 +58,8 @@ class RoadGraph:
         xs, ys = zip(*self.nodes.values()) if self.nodes else ((0.0,), (0.0,))
         # the summed length bounds every path; rewards, value losses and DTW (dx*dx + dy*dy) square these
         dx, dy = max(xs) - min(xs), max(ys) - min(ys)
-        scales = {"summed edge length": sum(e.length for e in self.edges), "x span": dx, "y span": dy,
+        self.total_length = sum(e.length for e in self.edges)
+        scales = {"summed edge length": self.total_length, "x span": dx, "y span": dy,
                   "diagonal": hypot(dx, dy)}
         for name, q in scales.items():
             if not isfinite(q * q):

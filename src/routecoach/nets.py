@@ -36,19 +36,8 @@ class MlpParams:
 
     __slots__ = ("data", "weights", "biases")
 
-    def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
-        """Packs copies of the given arrays into a new vector."""
-        if len(weights) != len(biases):
-            raise NetError("weights and biases must pair up")
-        for w, b in zip(weights, biases):
-            if np.shape(w)[1] != np.shape(b)[0]:
-                raise NetError(f"bias shape {np.shape(b)} does not match weight shape {np.shape(w)}")
-        arrays = (*weights, *biases)
-        self._bind(np.empty(sum(np.size(a) for a in arrays)), [np.shape(a) for a in arrays])
-        for view, a in zip(self.weights + self.biases, arrays):
-            view[...] = a
-
-    def _bind(self, data: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> None:
+    def __init__(self, data: np.ndarray, shapes: Sequence[tuple[int, ...]]):
+        """Views into ``data`` of the given shapes: every weight matrix's, then every bias vector's."""
         views, offset = [], 0
         for shape in shapes:
             size = math.prod(shape)
@@ -59,9 +48,7 @@ class MlpParams:
 
     def like(self, data: np.ndarray) -> "MlpParams":
         """Parameters with this one's layer shapes, as views into ``data``."""
-        other = MlpParams.__new__(MlpParams)
-        other._bind(data, [a.shape for a in self.weights + self.biases])
-        return other
+        return MlpParams(data, [a.shape for a in self.weights + self.biases])
 
     @property
     def out_dim(self) -> int:
@@ -105,9 +92,7 @@ def zeros_mlp(in_dim: int, out_dim: int) -> MlpParams:
     """Zero parameters of the one architecture, ``in_dim`` -> ``HIDDEN`` -> ``out_dim``."""
     dims = (in_dim, *HIDDEN, out_dim)
     shapes = [*zip(dims, dims[1:]), *((cols,) for cols in dims[1:])]  # the weights', then the biases'
-    params = MlpParams.__new__(MlpParams)
-    params._bind(np.zeros(sum(math.prod(shape) for shape in shapes)), shapes)
-    return params
+    return MlpParams(np.zeros(sum(math.prod(shape) for shape in shapes)), shapes)
 
 
 def init_mlp(rng: np.random.Generator, in_dim: int, out_dim: int) -> MlpParams:

@@ -27,7 +27,7 @@ import time
 import zipfile
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields, replace
-from math import isnan
+from math import isfinite, isnan
 from pathlib import Path
 from sys import float_info
 from typing import Callable, Sequence
@@ -54,6 +54,8 @@ PROVIDERS = ("llm", "oracle", "logit", "none")
 # each agent holds three networks (54,534 doubles on a grid: 10 inputs, 4 actions) and their
 # two Adam moments, 1.31 MB, so this many agents hold 5.4 GB before any rollout
 MAX_AGENTS = 4096
+# greedy evaluation plays one episode and repeats its reward, so more copies add nothing
+MAX_EVAL_EPISODES = 10_000
 # the values each annotation of a TrainConfig field admits; a bool is an int,
 # so it is admitted only where the annotation names bool
 FIELD_TYPES = {
@@ -135,8 +137,9 @@ class TrainConfig:
         for name in ("n_agents", "epochs", "steps_per_episode", "update_epochs", "demo_interval", "eval_episodes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.n_agents > MAX_AGENTS:
-            raise ValueError(f"n_agents must be <= {MAX_AGENTS}, got {self.n_agents}")
+        for name, bound in (("n_agents", MAX_AGENTS), ("eval_episodes", MAX_EVAL_EPISODES)):
+            if getattr(self, name) > bound:
+                raise ValueError(f"{name} must be <= {bound}, got {getattr(self, name)}")
         for name in ("checkpoint_every", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -205,6 +208,15 @@ def config_hash(config: TrainConfig) -> str:
 # -- config to runtime ----------------------------------------------------------------
 
 def env_from_config(graph: RoadGraph, specs: Sequence[AgentSpec], config: TrainConfig) -> RouteEnv:
+    """The run's environment; ``EnvError`` for a task the graph cannot hold, and ``TrainingError`` for reward
+    settings whose worst-case episode return the value loss (one squared return per step) cannot square."""
+    # a step costs at most |time_penalty| per agent on its edge and gains at most the summed edge length
+    steps, traffic = config.steps_per_episode, len(specs) if config.congestion else 1
+    bound = steps * (abs(config.time_penalty) * traffic + abs(config.shaping_coef) * graph.total_length)
+    bound += abs(config.arrival_bonus)
+    if not isfinite(steps * bound * bound):
+        raise TrainingError(f"time_penalty {config.time_penalty:g}, shaping_coef {config.shaping_coef:g} and "
+                            f"arrival_bonus {config.arrival_bonus:g} allow returns of {bound:g}, too large to square")
     return RouteEnv(graph, specs, step_limit=config.steps_per_episode, time_penalty=config.time_penalty,
                     shaping_coef=config.shaping_coef, arrival_bonus=config.arrival_bonus,
                     congestion=config.congestion)

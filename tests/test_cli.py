@@ -6,10 +6,10 @@ import weakref
 import numpy as np
 import pytest
 
-from routecoach import AgentSpec, cli, grid_graph, write_graph
+from routecoach import AgentSpec, RouteEnv, cli, grid_graph, write_graph
 from routecoach.cli import demo_quality_report, main, moving_average
 from routecoach.llm import LlmError
-from routecoach.training import MAX_AGENTS, TrainConfig, Trainer, config_hash
+from routecoach.training import MAX_AGENTS, MAX_EVAL_EPISODES, TrainConfig, Trainer, config_hash
 
 
 @pytest.fixture()
@@ -130,6 +130,7 @@ class TestTrain:
         ["--set", "logit_temperature=Infinity"], ["--provider", "llm", "--set", "mock_dir=5"],
         ["--set", "learning_rate=1" + "0" * 400],
         pytest.param(["--set", f"n_agents={MAX_AGENTS + 1}"], id="n_agents_above_bound"),
+        pytest.param(["--set", "time_penalty=1e200"], id="returns_that_square_past_the_largest_float"),
     ])
     def test_out_of_range_value_exits_2_without_run_dir(self, tmp_path, base_config, capsys, flags):
         out = tmp_path / "run"
@@ -239,6 +240,14 @@ class TestTrain:
         assert "error: could not draw a routable task for agent 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_drawn_tasks_are_checked_in_the_runs_own_environment(self, tmp_path, graph_file, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--graph", graph_file, "--out", str(out), "--set", "n_agents=2",
+                     "--set", "steps_per_episode=20", "--set", "time_penalty=1e200"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad configuration: ") and "time_penalty" in err
+        assert not out.exists()
+
     def test_set_overrides_dotted(self, tmp_path, base_config):
         out = tmp_path / "run"
         assert main(["train", "--config", base_config, "--out", str(out),
@@ -304,6 +313,20 @@ class TestEvaluate:
         assert rows[0] == ["episode", "mean_reward"]
         assert len(rows) == 6
 
+    def test_builds_one_environment(self, tmp_path, base_config, monkeypatch):
+        out = tmp_path / "run"
+        main(["train", "--config", base_config, "--out", str(out)])
+        built = []
+        original = RouteEnv.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RouteEnv, "__init__", counting)
+        assert main(["evaluate", "--run", str(out)]) == 0
+        assert len(built) == 1
+
     def test_hash_mismatch_rejected(self, tmp_path, base_config):
         out = tmp_path / "run"
         main(["train", "--config", base_config, "--out", str(out)])
@@ -325,12 +348,13 @@ class TestEvaluate:
         assert edited in err and trained in err
         assert not (out / "eval.csv").exists()
 
-    @pytest.mark.parametrize("episodes", ["0", "-3"])
-    def test_episodes_below_one_exit_2(self, tmp_path, base_config, capsys, episodes):
+    @pytest.mark.parametrize("episodes", ["0", "-3", "10000000000000"])
+    def test_episodes_out_of_range_exit_2(self, tmp_path, base_config, capsys, episodes):
         out = tmp_path / "run"
         main(["train", "--config", base_config, "--out", str(out)])
         assert main(["evaluate", "--run", str(out), "--episodes", episodes]) == 2
-        assert "--episodes must be at least 1" in capsys.readouterr().err
+        bound = ">= 1" if int(episodes) < 1 else f"<= {MAX_EVAL_EPISODES}"
+        assert f"error: bad configuration: eval_episodes must be {bound}" in capsys.readouterr().err
         assert not (out / "eval.csv").exists()
 
     def test_graph_edited_after_training_rejected(self, tmp_path, base_config, graph_file, capsys):

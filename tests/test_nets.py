@@ -169,7 +169,7 @@ def reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e
             m_hat = m2 / (1 - beta1 ** t)
             v_hat = v2 / (1 - beta2 ** t)
             new[kind].append((p - lr * m_hat / (np.sqrt(v_hat) + eps), m2, v2))
-    unzip = lambda i: nets.MlpParams([e[i] for e in new["weights"]], [e[i] for e in new["biases"]])
+    unzip = lambda i: params.like(np.concatenate([e[i].ravel() for e in new["weights"] + new["biases"]]))
     return unzip(0), nets.AdamState(m=unzip(1).data, v=unzip(2).data, t=t)
 
 
@@ -192,8 +192,7 @@ def test_adam_zero_grads_keep_params(rng):
     params = random_params(rng)
     before = params.data.copy()
     state = nets.init_adam(params)
-    zeros = nets.MlpParams([np.zeros_like(w) for w in params.weights],
-                           [np.zeros_like(b) for b in params.biases])
+    zeros = params.like(np.zeros_like(params.data))
     updated, state = nets.adam_step(params, zeros, state, lr=0.1)
     np.testing.assert_array_equal(updated.data, before)
 
@@ -209,9 +208,8 @@ def test_layers_are_views_into_data(rng):
 
 def test_adam_first_step_magnitude():
     # single-coordinate check of the bias-corrected update at t=1
-    params = nets.MlpParams([np.array([[1.0]])] * 3, [np.array([0.0])] * 3)
-    grads = nets.MlpParams([np.array([[1.0]]), np.zeros((1, 1)), np.zeros((1, 1))],
-                           [np.array([0.0])] * 3)
+    params = nets.MlpParams(np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), [(1, 1)] * 3 + [(1,)] * 3)
+    grads = params.like(np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
     state = nets.init_adam(params)
     updated, state = nets.adam_step(params, grads, state, lr=3e-4)
     assert updated.weights[0][0, 0] == pytest.approx(1.0 - 3e-4, rel=1e-6)
@@ -224,8 +222,7 @@ def test_adam_deterministic(rng):
         params = random_params(gen)
         state = nets.init_adam(params)
         for _ in range(5):
-            grads = nets.MlpParams([np.full_like(w, 0.1) for w in params.weights],
-                                   [np.full_like(b, 0.1) for b in params.biases])
+            grads = params.like(np.full_like(params.data, 0.1))
             params, state = nets.adam_step(params, grads, state, lr=1e-3)
         return params
 
@@ -237,8 +234,9 @@ def test_adam_deterministic(rng):
 def test_adam_rejects_nonfinite(rng):
     params = random_params(rng)
     state = nets.init_adam(params)
-    grads = nets.MlpParams([np.full_like(w, np.nan) for w in params.weights],
-                           [np.zeros_like(b) for b in params.biases])
+    grads = params.like(np.zeros_like(params.data))
+    for w in grads.weights:
+        w.fill(np.nan)
     with pytest.raises(nets.NetError, match="non-finite"):
         nets.adam_step(params, grads, state, lr=1e-3)
 

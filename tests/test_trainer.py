@@ -14,6 +14,7 @@ from routecoach.prompts import build_prompt
 from routecoach.trajectory import Trajectory
 from routecoach.training import (
     MAX_AGENTS,
+    MAX_EVAL_EPISODES,
     METRICS_COLUMNS,
     TrainConfig,
     Trainer,
@@ -118,11 +119,23 @@ class TestConfig:
         ("congestion", 1, "congestion must be true or false"),
         pytest.param("n_agents", MAX_AGENTS + 1, f"n_agents must be <= {MAX_AGENTS}, got {MAX_AGENTS + 1}",
                      id="n_agents_above_bound"),
+        pytest.param("eval_episodes", MAX_EVAL_EPISODES + 1,
+                     f"eval_episodes must be <= {MAX_EVAL_EPISODES}, got {MAX_EVAL_EPISODES + 1}",
+                     id="eval_episodes_above_bound"),
     ])
     def test_values_that_crash_or_poison_a_run_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             TrainConfig(**{field: value})
         TrainConfig(llm_temperature=0.0)  # greedy sampling stays allowed
+
+    def test_reward_scale_whose_returns_square_past_the_largest_float_rejected(self, grid3_setup):
+        """On grid 3 (summed edge length 24) over 20 steps, a time penalty of 1e152 bounds each squared
+        return below the largest float and trains; 1e153 does not, and the trainer is not built."""
+        graph, specs = grid3_setup
+        trainer = Trainer(small_config(epochs=1, steps_per_episode=20, time_penalty=1e152), graph, specs).train()
+        assert np.isfinite(trainer.metrics[-1].loss_value_a)
+        with pytest.raises(TrainingError, match="time_penalty 1e\\+153"):
+            Trainer(small_config(steps_per_episode=20, time_penalty=1e153), graph, specs)
 
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TrainConfig)])
     def test_values_of_another_type_rejected(self, field):
