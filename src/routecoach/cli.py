@@ -32,7 +32,6 @@ from .training import (
     TrainConfig,
     Trainer,
     TrainingError,
-    completer_for,
     config_hash,
     env_from_config,
     evaluate,
@@ -85,8 +84,6 @@ def _env_from_doc(doc: dict, graph: RoadGraph, config: TrainConfig) -> RouteEnv:
             if not (isinstance(entry, list) and 2 <= len(entry) <= 3 and all(type(v) is int for v in entry)):
                 raise ConfigError(f"agent {i}: bad entry {entry!r}; expected [start, dest] "
                                   f"or [start, dest, depart_time] with integer entries")
-        if len(agents) != config.n_agents:
-            raise ConfigError(f"config lists {len(agents)} agents but n_agents={config.n_agents}")
         specs = [AgentSpec(i, *entry) for i, entry in enumerate(agents)]  # [start, dest(, depart_time)]
     try:
         return env_from_config(graph, specs, config)
@@ -327,7 +324,7 @@ def cmd_demo_report(args) -> int:
         raise ConfigError(f"mode {config.mode!r} overrides --provider {args.provider}")
     graph, _, _ = _load_graph_file(doc.get("graph"))
     specs = _env_from_doc(doc, graph, config).specs
-    records = demo_quality_report(graph, specs, config, completer_for(config), args.phases, args.prompts)
+    records = demo_quality_report(graph, specs, config, None, args.phases, args.prompts)
     _write_csv(Path(args.out) / "demo_report.csv", ("phase", "tokens", "validity_rate", "mean_reward", "mean_dtw"),
                ((phase, rec.token_count, repr(rec.validity_rate), repr(rec.mean_reward), repr(rec.mean_dtw))
                 for phase, rec in enumerate(records, start=1)))
@@ -338,9 +335,7 @@ def cmd_demo_report(args) -> int:
 
 
 def moving_average(x: np.ndarray, window: int) -> np.ndarray:
-    """Trailing moving average; expanding at the start, identity at window=1."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    """Trailing moving average; expanding at the start, identity at window=1; ``window`` is at least 1."""
     x = np.asarray(x, dtype=float)
     csum = np.cumsum(np.insert(x, 0, 0.0))
     hi = np.arange(1, x.size + 1)

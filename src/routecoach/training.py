@@ -208,8 +208,10 @@ def config_hash(config: TrainConfig) -> str:
 # -- config to runtime ----------------------------------------------------------------
 
 def env_from_config(graph: RoadGraph, specs: Sequence[AgentSpec], config: TrainConfig) -> RouteEnv:
-    """The run's environment; ``EnvError`` for a task the graph cannot hold, and ``TrainingError`` for reward
-    settings whose worst-case episode return the value loss (one squared return per step) cannot square."""
+    """The run's environment; ``EnvError`` for a task the graph cannot hold, and ``TrainingError`` for a task count
+    other than ``n_agents`` or for reward settings whose worst-case return the value loss cannot square."""
+    if len(specs) != config.n_agents:
+        raise TrainingError(f"{len(specs)} tasks for n_agents={config.n_agents}")
     # a step costs at most |time_penalty| per agent on its edge and gains at most the summed edge length
     steps, traffic = config.steps_per_episode, len(specs) if config.congestion else 1
     bound = steps * (abs(config.time_penalty) * traffic + abs(config.shaping_coef) * graph.total_length)
@@ -523,20 +525,15 @@ class Trainer:
         self,
         config: TrainConfig,
         graph: RoadGraph,
-        specs: Sequence[AgentSpec] | None = None,
+        specs: Sequence[AgentSpec],
         completer: ChatCompleter | None = None,
     ):
         self.config = config
-        self.graph = graph
-        self.specs = tuple(specs) if specs is not None else generate_agent_specs(
-            graph, config.n_agents, config.seed)
-        if len(self.specs) != config.n_agents:
-            raise TrainingError(f"{len(self.specs)} specs for n_agents={config.n_agents}")
-        self.env = env_from_config(graph, self.specs, config)
+        self.env = env_from_config(graph, specs, config)
         self.learners = [self._init_learner(i) for i in range(config.n_agents)]
         self.demo_rng = shared_rng(config.seed, 2)
         self.completer = completer if completer is not None else completer_for(config)
-        self.prompt_state = PromptState(graph=graph, specs=self.specs)
+        self.prompt_state = PromptState(graph=graph, specs=self.env.specs)
         self.epoch = 0
         self.metrics: list[EpochMetrics] = []
         self._validity = float("nan")
@@ -563,20 +560,21 @@ class Trainer:
     def _propose_routes(self) -> tuple[dg.ExecutableSet, float, int]:
         """(executable set, validity rate, token count) from the provider."""
         provider, tokens = self.config.expert_provider, 0
+        graph, specs = self.env.graph, self.env.specs
         if provider == "llm":
             try:
                 reply = self.completer.complete(build_prompt(self.prompt_state))
-                parsed = dg.parse_instructions(reply.text, len(self.specs), self.graph)
-                executable = dg.prepare_executable(self.graph, self.specs, parsed, self.config.invalid_route_fallback)
+                parsed = dg.parse_instructions(reply.text, len(specs), graph)
+                executable = dg.prepare_executable(graph, specs, parsed, self.config.invalid_route_fallback)
                 tokens = reply.token_count
             except LlmError:
                 if self.config.provider_fallback == "none":
                     raise
                 provider = self.config.provider_fallback
         if provider == "oracle":
-            executable = dg.oracle_expert(self.graph, self.specs)
+            executable = dg.oracle_expert(graph, specs)
         elif provider == "logit":
-            executable = dg.logit_expert(self.graph, self.specs, self.config.logit_temperature, self.demo_rng)
+            executable = dg.logit_expert(graph, specs, self.config.logit_temperature, self.demo_rng)
         elif provider != "llm":
             raise TrainingError(f"no demonstrations available from provider {provider!r}")
         return executable, dg.validity_rate(executable.valid()), tokens
@@ -592,8 +590,8 @@ class Trainer:
         """
         executable, validity, tokens = self._propose_routes()
         tau_e = dg.replay(self.env, executable)
-        dtw = [dtw_distance(traj_to_feature_seq(tau_a[i], self.graph),
-                            traj_to_feature_seq(tau_e[i], self.graph))
+        dtw = [dtw_distance(traj_to_feature_seq(tau_a[i], self.env.graph),
+                            traj_to_feature_seq(tau_e[i], self.env.graph))
                for i in range(len(self.learners))]
         return executable, validity, tokens, tau_e, dtw
 

@@ -139,6 +139,25 @@ class TestTrain:
         assert "error: bad configuration" in err and flags[-1].split("=")[0] in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--graph", "grid3.json", "--set", "foo"], "--set expects key=value, got 'foo'"),
+        ([], "no graph file configured"),
+        (["--config", "missing.json"], "config file not found: missing.json"),
+        (["--graph", "grid3.json", "--set", "expert_provider=foo"], "bad configuration: unknown expert provider 'foo'"),
+        (["--graph", "grid3.json", "--set", "mode=fixed-alpha:abc"],
+         "bad configuration: fixed alpha must be in (0, 1]: 'fixed-alpha:abc'"),
+        (["--graph", "grid3.json", "--agents", "2", "--set", "agents=[[0,8]]"],
+         "bad configuration: 1 tasks for n_agents=2"),
+    ], ids=["set-without-equals", "no-graph", "missing-config", "unknown-provider", "fixed-alpha-not-a-number",
+            "task-count"])
+    def test_unusable_input_exits_2_without_run_dir(self, tmp_path, graph_file, monkeypatch, capsys,
+                                                    flags, message):
+        monkeypatch.chdir(tmp_path)  # where graph_file is grid3.json
+        out = tmp_path / "run"
+        assert main(["train", "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
     def test_negative_seed_exits_2_without_run_dir(self, tmp_path, base_config, capsys):
         out = tmp_path / "run"
         assert main(["train", "--config", base_config, "--out", str(out), "--seed", "-1"]) == 2
@@ -199,6 +218,8 @@ class TestTrain:
         two_junctions(1.3e154, length=1),  # each span squares finitely, their sum (DTW's cost) does not
         two_junctions(10**400, length=1),  # integers that no float holds
         two_junctions(1, length=10**400),
+        [],
+        {"nodes": [{"id": 0, "x": 0, "y": 0}], "edges": [{"from": 99, "to": 0, "length": 1}]},
     ])
     def test_graph_file_of_other_json_types_exits_2_without_run_dir(self, tmp_path, capsys, graph):
         path = tmp_path / "graph.json"
@@ -453,6 +474,19 @@ class TestEvaluate:
         _edit_json(out / "manifest.json", lambda doc: doc.update(graph_file=value))
         assert main(["evaluate", "--run", str(out)]) == 2
         assert f"error: the graph file must be given as a path string, got {value!r}" in capsys.readouterr().err
+        assert not (out / "eval.csv").exists()
+
+    def test_directory_without_manifest_exits_2(self, tmp_path, capsys):
+        assert main(["evaluate", "--run", str(tmp_path)]) == 2
+        assert f"error: run manifest not found: {tmp_path / 'manifest.json'}" in capsys.readouterr().err
+        assert not (tmp_path / "eval.csv").exists()
+
+    def test_checkpoint_of_another_config_exits_2(self, tmp_path, base_config, capsys):
+        out = tmp_path / "run"
+        main(["train", "--config", base_config, "--out", str(out)])
+        _edit_json(out / "checkpoints" / "checkpoint_manifest.json", lambda doc: doc.update(config_hash="0" * 64))
+        assert main(["evaluate", "--run", str(out)]) == 2
+        assert "error: checkpoint was produced by a different configuration" in capsys.readouterr().err
         assert not (out / "eval.csv").exists()
 
     def test_run_without_checkpoints_exits_2(self, tmp_path, base_config, capsys):
@@ -779,6 +813,12 @@ class TestPlotData:
         assert code == 0
         assert "truncating" in capsys.readouterr().err
         assert len(read_csv(plot / "plot_data.csv")) == 4
+
+    def test_missing_metrics_file_exits_2(self, tmp_path, capsys):
+        plot = tmp_path / "p"
+        assert main(["plot-data", str(tmp_path / "missing.csv"), "--out", str(plot)]) == 2
+        assert f"error: metrics file not found: {tmp_path / 'missing.csv'}" in capsys.readouterr().err
+        assert not plot.exists()
 
     def test_column_mismatch_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -62,6 +62,14 @@ class TestParse:
         parsed = dg.parse_instructions("{[1]: [0, 1]}", 2, grid3)
         assert parsed.waypoints == {} and "no parsable" in parsed.errors[0]
 
+    @pytest.mark.parametrize("text, error", [("{1, 2}", "no parsable agent-route mapping"),
+                                             ('{"0": [0, 1.5]}', "agent 0: non-integer waypoint 1.5")],
+                             ids=["set-literal", "float-waypoint"])
+    def test_reply_without_a_route_gives_an_error(self, line, text, error):
+        parsed = dg.parse_instructions(text, 1, line)
+        assert parsed.waypoints == {}
+        assert len(parsed.errors) == 1 and error in parsed.errors[0]
+
     @pytest.mark.parametrize("text", ['Format: {agent id: route}. Answer: {"0": [0, 1, 2]}',
                                       'Here\'s the format: {agent id: route}. It\'s this: {"0": [0, 1, 2]}',
                                       'Format: {"agent id": "route"}. Answer: {"0": [0, 1, 2]}'])
@@ -209,6 +217,10 @@ class TestExperts:
             hits += cost == pytest.approx(best_cost)
         assert hits / draws > 0.99
 
+    def test_logit_unreachable(self):
+        with pytest.raises(ValueError, match="agent 0: no route to destination"):
+            dg.logit_expert(line_graph((1.0,)), (AgentSpec(0, 1, 0),), 1.0, np.random.default_rng(0))
+
     def test_logit_rejects_bad_temperature(self, line):
         with pytest.raises(ValueError, match="temperature"):
             dg.logit_expert(line, (AgentSpec(0, 0, 2),), 0.0, np.random.default_rng(0))
@@ -223,6 +235,11 @@ class TestPrepareAndExecute:
         assert executable.fallback_agents == {1}
         assert executable.routes[0] == (0, 1, 2, 5, 8)
         assert dg.validate_route(grid3, specs[1], executable.routes[1])
+
+    def test_unknown_fallback_rejected(self, grid3):
+        parsed = dg.parse_instructions('{"0": [0, 1, 2, 5, 8]}', 1, grid3)
+        with pytest.raises(ValueError, match="unknown fallback policy 'bogus'"):
+            dg.prepare_executable(grid3, (AgentSpec(0, 0, 8),), parsed, fallback="bogus")
 
     def test_fallback_skip_leaves_empty(self, grid3):
         specs = (AgentSpec(0, 0, 8),)

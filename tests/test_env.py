@@ -204,7 +204,7 @@ def test_sit_out_iterator_sits_agents_out(grid5):
 def test_defaults_match_the_train_config_defaults(grid5):
     """A ``RouteEnv`` built without settings scores walks as one built from a default ``TrainConfig``."""
     specs = (AgentSpec(0, 0, 24), AgentSpec(1, 24, 0, depart_time=1), AgentSpec(2, 12, 24))
-    plain, configured = RouteEnv(grid5, specs), env_from_config(grid5, specs, TrainConfig())
+    plain, configured = RouteEnv(grid5, specs), env_from_config(grid5, specs, TrainConfig(n_agents=len(specs)))
     assert plain.step_limit == configured.step_limit == TrainConfig().steps_per_episode
 
     def choose(i: int, junction: int) -> int:  # agents 0 and 1 head for their destinations, agent 2 wanders

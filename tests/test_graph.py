@@ -225,6 +225,13 @@ def test_distances_from_agrees_with_distances_to_and_shortest_path(name, request
             assert forward == pytest.approx(path[0])
 
 
+@pytest.mark.parametrize("query, args", [("shortest_path", (0, 99)), ("shortest_path", (99, 0)),
+                                         ("distances_from", (99,)), ("distances_to", (99,))])
+def test_query_of_an_unknown_junction_rejected(grid5, query, args):
+    with pytest.raises(GraphError, match="unknown junction"):
+        getattr(grid5, query)(*args)
+
+
 def test_diameter(grid5, hilly):
     assert grid5.diameter == pytest.approx(8.0)
     pairwise = [

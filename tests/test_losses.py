@@ -69,6 +69,10 @@ class TestValueLoss:
         with pytest.raises(ValueError):
             L.value_loss(np.array([]), np.array([]))
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            L.value_loss(np.zeros(3), np.zeros(4))
+
 
 class TestClippedSurrogate:
     def test_identity_at_equal_logp(self, rng):
@@ -130,6 +134,11 @@ class TestClippedSurrogate:
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             L.clipped_surrogate(np.zeros(1), np.zeros(1), np.zeros(1), 1.5)
+
+    @pytest.mark.parametrize("sizes", [(2, 3, 3), (3, 2, 3), (3, 3, 2)])
+    def test_length_mismatch(self, sizes):
+        with pytest.raises(ValueError, match="length mismatch"):
+            L.clipped_surrogate(*(np.zeros(n) for n in sizes), 0.2)
 
 
 class TestAlphaWeight:

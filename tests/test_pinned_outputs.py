@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from routecoach import AgentSpec, grid_graph, write_graph
+from routecoach import AgentSpec, generate_agent_specs, grid_graph, write_graph
 from routecoach.cli import main
 from routecoach.training import TrainConfig, Trainer, update_agent
 from routecoach.trajectory import Trajectory
@@ -73,7 +73,10 @@ def _mock_dir(tmp_path):
 
 
 def _train(tmp_path, config, graph, specs=None) -> str:
+    """The digest of ``metrics.csv`` from training ``config`` on ``specs``, or on tasks drawn from its seed."""
     out = tmp_path / "run"
+    if specs is None:
+        specs = generate_agent_specs(graph, config.n_agents, config.seed)
     Trainer(config, graph, specs).train(out_dir=out)
     return _digest(out / "metrics.csv")
 

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from routecoach import AgentSpec, RouteEnv, TrainConfig, Trainer, grid_graph, hilly_graph, nets
+from routecoach import (AgentSpec, RouteEnv, TrainConfig, Trainer, generate_agent_specs, grid_graph, hilly_graph,
+                        nets)
 from routecoach import demos as dg
 from routecoach.env import EnvError
 from routecoach.graph import INF, Edge, RoadGraph
@@ -238,7 +239,9 @@ def test_training_is_decentralized(grid, agents, data, seed, mode):
     few = data.draw(st.integers(1, agents - 1), label="few")
     config = dict(epochs=4, steps_per_episode=30, demo_interval=2, update_epochs=2, seed=seed, mode=mode,
                   expert_provider="none" if mode == "ippo" else "oracle", congestion=False)
-    runs = [Trainer(TrainConfig(n_agents=n, **config), grid_graph(grid)) for n in (few, agents)]
+    graph = grid_graph(grid)
+    runs = [Trainer(TrainConfig(n_agents=n, **config), graph, generate_agent_specs(graph, n, seed))
+            for n in (few, agents)]
     for _ in range(config["epochs"]):
         small, large = (run.run_epoch() for run in runs)
         for field in ("reward_a", "alpha", "dtw"):

@@ -276,6 +276,13 @@ class TestRollout:
         assert len(trajs) == 10
         assert all(len(t) <= 200 for t in trajs)
 
+    def test_sampling_needs_rngs(self, grid3_setup):
+        graph, specs = grid3_setup
+        env = RouteEnv(graph, specs, step_limit=10)
+        policies = [nets.init_mlp(agent_rng(0, 0, i), env.obs_dim, env.n_actions) for i in range(2)]
+        with pytest.raises(ValueError, match="sampling rollouts need per-agent rngs"):
+            rollout(env, policy_table(env, policies), None)
+
     def test_greedy_needs_no_rng(self, grid3_setup):
         graph, specs = grid3_setup
         env = RouteEnv(graph, specs, step_limit=10)
@@ -356,7 +363,7 @@ class TestUpdateTogether:
         t = tau_a[2]
         tau_a[2] = Trajectory(2, t.junction_path[:1], t.actions[:0], t.rewards[:0], t.obs_table,
                               t.mask_table, logps=t.logps[:0])
-        tau_e = dg.replay(trainer.env, dg.oracle_expert(trainer.graph, self.SPECS))
+        tau_e = dg.replay(trainer.env, dg.oracle_expert(trainer.env.graph, self.SPECS))
         return tau_a, [tau_e[0], tau_e[1], tau_e[2], None, tau_e[4]]
 
     def _update(self, cfg, agents, tau_a, tau_e):
@@ -497,6 +504,19 @@ class TestTrainerLoop:
         metrics = trainer.run_epoch()
         assert metrics.validity_rate == 100.0
         assert trainer.learners[0].last_expert is not None
+
+    def test_task_count_other_than_n_agents_rejected(self, grid3_setup):
+        graph, specs = grid3_setup
+        with pytest.raises(TrainingError, match="^2 tasks for n_agents=3$"):
+            Trainer(small_config(n_agents=3), graph, specs)
+
+    def test_ippo_has_no_demonstrations(self, grid3_setup):
+        graph, specs = grid3_setup
+        trainer = Trainer(small_config(mode="ippo"), graph, specs)
+        table = policy_table(trainer.env, [ln.policy for ln in trainer.learners])
+        tau_a = rollout(trainer.env, table, [ln.rng for ln in trainer.learners])
+        with pytest.raises(TrainingError, match="no demonstrations available from provider 'none'"):
+            trainer.demonstrate(tau_a)
 
     def test_unconfigured_llm_provider_fails_at_construction(self, grid3_setup, monkeypatch):
         graph, specs = grid3_setup
