@@ -37,7 +37,8 @@ import numpy as np
 from . import demos as dg
 from . import losses as L
 from . import nets
-from .env import ARRIVAL_BONUS, CONGESTION, SHAPING_COEF, STEP_LIMIT, TIME_PENALTY, AgentSpec, RouteEnv
+from .env import (ARRIVAL_BONUS, CONGESTION, SHAPING_COEF, STEP_LIMIT, TIME_PENALTY, UNREACHABLE_SCORE, AgentSpec,
+                  RouteEnv)
 from .graph import INF, RoadGraph
 from .llm import TEMPERATURE, ChatCompleter, EndpointConfig, HttpChatCompleter, LlmError, MockChatCompleter
 from .prompts import PromptState, build_prompt, refine_prompt
@@ -66,6 +67,7 @@ FIELD_TYPES = {
     "str | None": ((str, type(None)), "a string or null"),
 }
 LOSSES = ("loss_policy", "loss_value_a", "loss_value_e")  # per-agent stats of an update
+ADAM_STEP = (1 - nets.ADAM_BETA1) / (1 - nets.ADAM_BETA2) ** 0.5  # Adam's largest step, in learning rates: 3.16
 
 
 class TrainingError(RuntimeError):
@@ -146,6 +148,17 @@ class TrainConfig:
         for name in ("learning_rate", "logit_temperature"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
+        # Adam steps a parameter at most 3.2 * lr (ADAM_STEP; Kingma & Ba, "Adam", ICLR 2015, sec. 2.1), so after
+        # epochs * update_epochs steps a final weight, zero at the start, is within w = 3.2 * lr * steps, a hidden one
+        # within sqrt(6) + w, and a value error within 258 * w (an output of 128 tanh units and a bias, and as much
+        # in its bootstrapped return).  A gradient is at most twice the error times a final weight, 128 hidden weights
+        # and an input (within 10: UNREACHABLE_SCORE), and Adam squares it.  env_from_config bounds the rewards alone
+        width, steps = nets.HIDDEN[-1], self.epochs * self.update_epochs
+        w = ADAM_STEP * self.learning_rate * min(steps, float_info.max)  # a larger int does not convert to a float
+        grad = 4 * (width + 1) * w * max(1.0, width * (6 ** 0.5 + w) * w * -UNREACHABLE_SCORE)
+        if not isfinite(grad * grad):
+            raise ValueError(f"learning_rate {self.learning_rate:g} over epochs * update_epochs = {steps} Adam steps "
+                             f"allows value gradients of {grad:g}, too large to square")
         if self.llm_temperature < 0:
             raise ValueError(f"llm_temperature must be >= 0, got {self.llm_temperature}")
         if not 0.0 <= self.gamma <= 1.0:
@@ -209,7 +222,8 @@ def config_hash(config: TrainConfig) -> str:
 
 def env_from_config(graph: RoadGraph, specs: Sequence[AgentSpec], config: TrainConfig) -> RouteEnv:
     """The run's environment; ``EnvError`` for a task the graph cannot hold, and ``TrainingError`` for a task count
-    other than ``n_agents`` or for reward settings whose worst-case return the value loss cannot square."""
+    other than ``n_agents``, for reward settings whose worst-case return the value loss cannot square, or for a
+    ``logit_temperature`` that the graph's route costs divide past the largest float."""
     if len(specs) != config.n_agents:
         raise TrainingError(f"{len(specs)} tasks for n_agents={config.n_agents}")
     # a step costs at most |time_penalty| per agent on its edge and gains at most the summed edge length
@@ -219,6 +233,10 @@ def env_from_config(graph: RoadGraph, specs: Sequence[AgentSpec], config: TrainC
     if not isfinite(steps * bound * bound):
         raise TrainingError(f"time_penalty {config.time_penalty:g}, shaping_coef {config.shaping_coef:g} and "
                             f"arrival_bonus {config.arrival_bonus:g} allow returns of {bound:g}, too large to square")
+    # the logit expert divides route costs by the temperature, and a loopless route costs at most the summed length
+    if not isfinite(graph.total_length / config.logit_temperature):
+        raise TrainingError(f"logit_temperature {config.logit_temperature!r} divides route costs of up to "
+                            f"{graph.total_length:g} past the largest float")
     return RouteEnv(graph, specs, step_limit=config.steps_per_episode, time_penalty=config.time_penalty,
                     shaping_coef=config.shaping_coef, arrival_bonus=config.arrival_bonus,
                     congestion=config.congestion)
@@ -534,8 +552,7 @@ class Trainer:
         self.demo_rng = shared_rng(config.seed, 2)
         self.completer = completer if completer is not None else completer_for(config)
         self.prompt_state = PromptState(graph=graph, specs=self.env.specs)
-        self.epoch = 0
-        self.metrics: list[EpochMetrics] = []
+        self.metrics: list[EpochMetrics] = []  # a row per epoch run: their count is the run's progress
         self._validity = float("nan")
         self._table: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -622,9 +639,11 @@ class Trainer:
     # -- epoch loop ----------------------------------------------------------
 
     def run_epoch(self) -> EpochMetrics:
-        start = time.perf_counter()
-        k = self.epoch + 1
         cfg = self.config
+        k = len(self.metrics) + 1
+        if k > cfg.epochs:
+            raise TrainingError(f"the run's {cfg.epochs} epochs have all run")
+        start = time.perf_counter()
         tau_a = rollout(self.env, self._policy_table(), [ln.rng for ln in self.learners])
         if cfg.expert_provider != "none" and (k == 1 or k % cfg.demo_interval == 0):
             self._regenerate_demos(k, tau_a)
@@ -643,10 +662,8 @@ class Trainer:
             dtw=tuple(ln.last_dtw for ln in self.learners),
             validity_rate=self._validity,
             **{key: _nanmean(st[key] for st in stats) for key in LOSSES},
-            seconds=0.0,
+            seconds=time.perf_counter() - start,
         )
-        metrics.seconds = time.perf_counter() - start
-        self.epoch = k
         self.metrics.append(metrics)
         return metrics
 
@@ -657,11 +674,13 @@ class Trainer:
     ) -> Trainer:
         """Run all configured epochs, stream metrics/checkpoints to disk, and return the trainer.
 
-        With ``out_dir`` set, appends one row per epoch to ``metrics.csv``
-        (deterministic columns) and ``timing.csv`` (wall clock), and writes
-        checkpoints at the configured cadence and after the last epoch, each
-        epoch at most once.  On failure the rows written so far are preserved.
+        With ``out_dir`` set, appends one row per epoch to ``metrics.csv`` (deterministic columns) and
+        ``timing.csv`` (wall clock), and writes checkpoints at the configured cadence and after the last
+        epoch, each epoch at most once.  On failure the rows written so far are preserved.  A trainer that
+        has run an epoch raises ``TrainingError`` before it opens a file.
         """
+        if self.metrics:
+            raise TrainingError(f"train() runs a fresh trainer; this one has run {len(self.metrics)} epochs")
         out = Path(out_dir) if out_dir is not None else None
         epochs, every = self.config.epochs, self.config.checkpoint_every
         with contextlib.ExitStack() as files:
@@ -672,7 +691,7 @@ class Trainer:
                 metrics_writer, timing_writer = csv.writer(metrics_file), csv.writer(timing_file)
                 metrics_writer.writerow(METRICS_COLUMNS)
                 timing_writer.writerow(("epoch", "seconds"))
-            for n in range(1, epochs + 1):
+            for _ in range(epochs):
                 row = self.run_epoch()
                 if out is not None:
                     metrics_writer.writerow(row.csv_row())
@@ -681,7 +700,7 @@ class Trainer:
                     timing_file.flush()
                 if on_epoch is not None:
                     on_epoch(row)
-                if out is not None and (n == epochs or every and row.epoch % every == 0):
+                if out is not None and (row.epoch == epochs or every and row.epoch % every == 0):
                     save_checkpoint(out / "checkpoints", self.learners, self.config, row.epoch)
         return self
 

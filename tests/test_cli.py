@@ -131,6 +131,11 @@ class TestTrain:
         ["--set", "learning_rate=1" + "0" * 400],
         pytest.param(["--set", f"n_agents={MAX_AGENTS + 1}"], id="n_agents_above_bound"),
         pytest.param(["--set", "time_penalty=1e200"], id="returns_that_square_past_the_largest_float"),
+        pytest.param(["--set", "learning_rate=1e200"], id="learning_rate_1e200_past_its_adam_bound"),
+        pytest.param(["--set", "learning_rate=1e100"], id="learning_rate_1e100_past_its_adam_bound"),
+        pytest.param(["--set", "epochs=1" + "0" * 400], id="epochs_past_the_largest_float"),
+        pytest.param(["--mode", "logit-ppo", "--set", "logit_temperature=1e-320"],
+                     id="logit_temperature_that_route_costs_divide_past_the_largest_float"),
     ])
     def test_out_of_range_value_exits_2_without_run_dir(self, tmp_path, base_config, capsys, flags):
         out = tmp_path / "run"

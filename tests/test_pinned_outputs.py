@@ -18,6 +18,7 @@ from routecoach import AgentSpec, generate_agent_specs, grid_graph, write_graph
 from routecoach.cli import main
 from routecoach.training import TrainConfig, Trainer, update_agent
 from routecoach.trajectory import Trajectory
+from conftest import openblas_core
 
 # sha256 of metrics.csv; the first three recorded before the fused per-agent
 # update, "mock-llm-skip-congestion" before the shared episode loop, "crowd-congestion"
@@ -58,6 +59,12 @@ CROWD_SPECS = (
     AgentSpec(7, 14, 1), AgentSpec(8, 4, 7), AgentSpec(9, 7, 4, depart_time=5),
     AgentSpec(10, 2, 13), AgentSpec(11, 8, 11),
 )
+
+
+def _pin_failure(pin: str) -> str:
+    """The message of a digest that differs from the pin ``pin``: which BLAS kernels computed it."""
+    return (f"{pin}: the digest differs from its pin, computed with OpenBLAS's {openblas_core()} kernels; "
+            "the pins hold only with SkylakeX (see the README)")
 
 
 def _digest(path) -> str:
@@ -154,12 +161,12 @@ def _cli_run(name, tmp_path) -> str:
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_metrics_csv_matches_pin(name, tmp_path):
-    assert _run(name, tmp_path) == PINNED[name]
+    assert _run(name, tmp_path) == PINNED[name], _pin_failure(name)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_CLI))
 def test_cli_output_matches_pin(name, tmp_path):
-    assert _cli_run(name, tmp_path) == PINNED_CLI[name]
+    assert _cli_run(name, tmp_path) == PINNED_CLI[name], _pin_failure(name)
 
 
 # -- one update round on hand-built trajectories ---------------------------------------------
@@ -234,7 +241,7 @@ def update_digest(learners, stats) -> str:
 def test_update_matches_pin(name):
     learners, tau_a, tau_e, config = update_case(name)
     stats = update_agent(learners, tau_a, tau_e, 1, config)
-    assert update_digest(learners, stats) == PINNED_UPDATE[name]
+    assert update_digest(learners, stats) == PINNED_UPDATE[name], _pin_failure(name)
 
 
 # -- an A6-style loop that evaluates after every epoch ------------------------------------------
@@ -266,4 +273,4 @@ def test_evaluated_loop_matches_pin(mode, tmp_path):
     for line in evals:
         digest.update(line.encode())
     assert len(evals) == config.epochs
-    assert digest.hexdigest() == PINNED_EVAL_LOOP[mode]
+    assert digest.hexdigest() == PINNED_EVAL_LOOP[mode], _pin_failure(mode)

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from routecoach.training import (
     save_checkpoint,
     update_agent,
 )
-from reference import episode_record, policy_episode, primitive_build
+from reference import episode_record, learner_bytes, policy_episode, primitive_build
 
 
 @pytest.fixture()
@@ -136,6 +137,25 @@ class TestConfig:
         assert np.isfinite(trainer.metrics[-1].loss_value_a)
         with pytest.raises(TrainingError, match="time_penalty 1e\\+153"):
             Trainer(small_config(steps_per_episode=20, time_penalty=1e153), graph, specs)
+
+    def test_learning_rate_at_its_bound_trains_with_finite_losses(self, grid3_setup):
+        """The largest rate ``TrainConfig`` admits for 2 epochs of 4 Adam steps trains them with finite losses;
+        the next float up is rejected.  IPPO, since the bound leaves out the guided modes' expert importance
+        ratio, which overflows at far smaller rates."""
+        lo, hi = 1.0, 1e100  # admitted and rejected; narrowed to adjacent floats
+        while math.nextafter(lo, hi) < hi:
+            mid = (lo + hi) / 2 if hi < 2 * lo else math.sqrt(lo * hi)
+            try:
+                small_config(mode="ippo", epochs=2, learning_rate=mid)
+                lo = mid
+            except ValueError as exc:
+                assert "learning_rate" in str(exc)
+                hi = mid
+        assert 1e46 < lo < 1e49
+        graph, specs = grid3_setup
+        trainer = Trainer(small_config(mode="ippo", epochs=2, learning_rate=lo), graph, specs).train()
+        assert len(trainer.metrics) == 2
+        assert all(np.isfinite([m.loss_policy, m.loss_value_a]).all() for m in trainer.metrics)
 
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TrainConfig)])
     def test_values_of_another_type_rejected(self, field):
@@ -427,7 +447,7 @@ class TestTrainerLoop:
         original = trainer._propose_routes
 
         def spying():
-            calls.append(trainer.epoch + 1)
+            calls.append(len(trainer.metrics) + 1)
             return original()
 
         trainer._propose_routes = spying
@@ -573,6 +593,36 @@ class TestTrainerLoop:
         assert load_checkpoint(tmp_path / "checkpoints", config_hash(cfg), trainer.env)[1]["epoch"] == epochs
 
 
+class TestRunLength:
+    """A trainer runs ``config.epochs`` epochs once; ``len(metrics)`` counts them."""
+
+    @staticmethod
+    def _state(trainer):
+        return (repr(trainer.metrics), [learner_bytes(ln) for ln in trainer.learners],
+                [ln.rng.bit_generator.state for ln in trainer.learners], trainer.demo_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("mode", ["dynamic", "fixed-alpha:0.5", "logit-ppo", "ippo"])
+    def test_epoch_past_the_configured_count_raises_and_changes_nothing(self, grid3_setup, mode):
+        graph, specs = grid3_setup
+        trainer = Trainer(small_config(mode=mode, epochs=2, demo_interval=1), graph, specs)
+        assert [trainer.run_epoch().epoch for _ in range(2)] == [1, 2]
+        before = self._state(trainer)
+        with pytest.raises(TrainingError, match="2 epochs have all run"):
+            trainer.run_epoch()
+        assert self._state(trainer) == before
+
+    @pytest.mark.parametrize("mode", ["dynamic", "ippo"])
+    def test_second_train_raises_and_leaves_the_run_directory(self, tmp_path, grid3_setup, mode):
+        graph, specs = grid3_setup
+        trainer = Trainer(small_config(mode=mode, epochs=2, demo_interval=1), graph, specs)
+        trainer.train(out_dir=tmp_path)
+        files = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        with pytest.raises(TrainingError, match="has run 2 epochs"):
+            trainer.train(out_dir=tmp_path)
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == files
+        assert len(trainer.metrics) == 2
+
+
 class TestIppoGoldenEquivalence:
     def _assert_trainer_matches_primitives(self, cfg, graph, specs):
         for learner, golden in zip(Trainer(cfg, graph, specs).train().learners, primitive_build(cfg, graph, specs)):
@@ -644,7 +694,7 @@ class TestPolicyTableCache:
                 assert got.actions.tolist() == tau.actions.tolist()
                 assert got.rewards.tobytes() == tau.rewards.tobytes()
                 assert got.logps.tobytes() == tau.logps.tobytes()
-        assert trainer.epoch == 4
+        assert len(trainer.metrics) == 4
         expected_eval, _ = self._fresh(trainer)
         assert trainer.evaluate(1).per_agent.tobytes() == expected_eval.per_agent.tobytes()
 
