@@ -261,9 +261,10 @@ class AgentLearner:
     policy: nets.MlpParams
     value_a: nets.MlpParams
     value_e: nets.MlpParams
-    adam_policy: nets.AdamState
-    adam_value_a: nets.AdamState
-    adam_value_e: nets.AdamState
+    # None once the run's last update has stepped them: nothing reads the moments after it
+    adam_policy: nets.AdamState | None
+    adam_value_a: nets.AdamState | None
+    adam_value_e: nets.AdamState | None
     rng: np.random.Generator
     alpha: float = 1.0
     last_agent: Trajectory | None = None
@@ -450,6 +451,7 @@ def update_agent(
     mixed objective plus the entropy bonus.  Each of ``update_epochs`` passes steps
     the value heads, then the policies, in place.  The batches are segments of one
     set of rows (see ``nets``), so each agent gets the bytes of an update of it alone.
+    A learner whose run has released its Adam state raises ``TrainingError`` before any step.
     """
     eps, beta, lr = config.clip_epsilon, config.entropy_beta, config.learning_rate
     stats = [dict.fromkeys(LOSSES, float("nan")) for _ in learners]
@@ -457,6 +459,8 @@ def update_agent(
     # Adam state, policy-loss weight, entropy upstream; ``agents`` maps an agent to its segments
     segs, agents = [], {}
     for i, (ln, own, expert) in enumerate(zip(learners, tau_a, tau_e)):
+        if any(adam is None for adam in (ln.adam_policy, ln.adam_value_a, ln.adam_value_e)):
+            raise TrainingError(f"agent {own.agent_id}: no optimizer state; its run's last update released it")
         if len(own) == 0:
             continue
         agents[i] = [len(segs)]
@@ -651,6 +655,9 @@ class Trainer:
             learner.last_agent = traj
         self._table = None  # cleared before the update, so that an update that raises leaves none stale
         stats = update_agent(self.learners, tau_a, [ln.last_expert for ln in self.learners], k, cfg)
+        if k == cfg.epochs:  # the run's last update: its networks stay, its Adam moments go
+            for ln in self.learners:
+                ln.adam_policy = ln.adam_value_a = ln.adam_value_e = None
         metrics = EpochMetrics(
             epoch=k,
             reward_a=tuple(t.episode_reward for t in tau_a),

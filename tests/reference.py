@@ -137,7 +137,8 @@ def primitive_update(ln: AgentLearner, tau_a: Trajectory, tau_e: Trajectory | No
 
 def primitive_build(cfg, graph, specs) -> list[AgentLearner]:
     """The training loop: policy episodes, oracle routes replayed at the first epoch and every
-    ``demo_interval`` unless IPPO, and ``primitive_update`` for each agent that moved."""
+    ``demo_interval`` unless IPPO, and ``primitive_update`` for each agent that moved; after the last
+    epoch's update each learner releases its Adam moments, as ``Trainer.run_epoch`` does."""
     env = RouteEnv(graph, specs, step_limit=cfg.steps_per_episode, time_penalty=cfg.time_penalty,
                    shaping_coef=cfg.shaping_coef, arrival_bonus=cfg.arrival_bonus, congestion=cfg.congestion)
     learners = []
@@ -155,14 +156,20 @@ def primitive_build(cfg, graph, specs) -> list[AgentLearner]:
         for ln, tau in zip(learners, trajectories):
             if len(tau) > 0:
                 primitive_update(ln, tau, ln.last_expert, cfg)
+    for ln in learners:  # the last update is done: the networks stay, the Adam moments go
+        ln.adam_policy = ln.adam_value_a = ln.adam_value_e = None
     return learners
 
 
 def learner_bytes(ln: AgentLearner) -> bytes:
-    """Every network's and Adam moment's bytes, and the Adam step counts."""
+    """Every network's bytes, the moments' bytes of each Adam state the learner holds, and each state's step count.
+
+    A released state counts as ``None``, so a learner that holds its moments and one that has released them differ.
+    """
     adams = (ln.adam_policy, ln.adam_value_a, ln.adam_value_e)
-    arrays = [ln.policy.data, ln.value_a.data, ln.value_e.data] + [x for a in adams for x in (a.m, a.v)]
-    return b"".join(x.tobytes() for x in arrays) + repr([a.t for a in adams]).encode()
+    held = [x for a in adams if a is not None for x in (a.m, a.v)]
+    return (b"".join(x.tobytes() for x in [ln.policy.data, ln.value_a.data, ln.value_e.data] + held)
+            + repr([None if a is None else a.t for a in adams]).encode())
 
 
 def episode_record(trajectories) -> list[tuple]:

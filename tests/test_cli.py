@@ -8,6 +8,7 @@ import pytest
 
 from routecoach import AgentSpec, RouteEnv, cli, grid_graph, write_graph
 from routecoach.cli import demo_quality_report, main, moving_average
+from routecoach.fixtures import MAX_GRID_N
 from routecoach.llm import LlmError
 from routecoach.training import MAX_AGENTS, MAX_EVAL_EPISODES, TrainConfig, Trainer, config_hash
 
@@ -887,6 +888,14 @@ class TestMakeGraph:
         path = tmp_path / "g.json"
         assert main(["make-graph", "--kind", "grid", "--n", "1", "--out", str(path)]) == 2
         assert "n >= 2" in capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("n", [pytest.param(MAX_GRID_N + 1, id="first_n_past_MAX_GRID_N"),
+                                   pytest.param(100_000, id="n_100000_asks_for_ten_billion_junctions")])
+    def test_grid_past_its_bound_exits_2_before_building(self, tmp_path, capsys, n):
+        path = tmp_path / "g.json"
+        assert main(["make-graph", "--kind", "grid", "--n", str(n), "--out", str(path)]) == 2
+        assert f"error: cannot build the grid map: grid needs n <= {MAX_GRID_N}, got {n}" in capsys.readouterr().err
         assert not path.exists()
 
 

@@ -231,7 +231,10 @@ def test_fused_update_equals_reference(agents, mode, data, seed):
 @given(grid=st.integers(3, 5), agents=st.integers(2, 5), data=st.data(), seed=st.integers(0, 2**16),
        mode=st.sampled_from(["dynamic", "ippo", "fixed-alpha:0.3", "fixed-alpha:1"]))
 def test_training_is_decentralized(grid, agents, data, seed, mode):
-    """Training the first m of n agents gives them what training all n gives them, every epoch and at the end.
+    """Training the first m of n agents gives them what training all n gives them, every epoch.
+
+    Each epoch compares the metrics and the learners' bytes, so every epoch's Adam moments are compared
+    while they are held; after the last epoch both runs have released them.
 
     Congestion is off, and the provider is the oracle (none under ``ippo``): the
     logit provider draws every agent's route from one shared generator.
@@ -246,5 +249,5 @@ def test_training_is_decentralized(grid, agents, data, seed, mode):
         small, large = (run.run_epoch() for run in runs)
         for field in ("reward_a", "alpha", "dtw"):
             assert repr(getattr(small, field)) == repr(getattr(large, field)[:few]), field
-    for i in range(few):
-        assert learner_bytes(runs[0].learners[i]) == learner_bytes(runs[1].learners[i]), f"agent {i}"
+        for i in range(few):
+            assert learner_bytes(runs[0].learners[i]) == learner_bytes(runs[1].learners[i]), f"agent {i}"

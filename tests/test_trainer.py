@@ -623,6 +623,37 @@ class TestRunLength:
         assert len(trainer.metrics) == 2
 
 
+class TestReleasedMoments:
+    """After the run's last update each learner keeps its networks and releases its Adam moments."""
+
+    ADAMS = ("adam_policy", "adam_value_a", "adam_value_e")
+
+    def _released(self, trainer):
+        return [getattr(ln, name) is None for ln in trainer.learners for name in self.ADAMS]
+
+    @pytest.mark.parametrize("mode", ["dynamic", "ippo"])
+    def test_each_epoch_but_the_last_holds_the_moments(self, grid3_setup, mode):
+        graph, specs = grid3_setup
+        trainer = Trainer(small_config(mode=mode, epochs=3), graph, specs)
+        for k in (1, 2, 3):
+            trainer.run_epoch()
+            assert self._released(trainer) == [k == 3] * 6, f"epoch {k}"
+
+    def test_train_returns_a_trainer_without_moments(self, grid3_setup):
+        graph, specs = grid3_setup
+        assert self._released(Trainer(small_config(epochs=2), graph, specs).train()) == [True] * 6
+
+    def test_update_of_a_released_learner_raises_naming_it_and_changes_nothing(self, grid3_setup):
+        graph, specs = grid3_setup
+        trainer = Trainer(small_config(epochs=2), graph, specs).train()
+        learners = trainer.learners
+        before = [learner_bytes(ln) for ln in learners]
+        with pytest.raises(TrainingError, match="agent 0: no optimizer state"):
+            update_agent(learners, [ln.last_agent for ln in learners], [ln.last_expert for ln in learners], 3,
+                         trainer.config)
+        assert [learner_bytes(ln) for ln in learners] == before
+
+
 class TestIppoGoldenEquivalence:
     def _assert_trainer_matches_primitives(self, cfg, graph, specs):
         for learner, golden in zip(Trainer(cfg, graph, specs).train().learners, primitive_build(cfg, graph, specs)):
